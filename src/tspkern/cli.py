@@ -8,6 +8,7 @@ the configured exact-solver caps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import sys
@@ -16,8 +17,6 @@ from . import gadgets, oracle
 from .instance import (
     Instance,
     InstanceError,
-    KIND_SUBTSP,
-    KIND_TSP,
     KIND_WRP,
     KINDS,
     ParseError,
@@ -33,16 +32,24 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
-def _caps_from_env() -> oracle.OracleCaps:
-    def get(var: str, default: int) -> int:
-        raw = os.environ.get(var)
-        return default if raw is None else int(raw)
+class UsageError(ValueError):
+    """Malformed command-line or environment setting."""
 
-    return oracle.OracleCaps(
-        multiplicity_edges=get("TSPKERN_CAP_MULT_EDGES", 14),
-        heldkarp_waypoints=get("TSPKERN_CAP_HK_WAYPOINTS", 18),
-        treewidth_width=get("TSPKERN_CAP_TW_WIDTH", 8),
-    )
+
+def _caps_from_env() -> oracle.OracleCaps:
+    """oracle.DEFAULT_CAPS, overridden by the TSPKERN_CAP_* variables set."""
+    caps = {}
+    for name, var in (("multiplicity_edges", "TSPKERN_CAP_MULT_EDGES"),
+                      ("heldkarp_waypoints", "TSPKERN_CAP_HK_WAYPOINTS"),
+                      ("treewidth_width", "TSPKERN_CAP_TW_WIDTH")):
+        raw = os.environ.get(var)
+        if raw is None:
+            continue
+        try:
+            caps[name] = int(raw)
+        except ValueError:
+            raise UsageError(f"{var} must be an integer, got {raw!r}") from None
+    return dataclasses.replace(oracle.DEFAULT_CAPS, **caps)
 
 
 def _read(path: str) -> Instance:
@@ -64,15 +71,12 @@ def _trivial(kind: str, verdict: str) -> Instance:
 
 def cmd_kernelize(args) -> int:
     inst = _read(args.input)
-    expected = {"fes": None, "vc-tsp": KIND_TSP, "vc-wrp": KIND_WRP,
-                "components": KIND_TSP, "paths": KIND_SUBTSP}[args.regime]
-    if expected is not None and inst.kind != expected:
-        note = (" (capacitated path kernels are open)"
-                if args.regime == "paths" and inst.kind == KIND_WRP else "")
-        print(f"error: regime {args.regime} needs a {expected} instance,"
-              f" got {inst.kind}{note}", file=sys.stderr)
-        return EXIT_USAGE
-    kernel, report = PIPELINES[args.regime](inst, r=args.r, k_max=args.k_max)
+    try:
+        kernel, report = PIPELINES[args.regime](inst, r=args.r, k_max=args.k_max)
+    except InstanceError as exc:
+        if args.regime == "paths" and inst.kind == KIND_WRP:
+            raise InstanceError(f"{exc} (capacitated path kernels are open)") from exc
+        raise
     if report.decided is not None:
         kernel = _trivial(kernel.kind, report.decided)
     _write(args.output, render_instance(kernel))
@@ -154,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("input")
     k.add_argument("output")
     k.add_argument("--regime", required=True,
-                   choices=("fes", "vc-tsp", "vc-wrp", "components", "paths"))
+                   choices=tuple(PIPELINES))
     k.add_argument("--r", type=int, default=1, help="component/path size bound")
     k.add_argument("--k-max", type=int, default=None, help="modulator search cap")
     k.add_argument("--report", choices=("text", "json"), default="text")
@@ -209,16 +213,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScaleError as exc:
         print(f"scale exceeded: {exc}", file=sys.stderr)
         return EXIT_SCALE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError as exc:
+    except (InstanceError, UsageError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

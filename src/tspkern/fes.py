@@ -10,16 +10,8 @@ branch vertices may keep up to three inner vertices.
 
 from __future__ import annotations
 
-from .instance import Edge, Instance, KIND_WRP, as_wrp, compute_fes
-from .preprocess import (
-    RuleOutcome,
-    compress_weights,
-    decided_no,
-    ensure_connected,
-    reduced,
-    rr_stop,
-    unchanged,
-)
+from .instance import Edge, Instance
+from .preprocess import VERDICT_UNCHANGED, RuleOutcome, decided_no, reduced, unchanged
 from .report import KernelReport
 
 
@@ -197,58 +189,21 @@ FES_RULES = (
 )
 
 
-def kernelize_fes(inst: Instance) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="fes")
-    if inst.kind != KIND_WRP:
-        report.log.append(f"reinterpreted {inst.kind} input as wrp with capacities 2")
-        inst = as_wrp(inst)
-    k_in = len(compute_fes(inst))
-    budget0 = inst.budget
-    cur = inst
-    while True:
-        outcome = rr_stop(cur)
-        if outcome.decided:
-            report.decided = outcome.verdict
-            report.fire("rr_stop", outcome.log_entry)
-            report.stats["fes_input"] = k_in
-            return cur, report
-        outcome = ensure_connected(cur)
-        if outcome.decided:
-            report.decided = outcome.verdict
-            report.fire("ensure_connected", outcome.log_entry)
-            report.stats["fes_input"] = k_in
-            return cur, report
-        if outcome.verdict == "reduced":
-            report.fire("ensure_connected", outcome.log_entry)
-            cur = outcome.instance
+def rule_fes(inst: Instance) -> tuple[Instance, KernelReport]:
+    """One round: fire the first rule of FES_RULES that applies."""
+    part = KernelReport(pipeline="fes")
+    for name, rule in FES_RULES:
+        outcome = rule(inst)
+        if outcome.verdict == VERDICT_UNCHANGED:
             continue
-        fired = False
-        for name, rule in FES_RULES:
-            outcome = rule(cur)
-            if outcome.decided:
-                report.decided = outcome.verdict
-                report.fire(name, outcome.log_entry)
-                report.stats["fes_input"] = k_in
-                return cur, report
-            if outcome.verdict == "reduced":
-                report.fire(name, outcome.log_entry)
-                cur = outcome.instance
-                fired = True
-                break
-        if not fired:
-            break
-    outcome = compress_weights(cur)
-    if outcome.verdict == "reduced":
-        report.fire("compress_weights", outcome.log_entry)
-        cur = outcome.instance
-    k_out = len(compute_fes(cur))
-    report.budget_delta = cur.budget - budget0
-    report.stats.update(
-        fes_input=k_in,
-        fes_output=k_out,
-        vertices=cur.n,
-        edges=len(cur.edges),
-        vertex_bound=8 * k_out,
-        edge_bound=9 * k_out,
-    )
-    return cur, report
+        part.fire(name, outcome.log_entry)
+        if outcome.decided:
+            part.decided = outcome.verdict
+            return inst, part
+        return outcome.instance, part
+    return inst, part
+
+
+def kernelize_fes(inst: Instance) -> tuple[Instance, KernelReport]:
+    from .pipelines import kernelize  # the driver imports this module
+    return kernelize(inst, "fes")

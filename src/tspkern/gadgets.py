@@ -128,7 +128,7 @@ def compose_fn(graphs: list[HpInstance]) -> Instance:
     # fractioning witness: deleting the apex plus one input graph leaves
     # components of at most k <= k+1 vertices each
     witness = {apex} | set(range(k))
-    assert all(len(c) <= k + 1 for c in _components_without(inst, witness))
+    assert all(len(c) <= k + 1 for c in inst.components(without=witness))
     return inst
 
 
@@ -157,30 +157,6 @@ def compose_degtw(graphs: list[HpInstance]) -> Instance:
             deg[e.v] += 1
         assert max(deg) == 2 * k
     return inst
-
-
-def _components_without(inst: Instance, removed):
-    alive = set(range(inst.n)) - set(removed)
-    adj = {v: [] for v in alive}
-    for e in inst.edges:
-        if e.u in alive and e.v in alive:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen, comps = set(), []
-    for s in alive:
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 # -- selection / cycle gadgets ----------------------------------------------

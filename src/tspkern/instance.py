@@ -9,8 +9,7 @@ carry no information.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 MAX_WEIGHT = 2**63 - 1
 
@@ -64,7 +63,7 @@ class Instance:
             raise InstanceError(f"unknown kind {self.kind!r}")
         if self.n < 1:
             raise InstanceError("vertex count must be positive")
-        for i, e in enumerate(self.edges):
+        for i, e in enumerate(self.edges, start=1):
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise InstanceError(f"edge {i}: endpoint out of range")
             if e.u == e.v:
@@ -78,13 +77,13 @@ class Instance:
                 raise InstanceError(f"edge {i}: capacity only allowed for wrp")
         for w in self.waypoints:
             if not (0 <= w < self.n):
-                raise InstanceError(f"waypoint {w} out of range")
+                raise InstanceError(f"waypoint {w + 1} out of range")
         if self.kind == KIND_TSP and self.waypoints != frozenset(range(self.n)):
             raise InstanceError("tsp requires every vertex to be a waypoint")
         if self.modulator_hint is not None:
             for v in self.modulator_hint:
                 if not (0 <= v < self.n):
-                    raise InstanceError(f"modulator hint vertex {v} out of range")
+                    raise InstanceError(f"modulator hint vertex {v + 1} out of range")
 
     # -- basic graph views -------------------------------------------------
 
@@ -101,10 +100,17 @@ class Instance:
             return len(adj[v])
         return sum(1 for e in self.edges for x in (e.u, e.v) if x == v)
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by least vertex."""
-        adj = self.adjacency()
+    def components(self, without=()) -> list[list[int]]:
+        """Connected components of G minus `without`, as sorted vertex lists
+        ordered by least vertex."""
         seen = [False] * self.n
+        for v in without:
+            seen[v] = True
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            if not (seen[e.u] or seen[e.v]):
+                nbrs[e.u].append(e.v)
+                nbrs[e.v].append(e.u)
         comps = []
         for s in range(self.n):
             if seen[s]:
@@ -114,8 +120,7 @@ class Instance:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for ei in adj[v]:
-                    w = self.edges[ei].other(v)
+                for w in nbrs[v]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -279,7 +284,6 @@ def render_instance(inst: Instance) -> str:
 
 # -- decompositions --------------------------------------------------------
 
-REGIME_VC = "vc"
 REGIME_COMPONENTS = "r_components"
 REGIME_PATHS = "r_paths"
 
@@ -408,28 +412,8 @@ def _regime_ok(inst: Instance, modulator, regime: str, r: int) -> bool:
 
 
 def _decomposition(inst: Instance, modulator, regime: str, r: int) -> ModulatorDecomposition:
-    alive = sorted(set(range(inst.n)) - set(modulator))
-    sub_index = set(alive)
-    adj = {v: [] for v in alive}
-    for e in inst.edges:
-        if e.u in sub_index and e.v in sub_index:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen, comps = set(), []
-    for s in alive:
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return ModulatorDecomposition(regime, r, frozenset(modulator), tuple(comps))
+    comps = tuple(tuple(c) for c in inst.components(without=modulator))
+    return ModulatorDecomposition(regime, r, frozenset(modulator), comps)
 
 
 def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> ModulatorDecomposition | None:

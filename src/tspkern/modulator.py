@@ -257,31 +257,6 @@ class _ComponentData:
         self.table = _impact_table(inst, M, self.behaviors)
 
 
-def _components_of(inst: Instance, M):
-    M = set(M)
-    alive = sorted(set(range(inst.n)) - M)
-    adj = {v: [] for v in alive}
-    for e in inst.edges:
-        if e.u in adj and e.v in adj:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen, comps = set(), []
-    for s in alive:
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def _mark_red_blue(inst, M, comps, data):
     impacts = sorted({imp for d in data for imp in d.table}, key=_impact_key)
     k = len(M)
@@ -313,7 +288,7 @@ def rule_components_tsp(inst: Instance, M, r: int,
     if inst.kind != KIND_TSP:
         raise InstanceError("component rule applies to the all-waypoint kind")
     M = frozenset(M)
-    comps = _components_of(inst, M)
+    comps = inst.components(without=M)
     try:
         data = [_ComponentData(inst, M, comp, r, guard) for comp in comps]
     except InfeasibleComponent as exc:
@@ -475,7 +450,7 @@ def rule_paths_subtsp(inst: Instance, M, r: int,
     if inst.kind != KIND_SUBTSP:
         raise InstanceError("path rule applies to the subset kind")
     M = frozenset(M)
-    comps = _components_of(inst, M)
+    comps = inst.components(without=M)
     if any(v not in inst.waypoints for comp in comps for v in comp):
         raise InstanceError("saturation required: every path vertex must be a waypoint")
     try:

@@ -18,19 +18,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
-from .instance import (
-    KIND_TSP,
-    KIND_SUBTSP,
-    KIND_WRP,
-    Edge,
-    Instance,
-    ScaleError,
-)
+from .instance import KIND_WRP, Instance, ScaleError
 
 
 @dataclass(frozen=True)
@@ -484,10 +477,6 @@ def solution_component_behavior(inst: Instance, walk: Walk, M, C):
 
 
 # -- engine 3: tree-decomposition DP -----------------------------------------
-
-def _edge_cap(inst: Instance, e: Edge) -> int:
-    return inst.effective_capacity(e)
-
 
 def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     """Exact minimum-weight certificate via DP over a tree decomposition.

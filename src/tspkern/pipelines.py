@@ -1,14 +1,26 @@
-"""End-to-end kernelization drivers, one per regime.
+"""End-to-end kernelization: one regime table and one driver loop.
 
-Each driver checks the problem kind, acquires the structural decomposition
-(hint or search), runs its marking rule to a fixpoint (restarting after
-waypoint promotions), and finishes with verified weight compression.  A
-Decided verdict at any point short-circuits the run.
+Every regime follows the same recipe.  `REGIMES` maps each regime name to a
+row that gives the accepted kind (FES takes any kind and reads it as
+capacitated), the structure step, the round rule, and the stats that finish
+the report.  The structure step takes a modulator hint or searches for a
+vertex cover or modulator (`compute_vc` / `find_modulator`); for paths it
+also saturates the path vertices.  A round applies the regime's marking
+rule once, or for FES the first applicable local rule of `FES_RULES`.
+
+`kernelize` runs the stop rules and connectivity once, then the structure
+step, then rounds until one fires nothing, rechecking the stop rules after
+each change, and finishes with verified weight compression.  A Decided
+verdict at any point ends the run.  The report's budget delta is the
+kernel's budget minus the input's.
 """
 
 from __future__ import annotations
 
-from .fes import kernelize_fes
+from dataclasses import dataclass, replace
+from typing import Callable
+
+from .fes import kernelize_fes, rule_fes
 from .instance import (
     Instance,
     InstanceError,
@@ -17,13 +29,105 @@ from .instance import (
     KIND_WRP,
     REGIME_COMPONENTS,
     REGIME_PATHS,
+    as_wrp,
+    compute_fes,
     compute_vc,
     find_modulator,
 )
 from .modulator import rule_components_tsp, rule_paths_subtsp, saturate_path_nonterminals
-from .preprocess import compress_weights, ensure_connected, rr_stop
+from .preprocess import RuleOutcome, compress_weights, ensure_connected, rr_stop
 from .report import KernelReport
 from .vc import rule_vc_tsp, rule_vc_wrp
+
+
+@dataclass(frozen=True)
+class Regime:
+    pipeline: str  # name in the report
+    kind: str | None  # accepted kind; None takes any kind, read as wrp
+    need: str  # the accepted kind in words, for the mismatch message
+    # (instance, r, k_max, report) -> instance carrying the modulator as hint
+    structure: Callable[[Instance, int, int | None, KernelReport], Instance]
+    # (instance, r) -> (instance, report of one round)
+    rule: Callable[[Instance, int], tuple[Instance, KernelReport]]
+    # public entry point, called as entry(inst, r=..., k_max=...)
+    entry: Callable[..., tuple[Instance, KernelReport]]
+    # (input, kernel or None when decided) -> stats closing the report
+    stats: Callable[[Instance, Instance | None], dict] = lambda start, kernel: {}
+
+
+def _with_hint(inst: Instance, M) -> Instance:
+    if inst.modulator_hint == frozenset(M):
+        return inst
+    return replace(inst, modulator_hint=frozenset(M))
+
+
+def _vertex_cover(inst: Instance, r, k_max: int | None, report) -> Instance:
+    hint = inst.modulator_hint
+    if hint is not None:
+        if any(e.u not in hint and e.v not in hint for e in inst.edges):
+            raise InstanceError("modulator hint is not a vertex cover")
+        return inst
+    cover = compute_vc(inst, inst.n if k_max is None else k_max)
+    if cover is None:
+        raise InstanceError(f"no vertex cover within k_max={k_max}")
+    return _with_hint(inst, cover)
+
+
+def _modulator(inst: Instance, regime: str, r: int, k_max: int | None) -> Instance:
+    dec = find_modulator(inst, regime, r, inst.n if k_max is None else k_max)
+    if dec is None:
+        raise InstanceError(f"no modulator within k_max={k_max}")
+    return _with_hint(inst, dec.modulator)
+
+
+def _saturated_path_modulator(inst: Instance, r: int, k_max: int | None,
+                              report: KernelReport) -> Instance:
+    """Short-circuiting keeps the waypoints, the budget and connectivity, so
+    the stop rules need no recheck."""
+    inst = _modulator(inst, REGIME_PATHS, r, k_max)
+    before = inst.n
+    inst = saturate_path_nonterminals(inst)
+    if inst.n != before:
+        report.fire("saturate", f"short-circuited {before - inst.n} non-waypoint(s)")
+    return inst
+
+
+def _fes_stats(start: Instance, kernel: Instance | None) -> dict:
+    stats = {"fes_input": len(compute_fes(start))}
+    if kernel is not None:
+        k = len(compute_fes(kernel))
+        stats.update(fes_output=k, vertex_bound=8 * k, edge_bound=9 * k)
+    return stats
+
+
+REGIMES = {
+    "fes": Regime(
+        "fes", None, "any",
+        structure=lambda inst, r, k_max, report: inst,
+        rule=lambda inst, r: rule_fes(inst),
+        entry=lambda inst, r=None, k_max=None: kernelize_fes(inst),
+        stats=_fes_stats),
+    "vc-tsp": Regime(
+        "vc-tsp", KIND_TSP, "all-waypoint",
+        structure=_vertex_cover,
+        rule=lambda inst, r: rule_vc_tsp(inst, inst.modulator_hint),
+        entry=lambda inst, r=None, k_max=None: kernelize_vc_tsp(inst, k_max)),
+    "vc-wrp": Regime(
+        "vc-wrp", KIND_WRP, "capacitated",
+        structure=_vertex_cover,
+        rule=lambda inst, r: rule_vc_wrp(inst, inst.modulator_hint),
+        entry=lambda inst, r=None, k_max=None: kernelize_vc_wrp(inst, k_max)),
+    "components": Regime(
+        "components-tsp", KIND_TSP, "all-waypoint",
+        structure=lambda inst, r, k_max, report: _modulator(inst, REGIME_COMPONENTS, r, k_max),
+        rule=lambda inst, r: rule_components_tsp(inst, inst.modulator_hint, r),
+        entry=lambda inst, r=1, k_max=None: kernelize_components_tsp(inst, r, k_max)),
+    "paths": Regime(
+        "paths-subtsp", KIND_SUBTSP, "subset",
+        structure=_saturated_path_modulator,
+        rule=lambda inst, r: rule_paths_subtsp(inst, inst.modulator_hint, r),
+        entry=lambda inst, r=1, k_max=None: kernelize_paths_subtsp(inst, r, k_max)),
+}
 
 
 def _merge(into: KernelReport, part: KernelReport):
@@ -32,152 +136,88 @@ def _merge(into: KernelReport, part: KernelReport):
     for color, cnt in part.marks.items():
         into.add_marks(color, cnt)
     into.promoted_waypoints.extend(part.promoted_waypoints)
-    into.budget_delta += part.budget_delta
     into.stats.update(part.stats)
     into.log.extend(part.log)
     into.decided = part.decided
 
 
-def _preamble(inst: Instance, report: KernelReport):
-    """Stop rules and connectivity; returns (instance, done?)."""
-    outcome = rr_stop(inst)
+def _settles(outcome: RuleOutcome, rule: str, report: KernelReport) -> bool:
     if outcome.decided:
         report.decided = outcome.verdict
-        report.fire("rr_stop", outcome.log_entry)
-        return inst, True
-    outcome = ensure_connected(inst)
-    if outcome.decided:
-        report.decided = outcome.verdict
-        report.fire("ensure_connected", outcome.log_entry)
-        return inst, True
-    if outcome.verdict == "reduced":
-        report.fire("ensure_connected", outcome.log_entry)
-        return outcome.instance, False
-    return inst, False
+        report.fire(rule, outcome.log_entry)
+    return outcome.decided
 
 
-def _finish(inst: Instance, report: KernelReport) -> Instance:
-    outcome = compress_weights(inst)
-    if outcome.verdict == "reduced":
-        report.fire("compress_weights", outcome.log_entry)
-        inst = outcome.instance
-    report.stats.update(vertices=inst.n, edges=len(inst.edges))
-    return inst
+def _reduce(spec: Regime, inst: Instance, r: int, k_max: int | None,
+            report: KernelReport) -> Instance:
+    """Stop rules, connectivity, structure, then rounds to a fixpoint.
 
-
-def _vertex_cover(inst: Instance, k_max: int | None) -> frozenset[int]:
-    pairs = {(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges}
-    hint = inst.modulator_hint
-    if hint is not None:
-        if any(u not in hint and v not in hint for u, v in pairs):
-            raise InstanceError("modulator hint is not a vertex cover")
-        return hint
-    cover = compute_vc(inst, inst.n if k_max is None else k_max)
-    if cover is None:
-        raise InstanceError(f"no vertex cover within k_max={k_max}")
-    return cover
-
-
-def _with_hint(inst: Instance, M) -> Instance:
-    if inst.modulator_hint == frozenset(M):
+    `ensure_connected` runs once because no round disconnects the graph: the
+    FES rules delete leaves or replace a chain by edges joining its ends, and
+    each marking rule keeps, for every pair of modulator vertices joined
+    through G minus M, a component that joins them.
+    """
+    if _settles(rr_stop(inst), "rr_stop", report):
         return inst
-    return Instance(inst.kind, inst.n, inst.edges, inst.waypoints,
-                    inst.budget, frozenset(M))
-
-
-def _rule_loop(inst: Instance, report: KernelReport, rule) -> Instance:
-    """Apply `rule(inst, M)` until nothing is removed or promoted."""
+    outcome = ensure_connected(inst)
+    if _settles(outcome, "ensure_connected", report):
+        return inst
+    if outcome.verdict == "reduced":
+        report.fire("ensure_connected", outcome.log_entry)
+        inst = outcome.instance
+    inst = spec.structure(inst, r, k_max, report)
     while True:
-        out, part = rule(inst, inst.modulator_hint)
+        out, part = spec.rule(inst, r)
         _merge(report, part)
-        if report.decided:
+        if report.decided or not part.rule_firings:
             return inst
-        changed = part.stats.get("removed", 0) > 0 or part.promoted_waypoints
-        inst = _with_hint(out, out.modulator_hint or inst.modulator_hint)
-        outcome = rr_stop(inst)
-        if outcome.decided:
-            report.decided = outcome.verdict
-            report.fire("rr_stop", outcome.log_entry)
+        inst = out
+        if _settles(rr_stop(inst), "rr_stop", report):
             return inst
-        if not changed:
-            return inst
+
+
+def kernelize(inst: Instance, regime: str, r: int = 1,
+              k_max: int | None = None) -> tuple[Instance, KernelReport]:
+    """Kernelize `inst` in `regime` (a key of REGIMES); returns the kernel,
+    or the instance at the point of decision, and the report."""
+    spec = REGIMES[regime]
+    report = KernelReport(pipeline=spec.pipeline)
+    if spec.kind is None:
+        if inst.kind != KIND_WRP:
+            report.log.append(f"reinterpreted {inst.kind} input as wrp with capacities 2")
+            inst = as_wrp(inst)
+    elif inst.kind != spec.kind:
+        raise InstanceError(f"regime {regime} needs the {spec.need} kind ({spec.kind}),"
+                            f" got {inst.kind}")
+    start = inst
+    inst = _reduce(spec, inst, r, k_max, report)
+    if report.decided is None:
+        outcome = compress_weights(inst)
+        if outcome.verdict == "reduced":
+            report.fire("compress_weights", outcome.log_entry)
+            inst = outcome.instance
+        report.stats.update(vertices=inst.n, edges=len(inst.edges))
+        report.budget_delta = inst.budget - start.budget
+    report.stats.update(spec.stats(start, None if report.decided else inst))
+    return inst, report
 
 
 def kernelize_vc_tsp(inst: Instance, k_max: int | None = None) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="vc-tsp")
-    if inst.kind != KIND_TSP:
-        raise InstanceError("vc-tsp pipeline needs the all-waypoint kind")
-    inst, done = _preamble(inst, report)
-    if done:
-        return inst, report
-    inst = _with_hint(inst, _vertex_cover(inst, k_max))
-    inst = _rule_loop(inst, report, lambda g, M: rule_vc_tsp(g, M))
-    if report.decided:
-        return inst, report
-    return _finish(inst, report), report
+    return kernelize(inst, "vc-tsp", k_max=k_max)
 
 
 def kernelize_vc_wrp(inst: Instance, k_max: int | None = None) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="vc-wrp")
-    if inst.kind != KIND_WRP:
-        raise InstanceError("vc-wrp pipeline needs the capacitated kind")
-    inst, done = _preamble(inst, report)
-    if done:
-        return inst, report
-    inst = _with_hint(inst, _vertex_cover(inst, k_max))
-    inst = _rule_loop(inst, report, lambda g, M: rule_vc_wrp(g, M))
-    if report.decided:
-        return inst, report
-    return _finish(inst, report), report
+    return kernelize(inst, "vc-wrp", k_max=k_max)
 
 
 def kernelize_components_tsp(inst: Instance, r: int,
                              k_max: int | None = None) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="components-tsp")
-    if inst.kind != KIND_TSP:
-        raise InstanceError("components pipeline needs the all-waypoint kind")
-    inst, done = _preamble(inst, report)
-    if done:
-        return inst, report
-    dec = find_modulator(inst, REGIME_COMPONENTS, r, inst.n if k_max is None else k_max)
-    if dec is None:
-        raise InstanceError(f"no modulator within k_max={k_max}")
-    inst = _with_hint(inst, dec.modulator)
-    inst = _rule_loop(inst, report, lambda g, M: rule_components_tsp(g, M, r))
-    if report.decided:
-        return inst, report
-    return _finish(inst, report), report
+    return kernelize(inst, "components", r, k_max)
 
 
 def kernelize_paths_subtsp(inst: Instance, r: int,
                            k_max: int | None = None) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="paths-subtsp")
-    if inst.kind != KIND_SUBTSP:
-        raise InstanceError("paths pipeline needs the subset kind")
-    inst, done = _preamble(inst, report)
-    if done:
-        return inst, report
-    dec = find_modulator(inst, REGIME_PATHS, r, inst.n if k_max is None else k_max)
-    if dec is None:
-        raise InstanceError(f"no modulator within k_max={k_max}")
-    inst = _with_hint(inst, dec.modulator)
-    before = inst.n
-    inst = saturate_path_nonterminals(inst)
-    if inst.n != before:
-        report.fire("saturate", f"short-circuited {before - inst.n} non-waypoint(s)")
-        inst, done = _preamble(inst, report)
-        if done:
-            return inst, report
-    inst = _rule_loop(inst, report, lambda g, M: rule_paths_subtsp(g, M, r))
-    if report.decided:
-        return inst, report
-    return _finish(inst, report), report
+    return kernelize(inst, "paths", r, k_max)
 
 
-PIPELINES = {
-    "fes": lambda inst, r=None, k_max=None: kernelize_fes(inst),
-    "vc-tsp": lambda inst, r=None, k_max=None: kernelize_vc_tsp(inst, k_max),
-    "vc-wrp": lambda inst, r=None, k_max=None: kernelize_vc_wrp(inst, k_max),
-    "components": lambda inst, r=1, k_max=None: kernelize_components_tsp(inst, r, k_max),
-    "paths": lambda inst, r=1, k_max=None: kernelize_paths_subtsp(inst, r, k_max),
-}
+PIPELINES = {name: spec.entry for name, spec in REGIMES.items()}

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .instance import Instance, InstanceError, KIND_TSP, KIND_WRP
+from .instance import Instance, InstanceError
 from .report import KernelReport
 
 INF = math.inf

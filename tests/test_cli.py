@@ -58,6 +58,19 @@ def test_malformed_input(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.grw")]) == 2
 
 
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_integer_cap_is_usage_error(monkeypatch, triangle, capsys):
+    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "abc")
+    assert main(["solve", triangle]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TSPKERN_CAP_MULT_EDGES") and err.count("\n") == 1
+
+
 def test_kernelize_fes_report_text(tmp_path, capsys):
     src = tmp_path / "in.grw"
     # tree plus one extra edge, one pendant waypoint to fold

@@ -212,3 +212,12 @@ def test_remove_vertices_remaps_everything():
 def test_remove_hint_vertex_drops_hint():
     inst = Instance("stsp", 3, (Edge(1, 2, 1),), frozenset({1}), 0, frozenset({0}))
     assert inst.remove_vertices({0}).modulator_hint is None
+
+
+def test_instance_errors_print_file_ids():
+    with pytest.raises(ParseError, match="waypoint 9 out of range"):
+        parse_instance("p stsp 3 1\nb 1\nw 1 9\ne 1 2 1\n")
+    with pytest.raises(ParseError, match="modulator hint vertex 4 out of range"):
+        parse_instance("p stsp 3 1\nb 1\nm 4\ne 1 2 1\n")
+    with pytest.raises(ParseError, match="edge 2: endpoint out of range"):
+        parse_instance("p stsp 3 2\nb 1\ne 1 2 1\ne 1 5 1\n")
