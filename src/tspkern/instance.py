@@ -426,7 +426,7 @@ def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> Modulator
     if regime not in (REGIME_COMPONENTS, REGIME_PATHS):
         raise ValueError(f"unknown regime {regime!r}")
     if r < 1:
-        raise ValueError("r must be positive")
+        raise InstanceError(f"r must be positive, got {r}")
     if inst.modulator_hint is not None:
         if not _regime_ok(inst, inst.modulator_hint, regime, r):
             raise InstanceError("modulator hint does not satisfy the regime")

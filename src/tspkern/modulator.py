@@ -6,8 +6,8 @@ multiset of G_C = G[C u M] minus modulator-internal edges, giving every
 C-vertex nonzero even degree, anchoring every piece at M, and crossing into
 M at most 2r times.  Components are fingerprinted by the impact (touched
 modulator vertices plus connectivity/parity representative edges) and pruned
-by the red/blue/green (and, for the subset kind, yellow/promotion) marking
-rules.
+by the marking scheme in `marking`: each component is one unit.  Blue
+marking, which keeps shortest modulator-to-modulator paths, lives here.
 """
 
 from __future__ import annotations
@@ -24,14 +24,19 @@ from .instance import (
     KIND_TSP,
     ScaleError,
 )
+from .marking import (
+    INF,
+    Unit,
+    close_round,
+    collect_units,
+    mark_red,
+    natural,
+    settle,
+    table_impacts,
+    unit,
+)
 from .preprocess import rr_short_circuit
 from .report import KernelReport
-
-INF = math.inf
-
-
-class InfeasibleComponent(ValueError):
-    """Some component admits no behavior: the instance has no solution."""
 
 
 @dataclass(frozen=True)
@@ -92,17 +97,22 @@ def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, i
         d = deg.get(v, 0)
         if d == 0 or d % 2:
             return False
-    # every support component holding a C-vertex must reach M
-    support = set(deg)
-    adj = {v: [] for v in support}
-    for i, c in edge_counts.items():
-        if c:
-            e = inst.edges[i]
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen = set()
-    for s in support:
-        if s in seen or s in M:
+    # no edge joins two modulator vertices, so every support component holds
+    # a C-vertex and must reach M
+    return _anchored_at(inst, M, [i for i, c in edge_counts.items() if c], M)
+
+
+def _support_components(inst: Instance, eids, vertices=()) -> list[set[int]]:
+    """Vertex sets of the components of the graph on the ends of edges
+    `eids` (repetition allowed) plus `vertices`, ordered by least vertex."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for i in eids:
+        e = inst.edges[i]
+        adj.setdefault(e.u, []).append(e.v)
+        adj.setdefault(e.v, []).append(e.u)
+    seen, out = set(), []
+    for s in sorted(adj):
+        if s in seen:
             continue
         comp, stack = set(), [s]
         seen.add(s)
@@ -113,9 +123,14 @@ def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, i
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if not comp & M:
-            return False
-    return True
+        out.append(comp)
+    return out
+
+
+def _anchored_at(inst: Instance, M, eids, anchors) -> bool:
+    """Every support component of `eids` with a non-modulator vertex meets
+    `anchors`."""
+    return all(comp & anchors for comp in _support_components(inst, eids) if comp - M)
 
 
 def enumerate_component_behaviors(inst: Instance, M, C, r: int,
@@ -137,41 +152,28 @@ def enumerate_component_behaviors(inst: Instance, M, C, r: int,
     return out
 
 
+def _label(C) -> str:
+    return f"component {[v + 1 for v in sorted(C)]}"
+
+
 def natural_behavior_component(inst: Instance, M, C, r: int,
                                behaviors=None) -> ComponentBehavior:
     if behaviors is None:
         behaviors = enumerate_component_behaviors(inst, M, C, r)
-    if not behaviors:
-        raise InfeasibleComponent(f"component {sorted(C)} admits no behavior")
-    return min(behaviors, key=lambda b: (b.weight, b.edges))
+    return natural(behaviors, _label(C))
 
 
 def component_impact(inst: Instance, M, behavior: ComponentBehavior) -> ComponentImpact:
     M = set(M)
     deg: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
     for i in behavior.edges:
         e = inst.edges[i]
         deg[e.u] = deg.get(e.u, 0) + 1
         deg[e.v] = deg.get(e.v, 0) + 1
-        adj.setdefault(e.u, []).append(e.v)
-        adj.setdefault(e.v, []).append(e.u)
     touched = frozenset(v for v in deg if v in M)
 
     rep: dict[tuple[int, int], int] = {}
-    seen = set()
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        comp, stack = set(), [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    for comp in _support_components(inst, behavior.edges):
         mverts = sorted(comp & M)
         if len(mverts) < 2:
             continue
@@ -183,13 +185,8 @@ def component_impact(inst: Instance, M, behavior: ComponentBehavior) -> Componen
     return ComponentImpact(touched, tuple(sorted(rep.items())))
 
 
-def _impact_table(inst: Instance, M, behaviors):
-    table: dict[ComponentImpact, int] = {}
-    for b in behaviors:
-        imp = component_impact(inst, M, b)
-        if imp not in table or b.weight < table[imp]:
-            table[imp] = b.weight
-    return table
+def _component_unit(inst: Instance, M, C, behaviors) -> Unit:
+    return unit(_label(C), C, behaviors, lambda b: component_impact(inst, M, b))
 
 
 def price_component(inst: Instance, M, C, r: int, I: ComponentImpact, I2: ComponentImpact,
@@ -198,17 +195,8 @@ def price_component(inst: Instance, M, C, r: int, I: ComponentImpact, I2: Compon
         behaviors = enumerate_component_behaviors(inst, M, C, r)
     if not behaviors:
         return INF
-    nat = natural_behavior_component(inst, M, C, r, behaviors)
-    if component_impact(inst, M, nat) != I:
-        return INF
-    table = _impact_table(inst, M, behaviors)
-    if I2 not in table:
-        return INF
-    return table[I2] - nat.weight
-
-
-def _impact_key(imp: ComponentImpact):
-    return (sorted(imp.touched), imp.rep_edges)
+    u = _component_unit(inst, M, C, behaviors)
+    return u.price(I2) if u.impact == I else INF
 
 
 def _shortest_mm_paths(inst: Instance, M, C):
@@ -246,40 +234,20 @@ def _shortest_mm_paths(inst: Instance, M, C):
     return out
 
 
-class _ComponentData:
-    def __init__(self, inst, M, C, r, guard):
-        self.C = tuple(sorted(C))
-        self.behaviors = enumerate_component_behaviors(inst, M, C, r, guard)
-        if not self.behaviors:
-            raise InfeasibleComponent(f"component {sorted(C)} admits no behavior")
-        self.nat = natural_behavior_component(inst, M, C, r, self.behaviors)
-        self.nat_impact = component_impact(inst, M, self.nat)
-        self.table = _impact_table(inst, M, self.behaviors)
-
-
-def _mark_red_blue(inst, M, comps, data):
-    impacts = sorted({imp for d in data for imp in d.table}, key=_impact_key)
-    k = len(M)
-    cap = 2 * len(impacts) ** 2 + 2 * k
-    red = set()
-    for I in impacts:
-        for I2 in impacts:
-            priced = []
-            for ci, d in enumerate(data):
-                if d.nat_impact == I and I2 in d.table:
-                    priced.append((d.table[I2] - d.nat.weight, ci))
-            priced.sort()
-            for _, ci in priced[:cap]:
-                red.add(ci)
-    blue = set()
+def _mark_blue(inst: Instance, M, comps) -> set[int]:
+    """Per pair of modulator vertices joined through some component, the
+    component of least (shortest path length, index)."""
     best: dict[tuple[int, int], tuple[int, int]] = {}
     for ci, comp in enumerate(comps):
         for pair, dist in _shortest_mm_paths(inst, M, comp).items():
             if pair not in best or (dist, ci) < best[pair]:
                 best[pair] = (dist, ci)
-    for dist, ci in best.values():
-        blue.add(ci)
-    return impacts, red, blue
+    return {ci for _, ci in best.values()}
+
+
+def _component_units(inst: Instance, M, comps, r: int, guard: int, report: KernelReport):
+    return collect_units(report, comps, lambda C: _component_unit(
+        inst, M, C, enumerate_component_behaviors(inst, M, C, r, guard)))
 
 
 def rule_components_tsp(inst: Instance, M, r: int,
@@ -289,45 +257,24 @@ def rule_components_tsp(inst: Instance, M, r: int,
         raise InstanceError("component rule applies to the all-waypoint kind")
     M = frozenset(M)
     comps = inst.components(without=M)
-    try:
-        data = [_ComponentData(inst, M, comp, r, guard) for comp in comps]
-    except InfeasibleComponent as exc:
-        report.decided = "no"
-        report.log.append(str(exc))
+    units = _component_units(inst, M, comps, r, guard, report)
+    if units is None:
         return inst, report
-
-    impacts, red, blue = _mark_red_blue(inst, M, comps, data)
-    green = set()
-    for I in impacts:
-        group = [ci for ci in range(len(comps))
-                 if ci not in red and ci not in blue and data[ci].nat_impact == I]
-        if group:
-            green.update(group[:1] if len(group) % 2 else group[:2])
-
-    unmarked = [ci for ci in range(len(comps)) if ci not in red | blue | green]
     k = len(M)
-    ni = len(impacts)
-    bound = 2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni
+    ni = len(table_impacts(units))
+    red = mark_red(units, 2 * ni**2 + 2 * k)
+    blue = _mark_blue(inst, M, comps)
+    _, green, _ = settle(units, red | blue, inst.waypoints)  # every vertex is a waypoint
     report.add_marks("red", len(red))
     report.add_marks("blue", len(blue))
     report.add_marks("green", len(green))
     report.stats.update(
-        impact_count=ni, k=k, r=r,
-        components=len(comps), removed=len(unmarked),
-        component_bound=bound, components_left=len(comps) - len(unmarked),
+        impact_count=ni, k=k, r=r, components=len(comps),
+        component_bound=2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni,
     )
-    per_impact: dict = {}
-    for ci in unmarked:
-        per_impact[data[ci].nat_impact] = per_impact.get(data[ci].nat_impact, 0) + 1
-    assert all(c % 2 == 0 for c in per_impact.values())
-    if not unmarked:
-        report.log.append("nothing removed")
-        return inst, report
-    victims = set(itertools.chain.from_iterable(comps[ci] for ci in unmarked))
-    delta = -sum(data[ci].nat.weight for ci in unmarked)
-    out = inst.remove_vertices(victims, budget_delta=delta)
-    report.budget_delta = delta
-    report.fire("rule_components_tsp", f"removed {len(unmarked)} component(s), budget {delta:+d}")
+    out = close_round(inst, report, "rule_components_tsp", units, red | blue | green,
+                      "component(s)")
+    report.stats["components_left"] = len(comps) - report.stats["removed"]
     return out, report
 
 
@@ -353,36 +300,19 @@ def saturate_path_nonterminals(inst: Instance, M=None) -> Instance:
 
 def pieces(inst: Instance, M, behavior: ComponentBehavior) -> list[Piece]:
     M = set(M)
-    cadj: dict[int, list[int]] = {}
+    inner: list[int] = []
     legs_at: dict[int, list[int]] = {}
-    cverts = set()
     for i in behavior.edges:
         e = inst.edges[i]
-        ends = set(e.ends())
-        if ends & M:
-            (c,) = ends - M
-            legs_at.setdefault(c, []).append(i)
-            cverts.add(c)
+        if e.u in M or e.v in M:
+            legs_at.setdefault(e.v if e.u in M else e.u, []).append(i)
         else:
-            cadj.setdefault(e.u, []).append(e.v)
-            cadj.setdefault(e.v, []).append(e.u)
-            cverts |= ends
-    seen, out = set(), []
-    for s in sorted(cverts):
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in cadj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comp.sort()
-        legs = tuple(sorted(itertools.chain.from_iterable(legs_at.get(v, ()) for v in comp)))
-        out.append(Piece(tuple(comp), legs))
+            inner.append(i)
+    out = []
+    for comp in _support_components(inst, inner, legs_at):
+        path = tuple(sorted(comp))
+        legs = tuple(sorted(itertools.chain.from_iterable(legs_at.get(v, ()) for v in path)))
+        out.append(Piece(path, legs))
     return out
 
 
@@ -410,38 +340,12 @@ def blend_behavior(inst: Instance, M, C, A: ComponentBehavior, M_prime, v: int,
         imp = component_impact(inst, M, b)
         if v not in imp.touched or not imp.touched <= allowed:
             continue
-        if not _anchored_at(inst, M, b, M_prime):
+        if not _anchored_at(inst, M, b.edges, M_prime):
             continue
         if found is None or (b.weight, b.edges) < (found.weight, found.edges):
             found = b
     assert found is not None, "blending lemma guarantees a feasible behavior"
     return found
-
-
-def _anchored_at(inst: Instance, M, behavior: ComponentBehavior, M_prime) -> bool:
-    """Every support component with a non-modulator vertex reaches M'."""
-    adj: dict[int, list[int]] = {}
-    for i in behavior.edges:
-        e = inst.edges[i]
-        adj.setdefault(e.u, []).append(e.v)
-        adj.setdefault(e.v, []).append(e.u)
-    M = set(M)
-    seen = set()
-    for s in sorted(adj):
-        if s in seen or s in M:
-            continue
-        comp, stack = set(), [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            comp.add(x)
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if not comp & set(M_prime):
-            return False
-    return True
 
 
 def rule_paths_subtsp(inst: Instance, M, r: int,
@@ -453,64 +357,25 @@ def rule_paths_subtsp(inst: Instance, M, r: int,
     comps = inst.components(without=M)
     if any(v not in inst.waypoints for comp in comps for v in comp):
         raise InstanceError("saturation required: every path vertex must be a waypoint")
-    try:
-        data = [_ComponentData(inst, M, comp, r, guard) for comp in comps]
-    except InfeasibleComponent as exc:
-        report.decided = "no"
-        report.log.append(str(exc))
+    units = _component_units(inst, M, comps, r, guard, report)
+    if units is None:
         return inst, report
-
-    impacts, red, blue = _mark_red_blue(inst, M, comps, data)
     k = len(M)
-    ni = len(impacts)
+    ni = len(table_impacts(units))
+    red = mark_red(units, 2 * ni**2 + 2 * k)
+    blue = _mark_blue(inst, M, comps)
     yellow_cap = ((r + 1) ** (4 * r) * 2 ** (4 * r + 1) + k) * ni
-
-    green, yellow = set(), set()
-    promotions: set[int] = set()
-    for I in impacts:
-        group = [ci for ci in range(len(comps))
-                 if ci not in red and ci not in blue and data[ci].nat_impact == I]
-        if not group:
-            continue
-        if I.touched <= inst.waypoints:
-            green.update(group[:1] if len(group) % 2 else group[:2])
-        elif len(group) <= yellow_cap:
-            yellow.update(group)
-        else:
-            promotions |= I.touched
-
-    bound = (2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni
-             + yellow_cap * ni)
+    yellow, green, promotions = settle(units, red | blue, inst.waypoints, yellow_cap)
     report.add_marks("red", len(red))
     report.add_marks("blue", len(blue))
     report.add_marks("green", len(green))
     report.add_marks("yellow", len(yellow))
     report.stats.update(
-        impact_count=ni, k=k, r=r, yellow_cap=yellow_cap,
-        components=len(comps), component_bound=bound,
+        impact_count=ni, k=k, r=r, yellow_cap=yellow_cap, components=len(comps),
+        component_bound=(2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni
+                         + yellow_cap * ni),
     )
-
-    if promotions:
-        new_w = promotions - inst.waypoints
-        out = Instance(inst.kind, inst.n, inst.edges,
-                       inst.waypoints | new_w, inst.budget, inst.modulator_hint)
-        report.promoted_waypoints = sorted(new_w)
-        report.fire("rule_paths_subtsp", f"promoted {len(new_w)} waypoint(s)")
-        report.stats.update(removed=0, components_left=len(comps))
-        return out, report
-
-    unmarked = [ci for ci in range(len(comps)) if ci not in red | blue | green | yellow]
-    per_impact: dict = {}
-    for ci in unmarked:
-        per_impact[data[ci].nat_impact] = per_impact.get(data[ci].nat_impact, 0) + 1
-    assert all(c % 2 == 0 for c in per_impact.values())
-    report.stats.update(removed=len(unmarked), components_left=len(comps) - len(unmarked))
-    if not unmarked:
-        report.log.append("nothing removed")
-        return inst, report
-    victims = set(itertools.chain.from_iterable(comps[ci] for ci in unmarked))
-    delta = -sum(data[ci].nat.weight for ci in unmarked)
-    out = inst.remove_vertices(victims, budget_delta=delta)
-    report.budget_delta = delta
-    report.fire("rule_paths_subtsp", f"removed {len(unmarked)} component(s), budget {delta:+d}")
+    out = close_round(inst, report, "rule_paths_subtsp", units, red | blue | green | yellow,
+                      "component(s)", promotions)
+    report.stats["components_left"] = len(comps) - report.stats["removed"]
     return out, report

@@ -17,6 +17,7 @@ Three exact engines, all desk-scale and guarded by explicit caps:
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -111,6 +112,19 @@ def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
 
 # -- engine 1: multiplicity enumeration -------------------------------------
 
+def multiplicity_grid(bases) -> np.ndarray:
+    """Every vector x with 0 <= x[i] < bases[i], one int8 row each; x[0]
+    varies fastest."""
+    total = math.prod(bases)
+    idx = np.arange(total, dtype=np.int64)
+    counts = np.empty((total, len(bases)), dtype=np.int8)
+    stride = 1
+    for i, base in enumerate(bases):
+        counts[:, i] = (idx // stride) % base
+        stride *= base
+    return counts
+
+
 def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     m = len(inst.edges)
     if m > caps.multiplicity_edges:
@@ -125,14 +139,7 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         return OptResult(False, None, None)
     col = {v: i for i, v in enumerate(touched)}
 
-    bases = [inst.effective_capacity(e) + 1 for e in inst.edges]
-    total = int(np.prod(bases))
-    idx = np.arange(total, dtype=np.int64)
-    counts = np.empty((total, m), dtype=np.int8)
-    stride = 1
-    for i in range(m):
-        counts[:, i] = (idx // stride) % bases[i]
-        stride *= bases[i]
+    counts = multiplicity_grid([inst.effective_capacity(e) + 1 for e in inst.edges])
 
     # degree parity and waypoint coverage, vectorized over touched vertices
     inc = np.zeros((m, len(touched)), dtype=np.int8)

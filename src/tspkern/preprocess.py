@@ -16,6 +16,7 @@ from .instance import (
     InstanceError,
     MAX_WEIGHT,
 )
+from .oracle import multiplicity_grid
 
 VERDICT_YES = "yes"
 VERDICT_NO = "no"
@@ -63,7 +64,7 @@ def rr_short_circuit(inst: Instance, v: int) -> RuleOutcome:
     if inst.kind != KIND_SUBTSP:
         raise InstanceError("short-circuit rule applies to the subset kind only")
     if v in inst.waypoints:
-        raise InstanceError(f"vertex {v} is a waypoint")
+        raise InstanceError(f"vertex {v + 1} is a waypoint")
     incident = [(i, e) for i, e in enumerate(inst.edges) if v in e.ends()]
     shortcuts: dict[tuple[int, int], int] = {}
     for (i1, e1), (i2, e2) in itertools.combinations(incident, 2):
@@ -132,14 +133,7 @@ def total_bitsize(weights, budget: int) -> int:
 
 def _sum_profile(weights):
     """All values of w . x for x in {0,1,2}^m, aligned with a fixed x order."""
-    m = len(weights)
-    total = 3**m
-    idx = np.arange(total, dtype=np.int64)
-    counts = np.empty((total, m), dtype=np.int8)
-    stride = 1
-    for i in range(m):
-        counts[:, i] = (idx // stride) % 3
-        stride *= 3
+    counts = multiplicity_grid([3] * len(weights))
     if 2 * sum(weights) >= 2**62:
         sums = counts.astype(object) @ np.array(weights, dtype=object)
     else:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from tspkern.cli import main
-from tspkern.instance import parse_instance
+from tspkern.gadgets import gen_planted
+from tspkern.instance import parse_instance, render_instance
 
 
 TRIANGLE = """p tsp 3 3
@@ -126,6 +127,21 @@ def test_kernelize_regime_kind_mismatch(tmp_path, triangle, capsys):
     cap.write_text("p wrp 2 1\nb 9\ne 1 2 1 2\nw 1 2\n")
     assert main(["kernelize", str(cap), "/dev/null", "--regime", "paths"]) == 2
     assert "capacitated path kernels are open" in capsys.readouterr().err
+
+
+def test_kernelize_r_zero_is_usage_error(tmp_path, triangle, capsys):
+    assert main(["kernelize", triangle, str(tmp_path / "out.grw"),
+                 "--regime", "components", "--r", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_kernelize_log_names_file_vertex(tmp_path, capsys):
+    src = tmp_path / "in.grw"
+    src.write_text(render_instance(gen_planted("wrp", "vc", 2, 1, 7, seed=13)))
+    assert main(["kernelize", str(src), str(tmp_path / "out.grw"), "--regime", "vc-wrp",
+                 "--report", "json"]) == 0
+    assert "vertex 4 admits no behavior" in json.loads(capsys.readouterr().out)["log"]
 
 
 def test_verify(tmp_path, triangle, capsys):

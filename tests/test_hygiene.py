@@ -1,8 +1,10 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+every module-level private function, class or constant is referenced
+somewhere in the package.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
-with the standard library.  `__init__.py` is skipped: its imports are the
-package's re-exports.
+with the standard library.  `__init__.py` is skipped by the import check:
+its imports are the package's re-exports.
 """
 
 import ast
@@ -37,3 +39,51 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_name` functions, classes and assigned constants."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported anywhere in `tree`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set().union(*(references(tree) for tree in trees.values()))
+    return [f"{name} line {line}: {priv}" for name, tree in sorted(trees.items())
+            for priv, line in private_definitions(tree).items() if priv not in used]
+
+
+def test_orphan_detector():
+    sources = {"a.py": "_K = 1\n_used = 2\ndef _gone():\n    pass\nclass _Kept:\n    pass\n",
+               "b.py": "from .a import _Kept\nprint(_used)\n"}
+    assert orphans(sources) == ["a.py line 1: _K", "a.py line 3: _gone"]
+
+
+def test_no_orphan_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert orphans(sources) == []

@@ -13,6 +13,7 @@ from tspkern.vc import (
     REGIME_TSP,
     REGIME_WRP,
     VertexImpact,
+    _unit,
     enumerate_vertex_behaviors,
     natural_behavior_vertex,
     price_vertex_tsp,
@@ -79,6 +80,7 @@ def test_natural_tsp_tie_lowest_index():
     inst = two_neighbor_tsp(2, 2)
     nat = natural_behavior_vertex(inst, {0, 1}, 2, REGIME_TSP)
     assert nat.edges == (1, 1)
+    assert _unit(inst, {0, 1}, 2, REGIME_TSP).natural == nat
 
 
 def test_natural_wrp_nonwaypoint_empty():
