@@ -5,6 +5,17 @@ first class; self-loops are forbidden.  Capacities only exist for the
 capacitated problem kind ("wrp") and are normalized into {1, 2} on load:
 a closed walk never needs an edge more than twice, so larger capacities
 carry no information.
+
+Every kernel stands on three graph primitives, each written once here:
+
+- incidence: `Instance.adjacency()`, the edge ids at each vertex in
+  ascending order, computed once per instance;
+- components: `component_walk`, one depth-first walk over a set of edge ids
+  plus extra vertices, behind `Instance.components`, the regime checks of
+  the modulator search, the support walks of the modulator kernels and the
+  certificate check;
+- spanning forest: `non_forest`, one union-find pass, behind `compute_fes`
+  and `oracle.find_component_preserving_cycle`.
 """
 
 from __future__ import annotations
@@ -87,45 +98,24 @@ class Instance:
 
     # -- basic graph views -------------------------------------------------
 
-    def adjacency(self) -> list[list[int]]:
-        """adj[v] = list of incident edge indices (both directions)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            adj[e.u].append(i)
-            adj[e.v].append(i)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """adj[v] = the ids of the edges at v, ascending.  Computed on the
+        first call and kept on the instance, which is frozen."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(self.n)]
+            for i, e in enumerate(self.edges):
+                lists[e.u].append(i)
+                lists[e.v].append(i)
+            adj = tuple(map(tuple, lists))
+            object.__setattr__(self, "_adjacency", adj)
         return adj
-
-    def degree(self, v: int, adj=None) -> int:
-        if adj is not None:
-            return len(adj[v])
-        return sum(1 for e in self.edges for x in (e.u, e.v) if x == v)
 
     def components(self, without=()) -> list[list[int]]:
         """Connected components of G minus `without`, as sorted vertex lists
         ordered by least vertex."""
-        seen = [False] * self.n
-        for v in without:
-            seen[v] = True
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            if not (seen[e.u] or seen[e.v]):
-                nbrs[e.u].append(e.v)
-                nbrs[e.v].append(e.u)
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in nbrs[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        alive = set(range(self.n)).difference(without)
+        return [sorted(comp) for comp in component_walk(self, _induced_edges(self, alive), alive)]
 
     def effective_capacity(self, e: Edge) -> int:
         """Usable multiplicity bound under nice solutions."""
@@ -296,8 +286,40 @@ class ModulatorDecomposition:
     components: tuple[tuple[int, ...], ...]  # sorted vertex tuples, by least vertex
 
 
-def compute_fes(inst: Instance) -> list[int]:
-    """Indices of non-forest edges under a first-seen spanning forest."""
+def component_walk(inst: Instance, eids, vertices=()):
+    """Yield the components of the graph on the ends of edges `eids`
+    (repetition allowed) plus `vertices`, each as a vertex list in the order
+    a depth-first walk pops them.  Seeds are taken in ascending order and a
+    vertex's neighbours in the order of `eids`: `_component_violation`'s
+    witness, and with it find_modulator's branching order, rests on that."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for i in eids:
+        e = inst.edges[i]
+        adj.setdefault(e.u, []).append(e.v)
+        adj.setdefault(e.v, []).append(e.u)
+    seen = set()
+    for s in sorted(adj):
+        if s in seen:
+            continue
+        comp, stack = [], [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        yield comp
+
+
+def _induced_edges(inst: Instance, alive) -> list[int]:
+    return [i for i, e in enumerate(inst.edges) if e.u in alive and e.v in alive]
+
+
+def non_forest(inst: Instance, eids) -> list[int]:
+    """Positions in `eids` of the edges that close a cycle when the edges
+    join a spanning forest one by one, in order."""
     parent = list(range(inst.n))
 
     def find(x):
@@ -306,14 +328,20 @@ def compute_fes(inst: Instance) -> list[int]:
             x = parent[x]
         return x
 
-    fes = []
-    for i, e in enumerate(inst.edges):
+    rest = []
+    for pos, i in enumerate(eids):
+        e = inst.edges[i]
         ru, rv = find(e.u), find(e.v)
         if ru == rv:
-            fes.append(i)
+            rest.append(pos)
         else:
             parent[ru] = rv
-    return fes
+    return rest
+
+
+def compute_fes(inst: Instance) -> list[int]:
+    """Indices of non-forest edges under a first-seen spanning forest."""
+    return non_forest(inst, range(len(inst.edges)))
 
 
 def _simple_pairs(inst: Instance) -> list[tuple[int, int]]:
@@ -346,57 +374,28 @@ def compute_vc(inst: Instance, k_max: int) -> frozenset[int] | None:
 
 def _path_violation(inst: Instance, alive: set[int]) -> list[int] | None:
     """A small vertex set hitting every obstruction to `alive` being disjoint paths."""
-    adj = {v: [] for v in alive}
-    for e in inst.edges:
-        if e.u in alive and e.v in alive:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
+    eids = _induced_edges(inst, alive)
+    deg = dict.fromkeys(alive, 0)
+    for i in eids:
+        deg[inst.edges[i].u] += 1
+        deg[inst.edges[i].v] += 1
     for v in sorted(alive):
-        if len(adj[v]) >= 3:
-            return [v] + sorted(adj[v])[:3]
+        if deg[v] >= 3:
+            nbrs = (inst.edges[i].other(v) for i in inst.adjacency()[v])
+            return [v] + sorted(w for w in nbrs if w in alive)[:3]
     # all degrees <= 2: components are paths or cycles
-    seen = set()
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        nedges = sum(len(adj[v]) for v in comp) // 2
-        if nedges >= len(comp):  # cycle
+    for comp in component_walk(inst, eids, alive):
+        if sum(deg[v] for v in comp) // 2 >= len(comp):  # cycle
             return sorted(comp)
     return None
 
 
 def _component_violation(inst: Instance, alive: set[int], r: int) -> list[int] | None:
-    """r+1 connected vertices inside `alive`, if some component is too big."""
-    adj = {v: [] for v in alive}
-    for e in inst.edges:
-        if e.u in alive and e.v in alive:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen = set()
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack and len(comp) <= r:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    """r+1 connected vertices inside `alive`, if some component is too big:
+    the first r+1 that the walk pops from the first such component."""
+    for comp in component_walk(inst, _induced_edges(inst, alive), alive):
         if len(comp) > r:
             return sorted(comp[: r + 1])
-        seen.update(comp)
     return None
 
 

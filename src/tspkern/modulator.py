@@ -23,6 +23,7 @@ from .instance import (
     KIND_SUBTSP,
     KIND_TSP,
     ScaleError,
+    component_walk,
 )
 from .marking import (
     INF,
@@ -37,6 +38,9 @@ from .marking import (
 )
 from .preprocess import rr_short_circuit
 from .report import KernelReport
+
+# most multiplicity vectors a component's behaviors are enumerated from
+BEHAVIOR_GUARD = 3**12
 
 
 @dataclass(frozen=True)
@@ -60,13 +64,8 @@ class Piece:
 
 def component_graph(inst: Instance, M, C) -> list[int]:
     """Edge indices of G_C: all edges inside C or between C and M."""
-    M, Cset = set(M), set(C)
-    out = []
-    for i, e in enumerate(inst.edges):
-        if e.u in Cset or e.v in Cset:
-            if {e.u, e.v} <= Cset | M:
-                out.append(i)
-    return out
+    adj, inside = inst.adjacency(), set(C) | set(M)
+    return sorted({i for v in C for i in adj[v] if inst.edges[i].other(v) in inside})
 
 
 def _behavior_multiset(counts: dict[int, int]):
@@ -102,46 +101,21 @@ def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, i
     return _anchored_at(inst, M, [i for i, c in edge_counts.items() if c], M)
 
 
-def _support_components(inst: Instance, eids, vertices=()) -> list[set[int]]:
-    """Vertex sets of the components of the graph on the ends of edges
-    `eids` (repetition allowed) plus `vertices`, ordered by least vertex."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for i in eids:
-        e = inst.edges[i]
-        adj.setdefault(e.u, []).append(e.v)
-        adj.setdefault(e.v, []).append(e.u)
-    seen, out = set(), []
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        comp, stack = set(), [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(comp)
-    return out
-
-
 def _anchored_at(inst: Instance, M, eids, anchors) -> bool:
     """Every support component of `eids` with a non-modulator vertex meets
     `anchors`."""
-    return all(comp & anchors for comp in _support_components(inst, eids) if comp - M)
+    return all(anchors.intersection(comp) for comp in component_walk(inst, eids)
+               if not M.issuperset(comp))
 
 
-def enumerate_component_behaviors(inst: Instance, M, C, r: int,
-                                  guard: int = 3**12) -> list[ComponentBehavior]:
+def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[ComponentBehavior]:
     eids = component_graph(inst, M, C)
     ranges = [range(inst.effective_capacity(inst.edges[i]) + 1) for i in eids]
     space = 1
     for rg in ranges:
         space *= len(rg)
-    if space > guard:
-        raise ScaleError(f"behavior enumeration space {space} exceeds guard {guard}")
+    if space > BEHAVIOR_GUARD:
+        raise ScaleError(f"behavior enumeration space {space} exceeds guard {BEHAVIOR_GUARD}")
     out = []
     for counts in itertools.product(*ranges):
         table = dict(zip(eids, counts))
@@ -173,8 +147,8 @@ def component_impact(inst: Instance, M, behavior: ComponentBehavior) -> Componen
     touched = frozenset(v for v in deg if v in M)
 
     rep: dict[tuple[int, int], int] = {}
-    for comp in _support_components(inst, behavior.edges):
-        mverts = sorted(comp & M)
+    for comp in component_walk(inst, behavior.edges):
+        mverts = sorted(M.intersection(comp))
         if len(mverts) < 2:
             continue
         mi = mverts[0]
@@ -245,37 +219,43 @@ def _mark_blue(inst: Instance, M, comps) -> set[int]:
     return {ci for _, ci in best.values()}
 
 
-def _component_units(inst: Instance, M, comps, r: int, guard: int, report: KernelReport):
-    return collect_units(report, comps, lambda C: _component_unit(
-        inst, M, C, enumerate_component_behaviors(inst, M, C, r, guard)))
-
-
-def rule_components_tsp(inst: Instance, M, r: int,
-                        guard: int = 3**12) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="components-tsp")
-    if inst.kind != KIND_TSP:
-        raise InstanceError("component rule applies to the all-waypoint kind")
-    M = frozenset(M)
+def _modulator_round(inst: Instance, M, r: int, pipeline: str, rule: str,
+                     yellow_cap=None) -> tuple[Instance, KernelReport]:
+    """One marking round over the components of G minus M.  `yellow_cap`,
+    given for the subset kind only, maps (k, impact count) to the yellow cap."""
+    report = KernelReport(pipeline=pipeline)
     comps = inst.components(without=M)
-    units = _component_units(inst, M, comps, r, guard, report)
+    units = collect_units(report, comps, lambda C: _component_unit(
+        inst, M, C, enumerate_component_behaviors(inst, M, C, r)))
     if units is None:
         return inst, report
     k = len(M)
     ni = len(table_impacts(units))
     red = mark_red(units, 2 * ni**2 + 2 * k)
     blue = _mark_blue(inst, M, comps)
-    _, green, _ = settle(units, red | blue, inst.waypoints)  # every vertex is a waypoint
+    cap = 0 if yellow_cap is None else yellow_cap(k, ni)
+    yellow, green, promotions = settle(units, red | blue, inst.waypoints, cap)
     report.add_marks("red", len(red))
     report.add_marks("blue", len(blue))
     report.add_marks("green", len(green))
-    report.stats.update(
-        impact_count=ni, k=k, r=r, components=len(comps),
-        component_bound=2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni,
-    )
-    out = close_round(inst, report, "rule_components_tsp", units, red | blue | green,
-                      "component(s)")
+    bound = 2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni
+    if yellow_cap is not None:
+        report.add_marks("yellow", len(yellow))
+        report.stats["yellow_cap"] = cap
+        bound += cap * ni
+    report.stats.update(impact_count=ni, k=k, r=r, components=len(comps),
+                        component_bound=bound)
+    out = close_round(inst, report, rule, units, red | blue | green | yellow,
+                      "component(s)", promotions)
     report.stats["components_left"] = len(comps) - report.stats["removed"]
     return out, report
+
+
+def rule_components_tsp(inst: Instance, M, r: int) -> tuple[Instance, KernelReport]:
+    if inst.kind != KIND_TSP:
+        raise InstanceError("component rule applies to the all-waypoint kind")
+    # every vertex is a waypoint, so no group is yellow
+    return _modulator_round(inst, frozenset(M), r, "components-tsp", "rule_components_tsp")
 
 
 # -- subset kind: saturation, pieces, blending, Rule 10 ----------------------
@@ -309,7 +289,7 @@ def pieces(inst: Instance, M, behavior: ComponentBehavior) -> list[Piece]:
         else:
             inner.append(i)
     out = []
-    for comp in _support_components(inst, inner, legs_at):
+    for comp in component_walk(inst, inner, legs_at):
         path = tuple(sorted(comp))
         legs = tuple(sorted(itertools.chain.from_iterable(legs_at.get(v, ()) for v in path)))
         out.append(Piece(path, legs))
@@ -317,11 +297,11 @@ def pieces(inst: Instance, M, behavior: ComponentBehavior) -> list[Piece]:
 
 
 def blend_behavior(inst: Instance, M, C, A: ComponentBehavior, M_prime, v: int,
-                   r: int, guard: int = 3**12) -> ComponentBehavior:
+                   r: int) -> ComponentBehavior:
     """A behavior touching v, confined to T(A) u T(b^nat), anchored at M',
     no heavier than A.  Existence is the blending lemma; we search for it."""
     M, M_prime = set(M), set(M_prime)
-    behaviors = enumerate_component_behaviors(inst, M, C, r, guard)
+    behaviors = enumerate_component_behaviors(inst, M, C, r)
     nat = natural_behavior_component(inst, M, C, r, behaviors)
     nat_touch = component_impact(inst, M, nat).touched
     a_touch = component_impact(inst, M, A).touched
@@ -348,34 +328,12 @@ def blend_behavior(inst: Instance, M, C, A: ComponentBehavior, M_prime, v: int,
     return found
 
 
-def rule_paths_subtsp(inst: Instance, M, r: int,
-                      guard: int = 3**12) -> tuple[Instance, KernelReport]:
-    report = KernelReport(pipeline="paths-subtsp")
+def rule_paths_subtsp(inst: Instance, M, r: int) -> tuple[Instance, KernelReport]:
     if inst.kind != KIND_SUBTSP:
         raise InstanceError("path rule applies to the subset kind")
     M = frozenset(M)
-    comps = inst.components(without=M)
-    if any(v not in inst.waypoints for comp in comps for v in comp):
+    if any(v not in inst.waypoints for v in range(inst.n) if v not in M):
         raise InstanceError("saturation required: every path vertex must be a waypoint")
-    units = _component_units(inst, M, comps, r, guard, report)
-    if units is None:
-        return inst, report
-    k = len(M)
-    ni = len(table_impacts(units))
-    red = mark_red(units, 2 * ni**2 + 2 * k)
-    blue = _mark_blue(inst, M, comps)
-    yellow_cap = ((r + 1) ** (4 * r) * 2 ** (4 * r + 1) + k) * ni
-    yellow, green, promotions = settle(units, red | blue, inst.waypoints, yellow_cap)
-    report.add_marks("red", len(red))
-    report.add_marks("blue", len(blue))
-    report.add_marks("green", len(green))
-    report.add_marks("yellow", len(yellow))
-    report.stats.update(
-        impact_count=ni, k=k, r=r, yellow_cap=yellow_cap, components=len(comps),
-        component_bound=(2 * (ni**2 + 2 * k) * ni**2 + math.comb(k, 2) + 2 * ni
-                         + yellow_cap * ni),
-    )
-    out = close_round(inst, report, "rule_paths_subtsp", units, red | blue | green | yellow,
-                      "component(s)", promotions)
-    report.stats["components_left"] = len(comps) - report.stats["removed"]
-    return out, report
+    return _modulator_round(
+        inst, M, r, "paths-subtsp", "rule_paths_subtsp",
+        yellow_cap=lambda k, ni: ((r + 1) ** (4 * r) * 2 ** (4 * r + 1) + k) * ni)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .instance import KIND_WRP, Instance, ScaleError
+from .instance import KIND_WRP, Instance, ScaleError, component_walk, non_forest
 
 
 @dataclass(frozen=True)
@@ -64,30 +64,9 @@ def empty_solution(inst: Instance) -> SolutionMultigraph:
 
 def _support_connected(inst: Instance, mult) -> bool:
     """Support (positive-degree vertices) connected and covering all waypoints."""
-    deg = [0] * inst.n
-    for m, e in zip(mult, inst.edges):
-        if m > 0:
-            deg[e.u] += m
-            deg[e.v] += m
-    support = [v for v in range(inst.n) if deg[v] > 0]
-    if any(deg[w] == 0 for w in inst.waypoints):
-        return False
-    if not support:
-        return True
-    adj = {v: [] for v in support}
-    for m, e in zip(mult, inst.edges):
-        if m > 0:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen = {support[0]}
-    stack = [support[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(support)
+    comps = component_walk(inst, [i for i, m in enumerate(mult) if m > 0])
+    first = next(comps, ())
+    return next(comps, None) is None and inst.waypoints <= set(first)
 
 
 def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
@@ -299,22 +278,7 @@ def find_component_preserving_cycle(inst: Instance, sol: SolutionMultigraph) -> 
     if len(instances) <= 2 * len(support) - 2:
         raise ValueError("multigraph has too few edges for a removable cycle")
 
-    parent = {v: v for v in support}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rest = []
-    for i in instances:
-        e = inst.edges[i]
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            rest.append(i)
-        else:
-            parent[ru] = rv
+    rest = [instances[pos] for pos in non_forest(inst, instances)]
 
     # parallel pair inside the remainder is already a cycle
     seen_pair = {}

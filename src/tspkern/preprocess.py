@@ -65,9 +65,9 @@ def rr_short_circuit(inst: Instance, v: int) -> RuleOutcome:
         raise InstanceError("short-circuit rule applies to the subset kind only")
     if v in inst.waypoints:
         raise InstanceError(f"vertex {v + 1} is a waypoint")
-    incident = [(i, e) for i, e in enumerate(inst.edges) if v in e.ends()]
+    incident = [inst.edges[i] for i in inst.adjacency()[v]]
     shortcuts: dict[tuple[int, int], int] = {}
-    for (i1, e1), (i2, e2) in itertools.combinations(incident, 2):
+    for e1, e2 in itertools.combinations(incident, 2):
         a, b = e1.other(v), e2.other(v)
         if a == b:
             continue  # a closed detour through a non-waypoint is never needed

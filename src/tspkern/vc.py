@@ -53,8 +53,11 @@ def _behavior(inst: Instance, r: int, eids) -> VertexBehavior:
 def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[VertexBehavior]:
     if r in M:
         raise InstanceError(f"vertex {r + 1} is in the modulator")
-    incident = [i for i, e in enumerate(inst.edges) if r in e.ends()]
-    assert all(inst.edges[i].other(r) in M for i in incident), "M must be a vertex cover"
+    incident = inst.adjacency()[r]
+    for i in incident:
+        w = inst.edges[i].other(r)
+        if w not in M:
+            raise InstanceError(f"M is not a vertex cover: edge {r + 1}-{w + 1} has no end in it")
 
     def usable(combo) -> bool:
         for i in set(combo):
@@ -82,7 +85,7 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[V
 
 def natural_behavior_vertex(inst: Instance, M, r: int, regime: str) -> VertexBehavior:
     if regime == REGIME_TSP:
-        incident = [i for i, e in enumerate(inst.edges) if r in e.ends()]
+        incident = inst.adjacency()[r]
         if not incident:
             raise NoBehavior(f"vertex {r + 1} has no incident edge")
         best = min(incident, key=lambda i: (inst.edges[i].weight, i))

@@ -144,6 +144,17 @@ def test_kernelize_log_names_file_vertex(tmp_path, capsys):
     assert "vertex 4 admits no behavior" in json.loads(capsys.readouterr().out)["log"]
 
 
+def test_kernelize_behavior_guard_is_scale_exit(tmp_path, capsys):
+    # component {1} joined to 13 modulator vertices: 3^13 behavior vectors
+    n = 14
+    edges = "".join(f"e 1 {m} 1\n" for m in range(2, n + 1))
+    hint = " ".join(str(m) for m in range(2, n + 1))
+    path = tmp_path / "star.grw"
+    path.write_text(f"p tsp {n} {n - 1}\nb 99\nm {hint}\n{edges}")
+    assert main(["kernelize", str(path), str(tmp_path / "k.grw"), "--regime", "components"]) == 3
+    assert "exceeds guard" in capsys.readouterr().err
+
+
 def test_verify(tmp_path, triangle, capsys):
     copy = tmp_path / "copy.grw"
     copy.write_text(TRIANGLE)

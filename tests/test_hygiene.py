@@ -1,6 +1,7 @@
-"""Source hygiene: every module-level import in the package is used, and
+"""Source hygiene: every module-level import in the package is used,
 every module-level private function, class or constant is referenced
-somewhere in the package.
+somewhere in the package, and every public function or method is referenced
+somewhere in the package or its tests.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library.  `__init__.py` is skipped by the import check:
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tspkern"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -87,3 +89,42 @@ def test_orphan_detector():
 def test_no_orphan_private_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert orphans(sources) == []
+
+
+def public_functions(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(name, qualified name, line) of every module-level function and every
+    method of a module-level class whose name does not start with `_`."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out += [(fn.name, f"{node.name}.{fn.name}", fn.lineno) for fn in node.body
+                    if isinstance(fn, functions) and not fn.name.startswith("_")]
+        elif isinstance(node, functions) and not node.name.startswith("_"):
+            out.append((node.name, node.name, node.lineno))
+    return out
+
+
+def unreferenced(package: dict[str, str], tests: dict[str, str]) -> list[str]:
+    """Public functions and methods of `package` that no source in `package`
+    or `tests` reads, calls or imports, other than by defining them."""
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    used = set().union(*(references(tree) for tree in trees.values()),
+                       *(references(ast.parse(src)) for src in tests.values()))
+    return [f"{name} line {line}: {qual}" for name, tree in sorted(trees.items())
+            for fn, qual, line in public_functions(tree) if fn not in used]
+
+
+def test_unreferenced_detector():
+    package = {"a.py": "def kept():\n    pass\ndef gone():\n    pass\n"
+                       "class K:\n    def used(self):\n        pass\n"
+                       "    def idle(self):\n        pass\n"
+                       "    def _private(self):\n        pass\n"}
+    tests = {"test_a.py": "from a import kept, K\nK().used()\n"}
+    assert unreferenced(package, tests) == ["a.py line 3: gone", "a.py line 8: K.idle"]
+
+
+def test_no_unreferenced_public_functions():
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    tests = {p.name: p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")}
+    assert unreferenced(package, tests) == []

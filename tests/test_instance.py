@@ -1,8 +1,10 @@
 """Instance model, file round-trips, and structural decompositions."""
 
+import dataclasses
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from tspkern.instance import (
     ParseError,
     REGIME_COMPONENTS,
     REGIME_PATHS,
+    _component_violation,
     compute_fes,
     compute_vc,
     find_modulator,
@@ -221,3 +224,50 @@ def test_instance_errors_print_file_ids():
         parse_instance("p stsp 3 1\nb 1\nm 4\ne 1 2 1\n")
     with pytest.raises(ParseError, match="edge 2: endpoint out of range"):
         parse_instance("p stsp 3 2\nb 1\ne 1 2 1\ne 1 5 1\n")
+
+
+def _alive(inst: Instance, rng: random.Random) -> set[int]:
+    return {v for v in range(inst.n) if rng.random() < 0.7}
+
+
+def _induced_graph(inst: Instance, alive) -> nx.MultiGraph:
+    g = nx.MultiGraph()
+    g.add_nodes_from(alive)
+    g.add_edges_from(e.ends() for e in inst.edges if e.u in alive and e.v in alive)
+    return g
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_components_match_networkx(seed):
+    rng = random.Random(seed)
+    inst = _random_instance(rng)
+    alive = _alive(inst, rng)
+    got = inst.components(without=set(range(inst.n)) - alive)
+    want = sorted(sorted(c) for c in nx.connected_components(_induced_graph(inst, alive)))
+    assert got == want
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_component_violation_is_connected_witness(seed, r):
+    rng = random.Random(seed)
+    inst = _random_instance(rng)
+    alive = _alive(inst, rng)
+    g = _induced_graph(inst, alive)
+    bad = _component_violation(inst, alive, r)
+    if bad is None:
+        assert all(len(c) <= r for c in nx.connected_components(g))
+    else:
+        assert len(set(bad)) == r + 1 and set(bad) <= alive
+        assert nx.is_connected(g.subgraph(bad))
+
+
+def test_adjacency_is_memoized_per_instance():
+    inst = triangle()
+    adj = inst.adjacency()
+    assert inst.adjacency() is adj
+    assert adj == ((0, 2), (0, 1), (1, 2))
+    assert adj == tuple(tuple(i for i, e in enumerate(inst.edges) if v in e.ends())
+                        for v in range(inst.n))
+    assert dataclasses.replace(inst, edges=inst.edges[:1]).adjacency() == ((0,), (0,), ())

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tspkern.instance import Edge, Instance, InstanceError
+from tspkern.instance import Edge, Instance, InstanceError, ScaleError
 from tspkern.modulator import (
+    BEHAVIOR_GUARD,
     ComponentBehavior,
     blend_behavior,
     component_graph,
@@ -41,6 +42,15 @@ def test_enumerate_singleton():
     inst = singleton_component()
     got = {b.edges for b in enumerate_component_behaviors(inst, {0, 1}, {2}, 1)}
     assert got == {(1, 1), (2, 2), (1, 2)}
+
+
+def test_enumerate_guard():
+    # component {0} joined to 13 modulator vertices: 3^13 multiplicity vectors
+    inst = Instance("tsp", 14, tuple(Edge(0, m, 1) for m in range(1, 14)),
+                    frozenset(range(14)), 99)
+    assert 3**13 > BEHAVIOR_GUARD
+    with pytest.raises(ScaleError, match="exceeds guard"):
+        enumerate_component_behaviors(inst, set(range(1, 14)), {0}, 1)
 
 
 def test_enumerate_empty_for_isolated():

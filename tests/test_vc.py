@@ -37,6 +37,12 @@ def test_enumerate_tsp_three_behaviors():
     assert sets == {(1, 1), (2, 2), (1, 2)}
 
 
+def test_enumerate_rejects_non_cover():
+    # edge 3 joins vertex 2 to vertex 1, which is outside M = {0}
+    with pytest.raises(InstanceError, match="not a vertex cover: edge 3-2"):
+        enumerate_vertex_behaviors(two_neighbor_tsp(), {0}, 2, REGIME_TSP)
+
+
 def test_enumerate_wrp_capacity_parity():
     # a waypoint with a single capacity-1 edge has no behavior at all
     inst = Instance("wrp", 2, (Edge(0, 1, 1, 1),), frozenset({0, 1}), 9)
