@@ -11,6 +11,7 @@ from .instance import (
     Edge,
     Instance,
     InstanceError,
+    InvariantError,
     ParseError,
     ScaleError,
     parse_instance,
@@ -37,7 +38,7 @@ from .pipelines import (
 from .fes import kernelize_fes
 
 __all__ = [
-    "Edge", "Instance", "InstanceError", "ParseError", "ScaleError",
+    "Edge", "Instance", "InstanceError", "InvariantError", "ParseError", "ScaleError",
     "parse_instance", "render_instance",
     "OptResult", "OracleCaps", "SolutionMultigraph", "check_certificate",
     "equivalent", "solve_auto", "solve_exact_multiplicity", "solve_heldkarp",

@@ -1,8 +1,8 @@
 """Command-line front end: kernelize, solve, verify, generate.
 
 Exit codes, stable across commands: 0 success (or: equivalent / feasible),
-1 infeasible or non-equivalent, 2 usage or parse error, 3 instance beyond
-the configured exact-solver caps.
+1 infeasible or non-equivalent, 2 usage or parse error (or a failed internal
+soundness check), 3 instance beyond the configured exact-solver caps.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import gadgets, oracle
 from .instance import (
     Instance,
     InstanceError,
+    InvariantError,
     KIND_WRP,
     KINDS,
     ParseError,
@@ -91,11 +92,13 @@ def cmd_solve(args) -> int:
     engines = {"auto": oracle.solve_auto, **oracle.ENGINES}
     res = engines[args.engine](inst, caps)
     if args.cross_check:
-        other = (oracle.solve_treewidth if args.engine != "treewidth"
-                 else oracle.solve_exact_multiplicity)(inst, caps)
+        name, check = (("treewidth", oracle.solve_treewidth) if args.engine != "treewidth"
+                       else ("multiplicity", oracle.solve_exact_multiplicity))
+        other = check(inst, caps)
         print(f"cross-check optimum: {other.opt_weight}")
-        assert (res.opt_weight is None) == (other.opt_weight is None)
-        assert res.opt_weight == other.opt_weight
+        if other.opt_weight != res.opt_weight:
+            raise InvariantError(f"cross-check failed: {args.engine} optimum {res.opt_weight},"
+                                 f" {name} optimum {other.opt_weight}")
     if not res.feasible:
         print("no" if res.opt_weight is None else f"no (optimum {res.opt_weight} over budget)")
         return EXIT_NEGATIVE
@@ -216,7 +219,7 @@ def main(argv=None) -> int:
     except ScaleError as exc:
         print(f"scale exceeded: {exc}", file=sys.stderr)
         return EXIT_SCALE
-    except (InstanceError, UsageError, OSError, OverflowError) as exc:
+    except (InstanceError, InvariantError, UsageError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,45 +6,57 @@ walks (no edge is ever needed more than twice).  Undecided outputs whose
 vertices are all waypoints obey the 8k-vertex / 9k-edge bound with k the
 residual feedback edge number; chains anchored at avoidable non-waypoint
 branch vertices may keep up to three inner vertices.
+
+Each rule edits a `WorkGraph`.  The kernel driver passes one graph through
+every round, so a firing costs time in proportion to what it touches; a rule
+called on a frozen Instance wraps it and returns the frozen result.  The
+leaf rules take the lowest leaf from the graph's leaf heaps.  The chain
+rules scan, but run only in rounds where no leaf rule applies.
 """
 
 from __future__ import annotations
 
-from .instance import Edge, Instance
-from .preprocess import VERDICT_UNCHANGED, RuleOutcome, decided_no, reduced, unchanged
+from .instance import Edge, Instance, WorkGraph
+from .preprocess import VERDICT_UNCHANGED, RuleOutcome, decided_no, edited, unchanged
 from .report import KernelReport
 
 
-def rr_leaf_cap1(inst: Instance) -> RuleOutcome:
+def rr_leaf_cap1(inst: Instance | WorkGraph) -> RuleOutcome:
     """A waypoint leaf whose only edge has capacity 1 cannot be entered and left."""
-    adj = inst.adjacency()
-    for v in sorted(inst.waypoints):
-        if len(adj[v]) == 1 and inst.edges[adj[v][0]].capacity == 1:
-            return decided_no(f"rr_leaf_cap1: waypoint leaf {v + 1} on a capacity-1 edge")
-    return unchanged()
+    g = WorkGraph.of(inst)
+    v = g.leaf(waypoint=True, cap1=True)
+    if v is None:
+        return unchanged()
+    return decided_no(f"rr_leaf_cap1: waypoint leaf {g.label(v)} on a capacity-1 edge")
 
 
-def rr_nonterminal_leaf(inst: Instance) -> RuleOutcome:
-    adj = inst.adjacency()
-    for v in range(inst.n):
-        if v not in inst.waypoints and len(adj[v]) == 1:
-            return reduced(inst.remove_vertices({v}), f"rr_nonterminal_leaf: removed {v + 1}")
-    return unchanged()
+def rr_nonterminal_leaf(inst: Instance | WorkGraph) -> RuleOutcome:
+    g = WorkGraph.of(inst)
+    v = g.leaf(waypoint=False)
+    if v is None:
+        return unchanged()
+    log = f"rr_nonterminal_leaf: removed {g.label(v)}"
+    g.remove_vertices((v,))
+    return edited(inst, g, log)
 
 
-def rr_terminal_leaf(inst: Instance) -> RuleOutcome:
+def rr_terminal_leaf(inst: Instance | WorkGraph) -> RuleOutcome:
     """Fold a waypoint leaf into its neighbor, paying the edge twice."""
-    adj = inst.adjacency()
-    for v in sorted(inst.waypoints):
-        if len(adj[v]) == 1:
-            e = inst.edges[adj[v][0]]
-            u = e.other(v)
-            out = inst.remove_vertices({v}, budget_delta=-2 * e.weight, add_waypoints={u})
-            return reduced(out, f"rr_terminal_leaf: folded {v + 1} into {u + 1}, budget -={2 * e.weight}")
-    return unchanged()
+    g = WorkGraph.of(inst)
+    v = g.leaf(waypoint=True)
+    if v is None:
+        return unchanged()
+    (i,) = g.adj[v]
+    e = g.edges[i]
+    u = e.other(v)
+    log = f"rr_terminal_leaf: folded {g.label(v)} into {g.label(u)}, budget -={2 * e.weight}"
+    g.remove_vertices((v,))
+    g.add_waypoint(u)
+    g.budget -= 2 * e.weight
+    return edited(inst, g, log)
 
 
-def _find_chains(inst: Instance, want_waypoint: bool, min_edges: int):
+def _find_chains(g: WorkGraph, want_waypoint: bool, min_edges: int):
     """All paths p0..pl, l >= min_edges, whose inner vertices are degree-2
     (non-)waypoints of the requested type.
 
@@ -54,22 +66,27 @@ def _find_chains(inst: Instance, want_waypoint: bool, min_edges: int):
     one edge so the endpoints stay distinct; the rules apply to any
     qualifying path, not only maximal ones.
     """
-    adj = inst.adjacency()
+    adj = g.adj
 
     def qualifies(x):
-        return len(adj[x]) == 2 and (x in inst.waypoints) == want_waypoint
+        return len(adj[x]) == 2 and (x in g.waypoints) == want_waypoint
+
+    def onward(x, last):
+        a, b = adj[x]
+        nxt = a if a != last else b
+        return nxt, g.edges[nxt].other(x)
 
     done = set()
-    for seed in range(inst.n):
+    for seed in g.vertices():
         if seed in done or not qualifies(seed):
             continue
-        # walk "right" pretending we arrived via adj[seed][0]
+        # walk "right" pretending we arrived via the seed's first edge
         verts, eids = [seed], []
-        cur, last = seed, adj[seed][0]
+        first, _ = adj[seed]
+        cur, last = seed, first
         pure_cycle = False
         while True:
-            nxt = adj[cur][0] if adj[cur][0] != last else adj[cur][1]
-            w = inst.edges[nxt].other(cur)
+            nxt, w = onward(cur, last)
             verts.append(w)
             eids.append(nxt)
             if w == seed:
@@ -84,8 +101,7 @@ def _find_chains(inst: Instance, want_waypoint: bool, min_edges: int):
             # walk "left" via the remaining seed edge
             cur, last = seed, eids[0]
             while qualifies(cur):
-                nxt = adj[cur][0] if adj[cur][0] != last else adj[cur][1]
-                w = inst.edges[nxt].other(cur)
+                nxt, w = onward(cur, last)
                 verts.insert(0, w)
                 eids.insert(0, nxt)
                 if not qualifies(w):
@@ -98,19 +114,20 @@ def _find_chains(inst: Instance, want_waypoint: bool, min_edges: int):
             yield verts, eids
 
 
-def rr_contract_nonterminal_path(inst: Instance) -> RuleOutcome:
-    got = next(_find_chains(inst, want_waypoint=False, min_edges=2), None)
+def rr_contract_nonterminal_path(inst: Instance | WorkGraph) -> RuleOutcome:
+    g = WorkGraph.of(inst)
+    got = next(_find_chains(g, want_waypoint=False, min_edges=2), None)
     if got is None:
         return unchanged()
     verts, eids = got
-    weight = sum(inst.edges[ei].weight for ei in eids)
-    cap = min(inst.edges[ei].capacity for ei in eids)
-    new_edge = Edge(verts[0], verts[-1], weight, cap)
-    out = inst.remove_vertices(set(verts[1:-1]), extra_edges=(new_edge,))
-    return reduced(out, f"rr_contract_nonterminal_path: contracted {len(verts) - 2} inner vertex(es)")
+    weight = sum(g.edges[ei].weight for ei in eids)
+    cap = min(g.edges[ei].capacity for ei in eids)
+    g.remove_vertices(verts[1:-1])
+    g.add_edge(Edge(verts[0], verts[-1], weight, cap))
+    return edited(inst, g, f"rr_contract_nonterminal_path: contracted {len(verts) - 2} inner vertex(es)")
 
 
-def _reduce_terminal_chain(inst: Instance, verts, eids):
+def _reduce_terminal_chain(g: WorkGraph, verts, eids):
     """Replacement plan for one all-waypoint chain, or None if irreducible.
 
     A solution meets the chain either by walking it once end to end, or by
@@ -120,7 +137,7 @@ def _reduce_terminal_chain(inst: Instance, verts, eids):
     and with loops attaching at the same endpoints.
     """
     p0, pl = verts[0], verts[-1]
-    path_edges = [inst.edges[ei] for ei in eids]
+    path_edges = [g.edges[ei] for ei in eids]
     total = sum(e.weight for e in path_edges)
     cap1 = [i for i, e in enumerate(path_edges) if e.capacity == 1]
     x = verts[1]
@@ -151,32 +168,37 @@ def _reduce_terminal_chain(inst: Instance, verts, eids):
     # all capacities 2: any single edge may be skipped, cheapest the heaviest.
     # The skip leaves loops hanging at p0 and pl, so the collapsed form is
     # only faithful when both endpoints are themselves visited.
-    if p0 in inst.waypoints and pl in inst.waypoints:
+    if p0 in g.waypoints and pl in g.waypoints:
         wmax = max(e.weight for e in path_edges)
         new = [Edge(p0, x, wmax, 1), Edge(x, pl, total - wmax, 2),
                Edge(p0, pl, total, 1)]
         return eids, inner - {x}, new, {x}, "c"
     if len(eids) >= 5:
         # endpoints avoidable: reduce the inner subchain, whose ends are waypoints
-        return _reduce_terminal_chain(inst, verts[1:-1], eids[1:-1])
+        return _reduce_terminal_chain(g, verts[1:-1], eids[1:-1])
     return None
 
 
-def rr_replace_terminal_path(inst: Instance) -> RuleOutcome:
-    for verts, eids in _find_chains(inst, want_waypoint=True, min_edges=3):
-        got = _reduce_terminal_chain(inst, verts, eids)
+def rr_replace_terminal_path(inst: Instance | WorkGraph) -> RuleOutcome:
+    g = WorkGraph.of(inst)
+    for verts, eids in _find_chains(g, want_waypoint=True, min_edges=3):
+        got = _reduce_terminal_chain(g, verts, eids)
         if got is None:
             continue
         gone, victims, new_edges, new_wps, case = got
-        kept = [e for i, e in enumerate(inst.edges) if i not in set(gone)]
-        kept.extend(new_edges)
-        out = inst.with_edges(kept).remove_vertices(victims, add_waypoints=new_wps)
-        if len(out.waypoints) < 2:
+        if len((g.waypoints | new_wps) - victims) < 2:
             # collapsing would reach the empty-walk special case, which the
             # original chain of spread-out waypoints cannot mimic
             continue
-        return reduced(out, f"rr_replace_terminal_path: case {case},"
-                            f" replaced {len(victims) + len(new_wps)} inner vertex(es)")
+        for ei in gone:
+            g.remove_edge(ei)
+        for e in new_edges:
+            g.add_edge(e)
+        g.remove_vertices(victims)
+        for x in new_wps:
+            g.add_waypoint(x)
+        return edited(inst, g, f"rr_replace_terminal_path: case {case},"
+                               f" replaced {len(victims) + len(new_wps)} inner vertex(es)")
     return unchanged()
 
 
@@ -189,19 +211,20 @@ FES_RULES = (
 )
 
 
-def rule_fes(inst: Instance) -> tuple[Instance, KernelReport]:
-    """One round: fire the first rule of FES_RULES that applies."""
+def rule_fes(g: WorkGraph) -> tuple[WorkGraph, KernelReport]:
+    """One round: fire the first rule of FES_RULES that applies, editing `g`
+    in place."""
     part = KernelReport(pipeline="fes")
     for name, rule in FES_RULES:
-        outcome = rule(inst)
+        outcome = rule(g)
         if outcome.verdict == VERDICT_UNCHANGED:
             continue
         part.fire(name, outcome.log_entry)
         if outcome.decided:
             part.decided = outcome.verdict
-            return inst, part
+            return g, part
         return outcome.instance, part
-    return inst, part
+    return g, part
 
 
 def kernelize_fes(inst: Instance) -> tuple[Instance, KernelReport]:

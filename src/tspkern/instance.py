@@ -6,7 +6,7 @@ capacitated problem kind ("wrp") and are normalized into {1, 2} on load:
 a closed walk never needs an edge more than twice, so larger capacities
 carry no information.
 
-Every kernel stands on three graph primitives, each written once here:
+Every kernel stands on four graph primitives, each written once here:
 
 - incidence: `Instance.adjacency()`, the edge ids at each vertex in
   ascending order, computed once per instance;
@@ -15,11 +15,15 @@ Every kernel stands on three graph primitives, each written once here:
   the modulator search, the support walks of the modulator kernels and the
   certificate check;
 - spanning forest: `non_forest`, one union-find pass, behind `compute_fes`
-  and `oracle.find_component_preserving_cycle`.
+  and `oracle.find_component_preserving_cycle`;
+- editing: `WorkGraph`, a mutable copy of an instance that the local rules
+  (the FES rules and short-circuiting) edit in place, firing after firing,
+  and freeze once.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 
 MAX_WEIGHT = 2**63 - 1
@@ -40,6 +44,11 @@ class ParseError(ValueError):
 
 class ScaleError(RuntimeError):
     """Requested computation exceeds a configured exhaustive-search cap."""
+
+
+class InvariantError(RuntimeError):
+    """A soundness check inside a kernel or solver failed: a bug in the
+    program, not a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -126,48 +135,160 @@ class Instance:
 
     # -- rebuilding --------------------------------------------------------
 
-    def remove_vertices(self, victims, budget_delta: int = 0,
-                        add_waypoints=(), drop_waypoints=(),
-                        extra_edges=()) -> "Instance":
-        """Delete `victims`, renumber compactly, and adjust the rest.
-
-        `add_waypoints`/`drop_waypoints`/`extra_edges` refer to *old* ids and
-        are applied before renumbering.  The modulator hint is remapped; if a
-        hint vertex is deleted the hint is dropped.
-        """
+    def remove_vertices(self, victims, budget_delta: int = 0) -> "Instance":
+        """Delete `victims`, renumber compactly and add `budget_delta` to the
+        budget.  The modulator hint is remapped; if a hint vertex is deleted
+        the hint is dropped."""
         victims = set(victims)
-        keep = [v for v in range(self.n) if v not in victims]
-        if not keep:
-            raise InstanceError("cannot delete every vertex")
-        remap = {old: new for new, old in enumerate(keep)}
-        wps = (set(self.waypoints) | set(add_waypoints)) - set(drop_waypoints)
-        wps -= victims
-        new_edges = []
-        for e in self.edges:
-            if e.u in victims or e.v in victims:
-                continue
-            new_edges.append(Edge(remap[e.u], remap[e.v], e.weight, e.capacity))
-        for e in extra_edges:
-            if e.u in victims or e.v in victims:
-                raise InstanceError("extra edge touches a deleted vertex")
-            new_edges.append(Edge(remap[e.u], remap[e.v], e.weight, e.capacity))
         hint = self.modulator_hint
-        if hint is not None:
-            if hint & victims:
-                hint = None
-            else:
-                hint = frozenset(remap[v] for v in hint)
-        return Instance(
-            kind=self.kind,
-            n=len(keep),
-            edges=tuple(new_edges),
-            waypoints=frozenset(remap[w] for w in wps),
-            budget=self.budget + budget_delta,
-            modulator_hint=hint,
-        )
+        return _renumbered(
+            self.kind, [v for v in range(self.n) if v not in victims],
+            (e for e in self.edges if e.u not in victims and e.v not in victims),
+            self.waypoints - victims, self.budget + budget_delta,
+            None if hint is None or hint & victims else hint)
 
     def with_edges(self, edges, budget_delta: int = 0) -> "Instance":
         return replace(self, edges=tuple(edges), budget=self.budget + budget_delta)
+
+
+def _renumbered(kind: str, keep: list[int], edges, waypoints, budget: int,
+                hint) -> Instance:
+    """The instance on the vertices `keep`, ascending, each renumbered to its
+    position; `edges`, `waypoints` and `hint` name kept vertices only."""
+    if not keep:
+        raise InstanceError("cannot delete every vertex")
+    remap = {old: new for new, old in enumerate(keep)}
+    return Instance(
+        kind=kind,
+        n=len(keep),
+        edges=tuple(Edge(remap[e.u], remap[e.v], e.weight, e.capacity) for e in edges),
+        waypoints=frozenset(remap[w] for w in waypoints),
+        budget=budget,
+        modulator_hint=None if hint is None else frozenset(remap[v] for v in hint),
+    )
+
+
+def _pair(e: Edge) -> tuple[int, int]:
+    return (min(e.u, e.v), max(e.u, e.v))
+
+
+class WorkGraph:
+    """A mutable copy of an instance, for rules that fire many times.
+
+    Vertices keep the ids of the instance the graph was built from, and a
+    deleted vertex stays dead.  A removed edge leaves a tombstone (None in
+    `edges`) and a new edge gets the next id, so `adj[v]`, the live edge ids
+    at v (a dict used as an ordered set), stays in ascending order.  Freezing
+    therefore gives the same vertex and edge order as making the same edits
+    one by one with `Instance.remove_vertices` and `with_edges`.
+
+    `waypoints`, `budget` and `modulator_hint` mirror the Instance fields;
+    the hint is dropped as soon as one of its vertices is deleted.  The
+    graph keeps its degree-1 vertices in heaps, so the leaf rules find the
+    lowest leaf without a scan.
+    """
+
+    def __init__(self, inst: Instance):
+        self.kind = inst.kind
+        self.edges: list[Edge | None] = list(inst.edges)
+        self.adj: list[dict[int, None]] = [{} for _ in range(inst.n)]
+        self._pairs: dict[tuple[int, int], dict[int, None]] = {}  # parallel classes
+        for i, e in enumerate(inst.edges):
+            self.adj[e.u][i] = None
+            self.adj[e.v][i] = None
+            self._pairs.setdefault(_pair(e), {})[i] = None
+        self.alive = [True] * inst.n
+        self.waypoints = set(inst.waypoints)
+        self.budget = inst.budget
+        self.modulator_hint = inst.modulator_hint
+        self._dead = [0] * (inst.n + 1)  # Fenwick tree over deleted vertices
+        # (is a waypoint, edge has capacity 1) -> heap of leaves, stale
+        # entries left in place and skipped when they reach the top
+        self._leaves = {(w, c): [] for w in (False, True) for c in (False, True)}
+        for v in range(inst.n):
+            self._touch(v)
+
+    @classmethod
+    def of(cls, inst: "Instance | WorkGraph") -> "WorkGraph":
+        return inst if isinstance(inst, WorkGraph) else cls(inst)
+
+    def vertices(self) -> list[int]:
+        return [v for v, up in enumerate(self.alive) if up]
+
+    def label(self, v: int) -> int:
+        """v's 1-based id in the frozen instance: its rank among live vertices."""
+        dead, i = 0, v
+        while i:
+            dead += self._dead[i]
+            i &= i - 1
+        return v + 1 - dead
+
+    def _leaf_key(self, v: int):
+        if not self.alive[v] or len(self.adj[v]) != 1:
+            return None
+        (i,) = self.adj[v]
+        return (v in self.waypoints, self.edges[i].capacity == 1)
+
+    def _touch(self, v: int):
+        key = self._leaf_key(v)
+        if key is not None:
+            heapq.heappush(self._leaves[key], v)
+
+    def leaf(self, waypoint: bool, cap1: bool = False) -> int | None:
+        """The lowest degree-1 vertex that is a waypoint or, with `waypoint`
+        false, is not; with `cap1`, only one whose edge has capacity 1."""
+        best = None
+        for key in ((waypoint, True),) if cap1 else ((waypoint, False), (waypoint, True)):
+            heap = self._leaves[key]
+            while heap and self._leaf_key(heap[0]) != key:
+                heapq.heappop(heap)
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        return best
+
+    def parallel(self, a: int, b: int) -> list[int]:
+        """The live edge ids between a and b, ascending."""
+        return list(self._pairs.get((min(a, b), max(a, b)), ()))
+
+    def add_edge(self, e: Edge) -> int:
+        i = len(self.edges)
+        self.edges.append(e)
+        self._pairs.setdefault(_pair(e), {})[i] = None
+        for x in (e.u, e.v):
+            self.adj[x][i] = None
+            self._touch(x)
+        return i
+
+    def remove_edge(self, i: int):
+        e = self.edges[i]
+        self.edges[i] = None
+        del self._pairs[_pair(e)][i]
+        for x in (e.u, e.v):
+            del self.adj[x][i]
+            self._touch(x)
+
+    def remove_vertices(self, victims):
+        for v in victims:
+            for i in list(self.adj[v]):
+                self.remove_edge(i)
+            self.alive[v] = False
+            self.waypoints.discard(v)
+            if self.modulator_hint is not None and v in self.modulator_hint:
+                self.modulator_hint = None
+            i = v + 1
+            while i < len(self._dead):
+                self._dead[i] += 1
+                i += i & -i
+
+    def add_waypoint(self, v: int):
+        self.waypoints.add(v)
+        self._touch(v)
+
+    def freeze(self) -> Instance:
+        """The instance on the live vertices and edges, renumbered compactly."""
+        return _renumbered(self.kind, self.vertices(),
+                           (e for e in self.edges if e is not None),
+                           self.waypoints, self.budget, self.modulator_hint)
 
 
 def as_wrp(inst: Instance) -> Instance:
@@ -345,7 +466,7 @@ def compute_fes(inst: Instance) -> list[int]:
 
 
 def _simple_pairs(inst: Instance) -> list[tuple[int, int]]:
-    return sorted({(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges})
+    return sorted(set(map(_pair, inst.edges)))
 
 
 def compute_vc(inst: Instance, k_max: int) -> frozenset[int] | None:

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable
 
-from .instance import Instance
+from .instance import Instance, InvariantError
 from .report import KernelReport
 
 INF = math.inf
@@ -142,8 +142,9 @@ def close_round(inst: Instance, report: KernelReport, rule: str, units, marked: 
     removed = [units[ui] for ui in range(len(units)) if ui not in marked]
     if parity:
         per_impact = Counter(u.impact for u in removed)
-        assert all(c % 2 == 0 for c in per_impact.values()), \
-            "removed counts must be even per impact"
+        if any(c % 2 for c in per_impact.values()):
+            raise InvariantError(f"{rule} would remove an odd number of {noun}"
+                                 " with one natural impact")
     report.stats["removed"] = len(removed)
     if not removed:
         report.log.append("nothing removed")

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from .instance import (
     Instance,
     InstanceError,
+    InvariantError,
     KIND_SUBTSP,
     KIND_TSP,
     ScaleError,
+    WorkGraph,
     component_walk,
 )
 from .marking import (
@@ -155,7 +157,9 @@ def component_impact(inst: Instance, M, behavior: ComponentBehavior) -> Componen
         for mj in mverts[1:]:
             rep[(mi, mj)] = 1 if deg[mj] % 2 else 2
         # parity law: the representative's D-degree parity matches its F-degree
-        assert sum(rep[(mi, mj)] for mj in mverts[1:]) % 2 == deg[mi] % 2
+        if sum(rep[(mi, mj)] for mj in mverts[1:]) % 2 != deg[mi] % 2:
+            raise InvariantError("behavior impact breaks the parity law"
+                                 f" at modulator vertex {mi + 1}")
     return ComponentImpact(touched, tuple(sorted(rep.items())))
 
 
@@ -270,12 +274,13 @@ def saturate_path_nonterminals(inst: Instance, M=None) -> Instance:
         M = inst.modulator_hint
     cur = inst if inst.modulator_hint == frozenset(M) else \
         Instance(inst.kind, inst.n, inst.edges, inst.waypoints, inst.budget, frozenset(M))
-    while True:
-        victim = next((v for v in range(cur.n)
-                       if v not in cur.waypoints and v not in cur.modulator_hint), None)
-        if victim is None:
-            return cur
-        cur = rr_short_circuit(cur, victim).instance
+    # short-circuiting keeps every other vertex and the waypoints, so the
+    # victims, taken lowest first, are known up front
+    g = WorkGraph(cur)
+    for v in range(cur.n):
+        if v not in cur.waypoints and v not in cur.modulator_hint:
+            rr_short_circuit(g, v)
+    return g.freeze()
 
 
 def pieces(inst: Instance, M, behavior: ComponentBehavior) -> list[Piece]:
@@ -324,7 +329,9 @@ def blend_behavior(inst: Instance, M, C, A: ComponentBehavior, M_prime, v: int,
             continue
         if found is None or (b.weight, b.edges) < (found.weight, found.edges):
             found = b
-    assert found is not None, "blending lemma guarantees a feasible behavior"
+    if found is None:
+        raise InvariantError(f"no blended behavior of {_label(C)} touches vertex {v + 1},"
+                             " against the blending lemma")
     return found
 
 

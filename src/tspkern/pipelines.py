@@ -6,7 +6,8 @@ capacitated), the structure step, the round rule, and the stats that finish
 the report.  The structure step takes a modulator hint or searches for a
 vertex cover or modulator (`compute_vc` / `find_modulator`); for paths it
 also saturates the path vertices.  A round applies the regime's marking
-rule once, or for FES the first applicable local rule of `FES_RULES`.
+rule once, or for FES the first applicable local rule of `FES_RULES`.  The
+FES rounds edit one `WorkGraph`, which the driver freezes once at the end.
 
 `kernelize` runs the stop rules and connectivity once, then the structure
 step, then rounds until one fires nothing, rechecking the stop rules after
@@ -29,6 +30,7 @@ from .instance import (
     KIND_WRP,
     REGIME_COMPONENTS,
     REGIME_PATHS,
+    WorkGraph,
     as_wrp,
     compute_fes,
     compute_vc,
@@ -45,10 +47,11 @@ class Regime:
     pipeline: str  # name in the report
     kind: str | None  # accepted kind; None takes any kind, read as wrp
     need: str  # the accepted kind in words, for the mismatch message
-    # (instance, r, k_max, report) -> instance carrying the modulator as hint
-    structure: Callable[[Instance, int, int | None, KernelReport], Instance]
-    # (instance, r) -> (instance, report of one round)
-    rule: Callable[[Instance, int], tuple[Instance, KernelReport]]
+    # (instance, r, k_max, report) -> instance carrying the modulator as
+    # hint, or for FES the work graph its rounds edit
+    structure: Callable[[Instance, int, int | None, KernelReport], Instance | WorkGraph]
+    # (instance or graph, r) -> (instance or graph, report of one round)
+    rule: Callable[[Instance | WorkGraph, int], tuple[Instance | WorkGraph, KernelReport]]
     # public entry point, called as entry(inst, r=..., k_max=...)
     entry: Callable[..., tuple[Instance, KernelReport]]
     # (input, kernel or None when decided) -> stats closing the report
@@ -103,8 +106,8 @@ def _fes_stats(start: Instance, kernel: Instance | None) -> dict:
 REGIMES = {
     "fes": Regime(
         "fes", None, "any",
-        structure=lambda inst, r, k_max, report: inst,
-        rule=lambda inst, r: rule_fes(inst),
+        structure=lambda inst, r, k_max, report: WorkGraph(inst),
+        rule=lambda g, r: rule_fes(g),
         entry=lambda inst, r=None, k_max=None: kernelize_fes(inst),
         stats=_fes_stats),
     "vc-tsp": Regime(
@@ -149,7 +152,7 @@ def _settles(outcome: RuleOutcome, rule: str, report: KernelReport) -> bool:
 
 
 def _reduce(spec: Regime, inst: Instance, r: int, k_max: int | None,
-            report: KernelReport) -> Instance:
+            report: KernelReport) -> Instance | WorkGraph:
     """Stop rules, connectivity, structure, then rounds to a fixpoint.
 
     `ensure_connected` runs once because no round disconnects the graph: the
@@ -191,6 +194,8 @@ def kernelize(inst: Instance, regime: str, r: int = 1,
                             f" got {inst.kind}")
     start = inst
     inst = _reduce(spec, inst, r, k_max, report)
+    if isinstance(inst, WorkGraph):
+        inst = inst.freeze()
     if report.decided is None:
         outcome = compress_weights(inst)
         if outcome.verdict == "reduced":

@@ -15,6 +15,7 @@ from .instance import (
     Instance,
     InstanceError,
     MAX_WEIGHT,
+    WorkGraph,
 )
 from .oracle import multiplicity_grid
 
@@ -27,7 +28,7 @@ VERDICT_UNCHANGED = "unchanged"
 @dataclass(frozen=True)
 class RuleOutcome:
     verdict: str
-    instance: Instance | None
+    instance: Instance | WorkGraph | None
     log_entry: str
 
     @property
@@ -47,11 +48,17 @@ def reduced(inst: Instance, log: str) -> RuleOutcome:
     return RuleOutcome(VERDICT_REDUCED, inst, log)
 
 
+def edited(inst: Instance | WorkGraph, g: WorkGraph, log: str) -> RuleOutcome:
+    """The outcome of a rule that edited `g`, the work graph of `inst`: `g`
+    itself when the rule was handed a graph, else the frozen result."""
+    return reduced(g if g is inst else g.freeze(), log)
+
+
 def unchanged(log: str = "") -> RuleOutcome:
     return RuleOutcome(VERDICT_UNCHANGED, None, log)
 
 
-def rr_stop(inst: Instance) -> RuleOutcome:
+def rr_stop(inst: Instance | WorkGraph) -> RuleOutcome:
     if inst.budget < 0:
         return decided_no(f"rr_stop: budget {inst.budget} < 0")
     if len(inst.waypoints) <= 1:
@@ -59,13 +66,14 @@ def rr_stop(inst: Instance) -> RuleOutcome:
     return unchanged()
 
 
-def rr_short_circuit(inst: Instance, v: int) -> RuleOutcome:
+def rr_short_circuit(inst: Instance | WorkGraph, v: int) -> RuleOutcome:
     """Replace a non-waypoint by shortcut edges between its neighbors."""
-    if inst.kind != KIND_SUBTSP:
+    g = WorkGraph.of(inst)
+    if g.kind != KIND_SUBTSP:
         raise InstanceError("short-circuit rule applies to the subset kind only")
-    if v in inst.waypoints:
-        raise InstanceError(f"vertex {v + 1} is a waypoint")
-    incident = [inst.edges[i] for i in inst.adjacency()[v]]
+    if v in g.waypoints:
+        raise InstanceError(f"vertex {g.label(v)} is a waypoint")
+    incident = [g.edges[i] for i in g.adj[v]]
     shortcuts: dict[tuple[int, int], int] = {}
     for e1, e2 in itertools.combinations(incident, 2):
         a, b = e1.other(v), e2.other(v)
@@ -75,22 +83,19 @@ def rr_short_circuit(inst: Instance, v: int) -> RuleOutcome:
         w = e1.weight + e2.weight
         if pair not in shortcuts or w < shortcuts[pair]:
             shortcuts[pair] = w
-    kept = [e for e in inst.edges if v not in e.ends()]
-    min_existing: dict[tuple[int, int], int] = {}
-    for e in kept:
-        pair = (min(e.u, e.v), max(e.u, e.v))
-        if pair not in min_existing or e.weight < min_existing[pair]:
-            min_existing[pair] = e.weight
-    extra, winners = [], set()
+    log = f"rr_short_circuit: removed vertex {g.label(v)}"
+    g.remove_vertices((v,))
+    extra = []
     for (a, b), w in sorted(shortcuts.items()):
-        if (a, b) in min_existing and min_existing[(a, b)] <= w:
+        parallel = g.parallel(a, b)
+        if any(g.edges[i].weight <= w for i in parallel):
             continue  # an existing parallel edge is at least as cheap
+        for i in parallel:
+            g.remove_edge(i)
         extra.append(Edge(a, b, w))
-        winners.add((a, b))
-    kept = [e for e in kept if (min(e.u, e.v), max(e.u, e.v)) not in winners]
-    out = inst.with_edges(kept + extra)
-    out = out.remove_vertices({v})
-    return reduced(out, f"rr_short_circuit: removed vertex {v + 1}, added {len(extra)} shortcut(s)")
+    for e in extra:
+        g.add_edge(e)
+    return edited(inst, g, f"{log}, added {len(extra)} shortcut(s)")
 
 
 def ensure_connected(inst: Instance) -> RuleOutcome:

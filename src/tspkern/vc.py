@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .instance import Instance, InstanceError
+from .instance import Instance, InstanceError, InvariantError
 from .marking import (
     INF,
     NoBehavior,
@@ -130,7 +130,8 @@ def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
     if units is None:
         return inst, report
     impacts = table_impacts(units)
-    assert len(impacts) <= k * k, "impact count exceeds the k^2 bound"
+    if len(impacts) > k * k:
+        raise InvariantError(f"{len(impacts)} impacts exceed the k^2 bound for k={k}")
     kept = mark_red(units, 3 * k, one_row=True)
     report.add_marks("kept", len(kept))
     report.stats.update(impact_count=len(impacts), k=k, r_bound=3 * k**3)

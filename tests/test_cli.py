@@ -1,9 +1,11 @@
 """End-to-end command-line behavior and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from tspkern import oracle
 from tspkern.cli import main
 from tspkern.gadgets import gen_planted
 from tspkern.instance import parse_instance, render_instance
@@ -42,6 +44,19 @@ def test_solve_engine_choice_and_crosscheck(triangle, capsys):
     assert main(["solve", triangle, "--engine", "heldkarp"]) == 0
     assert main(["solve", triangle, "--cross-check"]) == 0
     assert "cross-check optimum: 9" in capsys.readouterr().out
+
+
+def test_cross_check_disagreement_is_error(monkeypatch, triangle, capsys):
+    real = oracle.solve_treewidth
+
+    def off_by_one(inst, caps):
+        res = real(inst, caps)
+        return dataclasses.replace(res, opt_weight=res.opt_weight + 1)
+
+    monkeypatch.setattr(oracle, "solve_treewidth", off_by_one)
+    assert main(["solve", triangle, "--cross-check"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cross-check failed: auto optimum 9, treewidth optimum 10\n"
 
 
 def test_solve_scale_exit(monkeypatch, triangle):

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 every module-level private function, class or constant is referenced
-somewhere in the package, and every public function or method is referenced
-somewhere in the package or its tests.
+somewhere in the package, every public function or method is referenced
+somewhere in the package or its tests, and no module outside the exact
+engines and the gadgets uses `assert`.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library.  `__init__.py` is skipped by the import check:
@@ -128,3 +129,23 @@ def test_no_unreferenced_public_functions():
     package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     tests = {p.name: p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")}
     assert unreferenced(package, tests) == []
+
+
+# the exact engines and the hardness gadgets keep their asserts for now
+ASSERTS_ALLOWED = {"oracle.py", "gadgets.py"}
+
+
+def asserts(source: str) -> list[int]:
+    """Lines of the `assert` statements in `source`: they vanish under
+    `python -O`, so a check that guards soundness must raise instead."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_detector():
+    assert asserts("x = 1\nassert x\nif x:\n    assert x > 0, 'msg'\n") == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name not in ASSERTS_ALLOWED), ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert asserts(path.read_text(encoding="utf-8")) == []

@@ -6,9 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tspkern.instance import Edge, Instance, InstanceError
+from tspkern import vc
+from tspkern.instance import Edge, Instance, InstanceError, InvariantError
+from tspkern.marking import Unit, close_round
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_vc_tsp, kernelize_vc_wrp
+from tspkern.report import KernelReport
 from tspkern.vc import (
     REGIME_TSP,
     REGIME_WRP,
@@ -147,6 +150,24 @@ def test_rule_tsp_small_untouched():
     out, report = rule_vc_tsp(inst, {0, 1})
     # |R| = 3 <= 3k = 6: everything marked
     assert report.stats["removed"] == 0 and out.n == inst.n
+
+
+def test_impact_bound_is_checked(monkeypatch):
+    # an impact function that tells every behavior apart breaks the k^2 bound
+    monkeypatch.setattr(vc, "vertex_impact",
+                        lambda inst, b, regime: VertexImpact(frozenset(b.edges)))
+    inst = _cover_instance(random.Random(0), "tsp", 2, 8)
+    with pytest.raises(InvariantError, match="k\\^2 bound"):
+        rule_vc_tsp(inst, {0, 1})
+
+
+def test_close_round_checks_parity():
+    inst = two_neighbor_tsp()
+    nat = natural_behavior_vertex(inst, {0, 1}, 2, REGIME_TSP)
+    lone = Unit((2,), nat, vertex_impact(inst, nat, REGIME_TSP), {})
+    with pytest.raises(InvariantError, match="odd number"):
+        close_round(inst, KernelReport(pipeline="vc-wrp"), "rule_vc_wrp", [lone], set(),
+                    "vertices")
 
 
 def test_rule_tsp_shared_impact_keeps_3k():
