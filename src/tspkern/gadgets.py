@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .instance import Edge, Instance, InstanceError, KIND_SUBTSP, KIND_TSP, KIND_WRP, KINDS
+from .instance import Edge, Instance, InstanceError, InvariantError, KIND_SUBTSP, KIND_TSP, KIND_WRP, KINDS
 from .oracle import DEFAULT_CAPS, ScaleError, solve_auto
 
 
@@ -128,7 +128,8 @@ def compose_fn(graphs: list[HpInstance]) -> Instance:
     # fractioning witness: deleting the apex plus one input graph leaves
     # components of at most k <= k+1 vertices each
     witness = {apex} | set(range(k))
-    assert all(len(c) <= k + 1 for c in inst.components(without=witness))
+    if any(len(c) > k + 1 for c in inst.components(without=witness)):
+        raise InvariantError("compose_fn: a component outside the witness exceeds k+1 vertices")
     return inst
 
 
@@ -155,7 +156,8 @@ def compose_degtw(graphs: list[HpInstance]) -> Instance:
         for e in inst.edges:
             deg[e.u] += 1
             deg[e.v] += 1
-        assert max(deg) == 2 * k
+        if max(deg) != 2 * k:
+            raise InvariantError(f"compose_degtw: maximum degree {max(deg)}, expected {2 * k}")
     return inst
 
 
@@ -262,7 +264,8 @@ def mcc_to_subtsp(mcc: MccInstance) -> Instance:
     for e in inst.edges:
         deg[e.u] += 1
         deg[e.v] += 1
-    assert all(deg[v] == 2 for v in range(3 * length + 2, inst.n, 3))
+    if any(deg[v] != 2 for v in range(3 * length + 2, inst.n, 3)):
+        raise InvariantError("mcc_to_subtsp: a wired triplet's third vertex lost degree two")
     return inst
 
 

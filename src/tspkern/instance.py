@@ -401,8 +401,6 @@ REGIME_PATHS = "r_paths"
 
 @dataclass(frozen=True)
 class ModulatorDecomposition:
-    regime: str
-    r: int
     modulator: frozenset[int]
     components: tuple[tuple[int, ...], ...]  # sorted vertex tuples, by least vertex
 
@@ -522,18 +520,14 @@ def _component_violation(inst: Instance, alive: set[int], r: int) -> list[int] |
 
 def _regime_ok(inst: Instance, modulator, regime: str, r: int) -> bool:
     alive = set(range(inst.n)) - set(modulator)
-    if regime == REGIME_COMPONENTS:
-        return _component_violation(inst, alive, r) is None
-    if regime == REGIME_PATHS:
-        if _path_violation(inst, alive) is not None:
-            return False
-        return _component_violation(inst, alive, r) is None
-    raise ValueError(f"unknown regime {regime!r}")
+    if regime == REGIME_PATHS and _path_violation(inst, alive) is not None:
+        return False
+    return _component_violation(inst, alive, r) is None
 
 
-def _decomposition(inst: Instance, modulator, regime: str, r: int) -> ModulatorDecomposition:
+def _decomposition(inst: Instance, modulator) -> ModulatorDecomposition:
     comps = tuple(tuple(c) for c in inst.components(without=modulator))
-    return ModulatorDecomposition(regime, r, frozenset(modulator), comps)
+    return ModulatorDecomposition(frozenset(modulator), comps)
 
 
 def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> ModulatorDecomposition | None:
@@ -550,7 +544,7 @@ def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> Modulator
     if inst.modulator_hint is not None:
         if not _regime_ok(inst, inst.modulator_hint, regime, r):
             raise InstanceError("modulator hint does not satisfy the regime")
-        return _decomposition(inst, inst.modulator_hint, regime, r)
+        return _decomposition(inst, inst.modulator_hint)
 
     def witness(alive):
         if regime == REGIME_PATHS:
@@ -575,5 +569,5 @@ def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> Modulator
     for k in range(k_max + 1):
         got = search(everyone, k)
         if got is not None:
-            return _decomposition(inst, got, regime, r)
+            return _decomposition(inst, got)
     return None

@@ -264,21 +264,18 @@ def rule_components_tsp(inst: Instance, M, r: int) -> tuple[Instance, KernelRepo
 
 # -- subset kind: saturation, pieces, blending, Rule 10 ----------------------
 
-def saturate_path_nonterminals(inst: Instance, M=None) -> Instance:
-    """Short-circuit every non-waypoint outside M; paths stay paths."""
+def saturate_path_nonterminals(inst: Instance) -> Instance:
+    """Short-circuit every non-waypoint outside the modulator hint; paths
+    stay paths."""
     if inst.kind != KIND_SUBTSP:
         raise InstanceError("saturation applies to the subset kind")
-    if M is None:
-        if inst.modulator_hint is None:
-            raise InstanceError("saturation needs a modulator (argument or hint)")
-        M = inst.modulator_hint
-    cur = inst if inst.modulator_hint == frozenset(M) else \
-        Instance(inst.kind, inst.n, inst.edges, inst.waypoints, inst.budget, frozenset(M))
+    if inst.modulator_hint is None:
+        raise InstanceError("saturation needs a modulator hint")
     # short-circuiting keeps every other vertex and the waypoints, so the
     # victims, taken lowest first, are known up front
-    g = WorkGraph(cur)
-    for v in range(cur.n):
-        if v not in cur.waypoints and v not in cur.modulator_hint:
+    g = WorkGraph(inst)
+    for v in range(inst.n):
+        if v not in inst.waypoints and v not in inst.modulator_hint:
             rr_short_circuit(g, v)
     return g.freeze()
 

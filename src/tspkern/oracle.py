@@ -12,6 +12,10 @@ Three exact engines, all desk-scale and guarded by explicit caps:
   * solve_treewidth          - connectivity/parity DP over a tree
                                decomposition; exact, handles all kinds,
                                reaches instances the other engines cannot.
+                               Each table entry carries a trail, a shared
+                               tuple tree of the edge multiplicities it
+                               chose, so the witness is read off the final
+                               state without keeping earlier tables.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .instance import KIND_WRP, Instance, ScaleError, component_walk, non_forest
+from .instance import KIND_WRP, Instance, InvariantError, ScaleError, component_walk, non_forest
 
 
 @dataclass(frozen=True)
@@ -259,7 +263,8 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
         for ei in expand(wps[a], wps[b]):
             mult[ei] += 1
     sol = make_solution(inst, (mult.get(i, 0) for i in range(len(inst.edges))))
-    assert sol.total_weight == best
+    if sol.total_weight != best:
+        raise InvariantError(f"Held-Karp witness weighs {sol.total_weight}, optimum {best}")
     return OptResult(best <= inst.budget, int(best), sol)
 
 
@@ -329,7 +334,7 @@ def find_component_preserving_cycle(inst: Instance, sol: SolutionMultigraph) -> 
                 trail[w] = (v, pos)
                 visited.add(w)
                 stack.append(w)
-    raise AssertionError("remainder of a maximal forest must contain a cycle")
+    raise InvariantError("remainder of a maximal forest must contain a cycle")
 
 
 def make_nice(inst: Instance, sol: SolutionMultigraph) -> SolutionMultigraph:
@@ -351,8 +356,8 @@ def make_nice(inst: Instance, sol: SolutionMultigraph) -> SolutionMultigraph:
             cur = make_solution(inst, mult)
             changed = True
     out = make_solution(inst, mult)
-    assert check_certificate(inst, out)
-    assert out.total_weight <= sol.total_weight
+    if not check_certificate(inst, out) or out.total_weight > sol.total_weight:
+        raise InvariantError("make_nice lost the certificate or gained weight")
     return out
 
 
@@ -403,11 +408,14 @@ def euler_walk(inst: Instance, sol: SolutionMultigraph, start: int) -> Walk:
             stack.append((inst.edges[picked].other(v), picked))
     path_v.reverse()
     path_e.reverse()
-    assert path_e[0] is None
+    if path_e[0] is not None:
+        raise InvariantError("Euler walk does not begin at its start vertex")
     walk = Walk(tuple(path_v), tuple(path_e[1:]))
-    assert walk.closed and sum(sol.multiplicity) == len(walk.edge_ids)
+    if not walk.closed or sum(sol.multiplicity) != len(walk.edge_ids):
+        raise InvariantError("Euler walk is open or misses solution edges")
     for a, b, ei in zip(walk.vertices, walk.vertices[1:], walk.edge_ids):
-        assert {a, b} == set(inst.edges[ei].ends())
+        if {a, b} != set(inst.edges[ei].ends()):
+            raise InvariantError(f"Euler walk steps from {a} to {b} along edge {ei}")
     return walk
 
 
@@ -466,53 +474,55 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
     if width > caps.treewidth_width:
         raise ScaleError(f"oracle scale exceeded: decomposition width {width} > cap {caps.treewidth_width}")
 
-    bags = list(tree.nodes)
-    root = bags[0]
-    # assign each edge to one bag containing both endpoints (DFS preorder)
-    order = list(nx.dfs_preorder_nodes(tree, root)) if len(bags) > 1 else [root]
-    edge_home: dict[int, object] = {}
+    # bags in DFS preorder from the first bag; children in neighbour order
+    root = next(iter(tree.nodes))
+    bags, children = [], []
+    walk = [(root, None, -1)]  # (bag, parent bag, parent's preorder index)
+    while walk:
+        bag, parent, up = walk.pop()
+        if up >= 0:
+            children[up].append(len(bags))
+        kids = [b for b in tree.neighbors(bag) if b != parent]
+        walk.extend((b, bag, len(bags)) for b in reversed(kids))
+        bags.append(bag)
+        children.append([])
+
+    # home each edge in the first bag, in preorder, holding both endpoints:
+    # the first bag in the shorter of the two endpoints' bag lists that
+    # holds the other endpoint
+    bags_of = [[] for _ in range(inst.n)]
+    for b, bag in enumerate(bags):
+        for v in bag:
+            bags_of[v].append(b)
+    homed = [[] for _ in bags]
     for i, e in enumerate(inst.edges):
-        for bag in order:
-            if e.u in bag and e.v in bag:
-                edge_home[i] = bag
-                break
-        else:
-            raise AssertionError("tree decomposition misses an edge")
+        u, v = (e.u, e.v) if len(bags_of[e.u]) <= len(bags_of[e.v]) else (e.v, e.u)
+        b = next((b for b in bags_of[u] if v in bags[b]), None)
+        if b is None:
+            raise InvariantError("tree decomposition misses an edge")
+        homed[b].append(i)
 
+    # nice decomposition in postfix order: a bag's subtree is a leaf and
+    # intros, or each child's subtree adapted to the bag and joined to the
+    # previous one; then the bag's edges
     ops: list[tuple] = []  # ("leaf"|"intro"|"forget"|"edge"|"join", payload)
-
-    def emit_adapt(from_bag, to_bag):
-        for v in sorted(from_bag - to_bag):
-            ops.append(("forget", v))
-        for v in sorted(to_bag - from_bag):
-            ops.append(("intro", v))
-
-    def build(bag, parent):
-        children = [b for b in tree.neighbors(bag) if b != parent]
-        if not children:
-            ops.append(("leaf", None))
-            for v in sorted(bag):
-                ops.append(("intro", v))
-        else:
-            build(children[0], bag)
-            emit_adapt(children[0], bag)
-            for ch in children[1:]:
-                build(ch, bag)
-                emit_adapt(ch, bag)
+    todo = [(0, 0)]  # (bag, children already emitted)
+    while todo:
+        b, done = todo.pop()
+        if done:
+            child, bag = bags[children[b][done - 1]], bags[b]
+            ops.extend(("forget", v) for v in sorted(child - bag))
+            ops.extend(("intro", v) for v in sorted(bag - child))
+            if done > 1:
                 ops.append(("join", None))
-        for i, e in enumerate(inst.edges):
-            if edge_home.get(i) == bag:
-                ops.append(("edge", i))
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(bags) + 100))
-    try:
-        build(root, None)
-    finally:
-        sys.setrecursionlimit(old)
-    for v in sorted(root):
-        ops.append(("forget", v))
+        elif not children[b]:
+            ops.append(("leaf", None))
+            ops.extend(("intro", v) for v in sorted(bags[b]))
+        if done < len(children[b]):
+            todo += [(b, done + 1), (children[b][done], 0)]
+        else:
+            ops.extend(("edge", i) for i in homed[b])
+    ops.extend(("forget", v) for v in sorted(root))
 
     return _run_tw_dp(inst, ops)
 
@@ -531,9 +541,16 @@ def _canon(blocks):
 
 
 def _run_tw_dp(inst: Instance, ops) -> OptResult:
+    """Run the postfix `ops` over a stack of (bag tuple, table) pairs.
+
+    A table maps a state (parity per bag vertex, block per bag vertex or -1
+    if unused, sealed flag) to (cost, trail).  The trail is the witness of
+    that cost: None, (edge, multiplicity, trail) for an edge taken a positive
+    number of times, or (left trail, right trail) at a join.  Intro and
+    forget pass it through, so only the final state's trail is read back.
+    """
     W = inst.waypoints
-    stack: list[tuple[tuple, dict]] = []  # (bag tuple, table)
-    tables = []  # per op: table for backtracking
+    stack: list[tuple[tuple, dict]] = []
     for op, arg in ops:
         if op == "leaf":
             bag = ()
@@ -546,16 +563,16 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
                 p += 1
             bag = bag0[:p] + (v,) + bag0[p:]
             table = {}
-            for (par, blk, done), (cost, _) in t0.items():
+            for (par, blk, done), entry in t0.items():
                 state = (par[:p] + (0,) + par[p:], blk[:p] + (-1,) + blk[p:], done)
-                table[state] = (cost, (par, blk, done))
+                table[state] = entry
         elif op == "forget":
             bag0, t0 = stack.pop()
             v = arg
             p = bag0.index(v)
             bag = bag0[:p] + bag0[p + 1:]
             table = {}
-            for (par, blk, done), (cost, _) in t0.items():
+            for (par, blk, done), entry in t0.items():
                 if par[p] == 1:
                     continue
                 if blk[p] == -1:
@@ -572,8 +589,8 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
                         ndone = True
                 state = (par[:p] + par[p + 1:], _canon(blk[:p] + blk[p + 1:]), ndone)
                 old = table.get(state)
-                if old is None or cost < old[0]:
-                    table[state] = (cost, (par, blk, done))
+                if old is None or entry[0] < old[0]:
+                    table[state] = entry
         elif op == "edge":
             bag0, t0 = stack.pop()
             bag = bag0
@@ -581,10 +598,10 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
             pu, pv = bag.index(e.u), bag.index(e.v)
             cap = inst.effective_capacity(e)
             table = {}
-            for (par, blk, done), (cost, _) in t0.items():
+            for (par, blk, done), (cost, trail) in t0.items():
                 for mult in range(cap + 1):
                     if mult == 0:
-                        state, ncost = (par, blk, done), cost
+                        state, entry = (par, blk, done), (cost, trail)
                     else:
                         if done:
                             continue
@@ -603,19 +620,20 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
                         if a != b:
                             nblk = [a if x == b else x for x in nblk]
                         state = (tuple(npar), _canon(nblk), done)
-                        ncost = cost + mult * e.weight
+                        entry = (cost + mult * e.weight, (arg, mult, trail))
                     old = table.get(state)
-                    if old is None or ncost < old[0]:
-                        table[state] = (ncost, ((par, blk, done), mult))
+                    if old is None or entry[0] < old[0]:
+                        table[state] = entry
         elif op == "join":
             bag_r, t_r = stack.pop()
             bag_l, t_l = stack.pop()
-            assert bag_l == bag_r
+            if bag_l != bag_r:
+                raise InvariantError(f"join of unequal bags {bag_l} and {bag_r}")
             bag = bag_l
             k = len(bag)
             table = {}
-            for (par1, blk1, done1), (c1, _) in t_l.items():
-                for (par2, blk2, done2), (c2, _) in t_r.items():
+            for (par1, blk1, done1), (c1, trail1) in t_l.items():
+                for (par2, blk2, done2), (c2, trail2) in t_r.items():
                     if done1 and done2:
                         continue
                     if done1 and any(b != -1 for b in blk2):
@@ -646,64 +664,36 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
                     ncost = c1 + c2
                     old = table.get(state)
                     if old is None or ncost < old[0]:
-                        table[state] = (ncost, ((par1, blk1, done1), (par2, blk2, done2)))
+                        table[state] = (ncost, (trail1, trail2))
         else:
-            raise AssertionError(op)
+            raise InvariantError(f"unknown tree-decomposition op {op!r}")
         stack.append((bag, table))
-        tables.append(table)
 
-    assert len(stack) == 1 and stack[0][0] == ()
+    if len(stack) != 1 or stack[0][0] != ():
+        raise InvariantError("tree-decomposition ops do not end in one empty bag")
     final = stack[0][1].get(((), (), True))
     if final is None:
         return OptResult(False, None, None)
-    opt = final[0]
+    opt, trail = final
 
-    # backtrack the chosen multiplicities
     mult = [0] * len(inst.edges)
-    want: list = [None] * len(ops)
-    want[-1] = ((), (), True)
-    for i in range(len(ops) - 1, -1, -1):
-        op, arg = ops[i]
-        state = want[i]
-        if state is None:
+    trails = [trail]
+    while trails:
+        t = trails.pop()
+        if t is None:
             continue
-        back = tables[i][state][1]
-        if op == "leaf":
-            continue
-        if op == "edge":
-            child, m = back
-            mult[arg] += m
-            want[i - 1] = child
-        elif op == "join":
-            left, right = back
-            want[i - 1] = right
-            want[_subtree_start(ops, i - 1) - 1] = left
+        if len(t) == 3:
+            mult[t[0]] += t[1]
+            trails.append(t[2])
         else:
-            want[i - 1] = back
+            trails.extend(t)
     sol = make_solution(inst, mult)
-    assert sol.total_weight == opt
-    assert check_certificate(inst, sol) or sol.total_weight > inst.budget
+    if sol.total_weight != opt:
+        raise InvariantError(f"treewidth witness weighs {sol.total_weight}, optimum {opt}")
+    if sol.total_weight <= inst.budget and not check_certificate(inst, sol):
+        raise InvariantError("treewidth witness is not a certificate")
     return OptResult(opt <= inst.budget, int(opt), sol)
 
-
-def _subtree_start(ops, end: int) -> int:
-    """First op index of the postfix subtree ending at `end`.
-
-    Scanning backwards, a join turns two tables into one (need grows) and a
-    leaf produces one from nothing (need shrinks); the subtree starts where
-    the outstanding need reaches zero.
-    """
-    need = 1
-    j = end
-    while True:
-        o = ops[j][0]
-        if o == "join":
-            need += 1
-        elif o == "leaf":
-            need -= 1
-            if need == 0:
-                return j
-        j -= 1
 
 ENGINES = {
     "multiplicity": solve_exact_multiplicity,

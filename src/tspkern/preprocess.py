@@ -171,7 +171,11 @@ def _fit_budget(new_sums, signs):
     return b
 
 
-def compress_weights(inst: Instance, max_edges: int = 12) -> RuleOutcome:
+# the check enumerates 3^m vectors, so larger edge sets skip compression
+COMPRESS_MAX_EDGES = 12
+
+
+def compress_weights(inst: Instance) -> RuleOutcome:
     """Shrink the weight encoding, verified by exhaustive sign-equivalence.
 
     Candidates: divide by the gcd, then halve repeatedly with rounding.  A
@@ -179,7 +183,7 @@ def compress_weights(inst: Instance, max_edges: int = 12) -> RuleOutcome:
     every x in {0,1,2}^m, so accepted outputs are equivalent by construction.
     """
     m = len(inst.edges)
-    if m == 0 or m > max_edges:
+    if m == 0 or m > COMPRESS_MAX_EDGES:
         return unchanged("compress_weights: scale guard" if m else "")
     weights = [e.weight for e in inst.edges]
     sums = _sum_profile(weights)

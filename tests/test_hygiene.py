@@ -1,8 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
 every module-level private function, class or constant is referenced
 somewhere in the package, every public function or method is referenced
-somewhere in the package or its tests, and no module outside the exact
-engines and the gadgets uses `assert`.
+somewhere in the package or its tests, and no module uses `assert`.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library.  `__init__.py` is skipped by the import check:
@@ -131,10 +130,6 @@ def test_no_unreferenced_public_functions():
     assert unreferenced(package, tests) == []
 
 
-# the exact engines and the hardness gadgets keep their asserts for now
-ASSERTS_ALLOWED = {"oracle.py", "gadgets.py"}
-
-
 def asserts(source: str) -> list[int]:
     """Lines of the `assert` statements in `source`: they vanish under
     `python -O`, so a check that guards soundness must raise instead."""
@@ -145,7 +140,6 @@ def test_assert_detector():
     assert asserts("x = 1\nassert x\nif x:\n    assert x > 0, 'msg'\n") == [2, 4]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name not in ASSERTS_ALLOWED), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_asserts(path):
     assert asserts(path.read_text(encoding="utf-8")) == []

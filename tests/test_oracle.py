@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tspkern import oracle
-from tspkern.instance import Edge, Instance, ScaleError
+from tspkern.instance import Edge, Instance, InvariantError, ScaleError
 from tspkern.oracle import (
     OracleCaps,
     check_certificate,
@@ -149,6 +150,35 @@ def test_treewidth_engine_agrees(seed):
     if c.feasible:
         assert check_certificate(inst, c.witness)
         assert c.witness.total_weight == c.opt_weight
+
+
+def test_treewidth_deep_decomposition_without_recursion(monkeypatch):
+    """A long cycle's decomposition is about n bags deep, past the default
+    recursion limit: the engine must neither recurse nor raise the limit."""
+    def refuse(limit):
+        raise RuntimeError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 1500
+    rng = random.Random(11)
+    edges = tuple(Edge(i, i + 1, rng.randint(1, 100)) for i in range(n - 1))
+    edges += (Edge(0, n - 1, rng.randint(1, 100)),)
+    total, top = sum(e.weight for e in edges), max(e.weight for e in edges)
+    inst = Instance("tsp", n, edges, frozenset(range(n)), 2 * total)
+    res = solve_treewidth(inst)
+    # all edges once, or every edge but the heaviest twice
+    assert res.opt_weight == min(total, 2 * (total - top))
+    assert check_certificate(inst, res.witness)
+
+
+@pytest.mark.parametrize("ops, message", [
+    ([("leaf", None), ("bogus", None)], "unknown"),
+    ([("leaf", None), ("intro", 0), ("leaf", None), ("join", None)], "unequal bags"),
+    ([("leaf", None), ("intro", 0)], "one empty bag"),
+], ids=["unknown-op", "unequal-join", "open-stack"])
+def test_treewidth_dp_rejects_malformed_ops(ops, message):
+    with pytest.raises(InvariantError, match=message):
+        oracle._run_tw_dp(triangle(), ops)
 
 
 def test_equivalent():
