@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import random
 import sys
@@ -152,7 +153,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"kernelize": cmd_kernelize, "solve": cmd_solve, "verify": cmd_verify,
+            "generate": cmd_generate}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process since parsing
+    leaves it unchanged.  It holds no command function: `main` looks the
+    command up in COMMANDS on each call, so a function rebound there after
+    the first parse is the one that runs."""
     top = argparse.ArgumentParser(prog="tspkern",
                                   description="Kernelization toolkit for budgeted routing instances.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -165,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--r", type=int, default=1, help="component/path size bound")
     k.add_argument("--k-max", type=int, default=None, help="modulator search cap")
     k.add_argument("--report", choices=("text", "json"), default="text")
-    k.set_defaults(func=cmd_kernelize)
 
     s = sub.add_parser("solve", help="exact feasibility/optimum within caps")
     s.add_argument("input")
@@ -173,12 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "multiplicity", "heldkarp", "treewidth"))
     s.add_argument("--cross-check", action="store_true",
                    help="solve twice with different engines and compare")
-    s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="check two instances get the same verdict")
     v.add_argument("first")
     v.add_argument("second")
-    v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("generate", help="write a constructed or random instance")
     gsub = g.add_subparsers(dest="generator", required=True)
@@ -204,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--wmin", type=int, default=1)
     pl.add_argument("--wmax", type=int, default=8)
     pl.add_argument("--seed", type=int, default=0)
-    g.set_defaults(func=cmd_generate)
 
     return top
 
@@ -212,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,14 +12,23 @@ Three exact engines, all desk-scale and guarded by explicit caps:
   * solve_treewidth          - connectivity/parity DP over a tree
                                decomposition; exact, handles all kinds,
                                reaches instances the other engines cannot.
-                               Each table entry carries a trail, a shared
-                               tuple tree of the edge multiplicities it
-                               chose, so the witness is read off the final
-                               state without keeping earlier tables.
+                               Each table is grouped by partition: the
+                               connected blocks of the used bag vertices,
+                               as position bitmasks, plus a sealed flag
+                               key a group, and a group maps each degree
+                               parity bitmask to its best cost.  So the
+                               partition work is done once per group, and
+                               a join merges each pair of partitions once
+                               before an XOR pass over their parities.
+                               Each entry carries a trail, a shared tuple
+                               tree of the edge multiplicities it chose,
+                               so the witness is read off the final state
+                               without keeping earlier tables.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -52,6 +61,10 @@ class OracleCaps:
 
 
 DEFAULT_CAPS = OracleCaps()
+
+# rows of the largest multiplicity grid: every grid the default caps allow
+# (14 edges, three multiplicities each), and not one row more
+MULTIPLICITY_MAX_ROWS = 3**14
 
 
 def make_solution(inst: Instance, multiplicity) -> SolutionMultigraph:
@@ -97,8 +110,12 @@ def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
 
 def multiplicity_grid(bases) -> np.ndarray:
     """Every vector x with 0 <= x[i] < bases[i], one int8 row each; x[0]
-    varies fastest."""
+    varies fastest.  ScaleError, before anything is allocated, past
+    MULTIPLICITY_MAX_ROWS rows."""
     total = math.prod(bases)
+    if total > MULTIPLICITY_MAX_ROWS:
+        raise ScaleError(f"oracle scale exceeded: multiplicity grid of {total} rows"
+                         f" > {MULTIPLICITY_MAX_ROWS}")
     idx = np.arange(total, dtype=np.int64)
     counts = np.empty((total, len(bases)), dtype=np.int8)
     stride = 1
@@ -527,151 +544,128 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
     return _run_tw_dp(inst, ops)
 
 
-def _canon(blocks):
-    relabel = {}
-    out = []
-    for b in blocks:
-        if b == -1:
-            out.append(-1)
-        else:
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            out.append(relabel[b])
-    return tuple(out)
+def _merge_blocks(blocks1, blocks2):
+    """The finest partition coarser than both: each block of `blocks2`
+    absorbs the blocks it meets.  Blocks are disjoint bag-position masks,
+    returned in ascending order."""
+    blocks = list(blocks1)
+    for b in blocks2:
+        rest = []
+        for a in blocks:
+            if a & b:
+                b |= a
+            else:
+                rest.append(a)
+        rest.append(b)
+        blocks = rest
+    return tuple(sorted(blocks))
 
 
 def _run_tw_dp(inst: Instance, ops) -> OptResult:
     """Run the postfix `ops` over a stack of (bag tuple, table) pairs.
 
-    A table maps a state (parity per bag vertex, block per bag vertex or -1
-    if unused, sealed flag) to (cost, trail).  The trail is the witness of
-    that cost: None, (edge, multiplicity, trail) for an edge taken a positive
-    number of times, or (left trail, right trail) at a join.  Intro and
-    forget pass it through, so only the final state's trail is read back.
+    Bag positions are bit positions.  A table is grouped by partition: it
+    maps (blocks, done) to a group, where `blocks` lists the connected
+    blocks of used bag vertices as disjoint position masks in ascending
+    order and `done` says a block was sealed (forgotten whole).  A group
+    maps a parity mask, whose bit i is the degree parity of bag position
+    i, to (cost, trail).  Intro, forget and edge do their partition work
+    (insert or drop a position, merge two blocks) once per group, and each
+    parity entry then costs a few bit operations.  A join merges each
+    compatible pair of groups' partitions once and takes the min-plus XOR
+    product of their parity entries.
+
+    The trail is the witness of a cost: None, (edge, multiplicity, trail)
+    for an edge taken a positive number of times, or (left trail, right
+    trail) at a join.  Intro and forget pass it through, so only the final
+    state's trail is read back.
     """
     W = inst.waypoints
     stack: list[tuple[tuple, dict]] = []
     for op, arg in ops:
         if op == "leaf":
             bag = ()
-            table = {((), (), False): (0, None)}
+            table = {((), False): {0: (0, None)}}
         elif op == "intro":
             bag0, t0 = stack.pop()
-            v = arg
-            p = 0
-            while p < len(bag0) and bag0[p] < v:
-                p += 1
-            bag = bag0[:p] + (v,) + bag0[p:]
-            table = {}
-            for (par, blk, done), entry in t0.items():
-                state = (par[:p] + (0,) + par[p:], blk[:p] + (-1,) + blk[p:], done)
-                table[state] = entry
+            p = bisect.bisect_left(bag0, arg)
+            bag = bag0[:p] + (arg,) + bag0[p:]
+            low = (1 << p) - 1
+            # a clear bit inserted at p keeps masks in ascending order
+            table = {(tuple([(m & low) | (m >> p << p + 1) for m in blocks]), done):
+                     {(mask & low) | (mask >> p << p + 1): entry for mask, entry in group.items()}
+                     for (blocks, done), group in t0.items()}
         elif op == "forget":
             bag0, t0 = stack.pop()
-            v = arg
-            p = bag0.index(v)
+            p = bag0.index(arg)
             bag = bag0[:p] + bag0[p + 1:]
+            low, bit = (1 << p) - 1, 1 << p
             table = {}
-            for (par, blk, done), entry in t0.items():
-                if par[p] == 1:
-                    continue
-                if blk[p] == -1:
-                    if v in W:
+            for (blocks, done), group in t0.items():
+                if bit in blocks:  # the vertex's block ends here: seal it
+                    if done or len(blocks) > 1:
                         continue
-                    ndone = done
+                    state = ((), True)
+                elif arg in W and not any(m & bit for m in blocks):
+                    continue  # a waypoint left unused
                 else:
-                    rest = blk[:p] + blk[p + 1:]
-                    if blk[p] in rest:
-                        ndone = done
-                    else:
-                        if done or any(b != -1 for b in rest):
-                            continue
-                        ndone = True
-                state = (par[:p] + par[p + 1:], _canon(blk[:p] + blk[p + 1:]), ndone)
-                old = table.get(state)
-                if old is None or entry[0] < old[0]:
-                    table[state] = entry
+                    state = (tuple(sorted([(m & low) | (m >> p + 1 << p) for m in blocks])), done)
+                out = table.setdefault(state, {})
+                for mask, entry in group.items():
+                    if mask & bit:
+                        continue
+                    key = (mask & low) | (mask >> p + 1 << p)
+                    old = out.get(key)
+                    if old is None or entry[0] < old[0]:
+                        out[key] = entry
+            table = {state: group for state, group in table.items() if group}
         elif op == "edge":
             bag0, t0 = stack.pop()
             bag = bag0
             e = inst.edges[arg]
-            pu, pv = bag.index(e.u), bag.index(e.v)
+            bu, bv = 1 << bag.index(e.u), 1 << bag.index(e.v)
+            flip = bu ^ bv
             cap = inst.effective_capacity(e)
-            table = {}
-            for (par, blk, done), (cost, trail) in t0.items():
-                for mult in range(cap + 1):
-                    if mult == 0:
-                        state, entry = (par, blk, done), (cost, trail)
-                    else:
-                        if done:
-                            continue
-                        npar = list(par)
-                        if mult % 2:
-                            npar[pu] ^= 1
-                            npar[pv] ^= 1
-                        nblk = list(blk)
-                        fresh = max([b for b in nblk if b != -1], default=-1) + 1
-                        if nblk[pu] == -1:
-                            nblk[pu] = fresh
-                            fresh += 1
-                        if nblk[pv] == -1:
-                            nblk[pv] = fresh
-                        a, b = nblk[pu], nblk[pv]
-                        if a != b:
-                            nblk = [a if x == b else x for x in nblk]
-                        state = (tuple(npar), _canon(nblk), done)
-                        entry = (cost + mult * e.weight, (arg, mult, trail))
-                    old = table.get(state)
-                    if old is None or entry[0] < old[0]:
-                        table[state] = entry
+            table = {state: dict(group) for state, group in t0.items()}  # multiplicity 0
+            for (blocks, done), group in t0.items():
+                if done or cap == 0:
+                    continue
+                out = table.setdefault((_merge_blocks(blocks, (bu | bv,)), False), {})
+                for mult in range(1, cap + 1):
+                    add, odd = mult * e.weight, flip if mult % 2 else 0
+                    for mask, (cost, trail) in group.items():
+                        key, ncost = mask ^ odd, cost + add
+                        old = out.get(key)
+                        if old is None or ncost < old[0]:
+                            out[key] = (ncost, (arg, mult, trail))
         elif op == "join":
             bag_r, t_r = stack.pop()
             bag_l, t_l = stack.pop()
             if bag_l != bag_r:
                 raise InvariantError(f"join of unequal bags {bag_l} and {bag_r}")
             bag = bag_l
-            k = len(bag)
+            rights = [(blocks, done, list(group.items())) for (blocks, done), group in t_r.items()]
             table = {}
-            for (par1, blk1, done1), (c1, trail1) in t_l.items():
-                for (par2, blk2, done2), (c2, trail2) in t_r.items():
-                    if done1 and done2:
+            for (blocks1, done1), group in t_l.items():
+                lefts = list(group.items())
+                for blocks2, done2, items2 in rights:
+                    # a sealed side must have used nothing the other side uses
+                    if done1 and (done2 or blocks2) or done2 and blocks1:
                         continue
-                    if done1 and any(b != -1 for b in blk2):
-                        continue
-                    if done2 and any(b != -1 for b in blk1):
-                        continue
-                    npar = tuple(a ^ b for a, b in zip(par1, par2))
-                    parent = list(range(k))
-
-                    def find(x):
-                        while parent[x] != x:
-                            parent[x] = parent[parent[x]]
-                            x = parent[x]
-                        return x
-
-                    for blk in (blk1, blk2):
-                        firsts = {}
-                        for i, b in enumerate(blk):
-                            if b == -1:
-                                continue
-                            if b in firsts:
-                                parent[find(i)] = find(firsts[b])
-                            else:
-                                firsts[b] = i
-                    used = [blk1[i] != -1 or blk2[i] != -1 for i in range(k)]
-                    nblk = tuple(find(i) if used[i] else -1 for i in range(k))
-                    state = (npar, _canon(nblk), done1 or done2)
-                    ncost = c1 + c2
-                    old = table.get(state)
-                    if old is None or ncost < old[0]:
-                        table[state] = (ncost, (trail1, trail2))
+                    out = table.setdefault((_merge_blocks(blocks1, blocks2), done1 or done2), {})
+                    for m1, (c1, trail1) in lefts:
+                        for m2, (c2, trail2) in items2:
+                            key, ncost = m1 ^ m2, c1 + c2
+                            old = out.get(key)
+                            if old is None or ncost < old[0]:
+                                out[key] = (ncost, (trail1, trail2))
         else:
             raise InvariantError(f"unknown tree-decomposition op {op!r}")
         stack.append((bag, table))
 
     if len(stack) != 1 or stack[0][0] != ():
         raise InvariantError("tree-decomposition ops do not end in one empty bag")
-    final = stack[0][1].get(((), (), True))
+    final = stack[0][1].get(((), True), {}).get(0)
     if final is None:
         return OptResult(False, None, None)
     opt, trail = final

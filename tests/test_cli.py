@@ -6,7 +6,7 @@ import json
 import pytest
 
 from tspkern import oracle
-from tspkern.cli import main
+from tspkern.cli import build_parser, main
 from tspkern.gadgets import gen_planted
 from tspkern.instance import parse_instance, render_instance
 
@@ -64,6 +64,17 @@ def test_solve_scale_exit(monkeypatch, triangle):
     monkeypatch.setenv("TSPKERN_CAP_HK_WAYPOINTS", "1")
     monkeypatch.setenv("TSPKERN_CAP_TW_WIDTH", "0")
     assert main(["solve", triangle]) == 3
+
+
+def test_multiplicity_grid_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
+    # a 30-cycle of capacity-2 edges: the grid would have 3^30 rows
+    edges = "".join(f"e {i} {i % 30 + 1} 1 2\n" for i in range(1, 31))
+    path = tmp_path / "x.grw"
+    path.write_text(f"p wrp 30 30\nb 99\nw 1 2\n{edges}")
+    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "30")
+    assert main(["solve", str(path), "--engine", "multiplicity"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scale exceeded:") and f"{3**30} rows" in err
 
 
 def test_malformed_input(tmp_path, capsys):
@@ -179,6 +190,25 @@ def test_verify(tmp_path, triangle, capsys):
     tight.write_text(TRIANGLE.replace("b 10", "b 8"))  # opt is 9
     assert main(["verify", triangle, str(tight)]) == 1
     assert "NOT equivalent" in capsys.readouterr().out
+
+
+def test_one_process_runs_commands_in_turn(tmp_path, triangle, capsys):
+    """The parser is built once per process, and each command run through it
+    gives the same output the second time round."""
+    assert build_parser() is build_parser()
+    kern = tmp_path / "kern.grw"
+    runs = (["kernelize", triangle, str(kern), "--regime", "fes", "--report", "json"],
+            ["solve", triangle],
+            ["verify", triangle, str(kern)])
+    outputs = []
+    for _ in range(2):
+        for argv in runs:
+            assert main(argv) == 0
+            outputs.append((capsys.readouterr().out, kern.read_text()))
+    assert outputs[:3] == outputs[3:]
+    assert json.loads(outputs[0][0])["pipeline"] == "fes"
+    assert outputs[1][0] == "yes 9\nwitness multiplicities: 1 1 1\n"
+    assert outputs[2][0] == f"{triangle}: yes\n{kern}: yes\nequivalent\n"
 
 
 def test_kernel_preserves_verdict_via_verify(tmp_path, triangle):

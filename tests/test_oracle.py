@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +151,64 @@ def test_treewidth_engine_agrees(seed):
     if c.feasible:
         assert check_certificate(inst, c.witness)
         assert c.witness.total_weight == c.opt_weight
+
+
+def _connected_multigraph(rng: random.Random):
+    """A random spanning tree on 6-10 vertices plus random extra edges, at
+    most 14 edges in all, with at least two waypoints."""
+    kind = rng.choice(["tsp", "stsp", "wrp"])
+    n = rng.randint(6, 10)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 14 - len(pairs)))]
+    edges = tuple(Edge(u, v, rng.randint(0, 9), rng.choice([1, 2]) if kind == "wrp" else None)
+                  for u, v in pairs)
+    wps = frozenset(range(n)) if kind == "tsp" else frozenset(
+        rng.sample(range(n), 2) + [v for v in range(n) if rng.random() < 0.5])
+    return Instance(kind, n, edges, wps, rng.randint(0, 60))
+
+
+def _treewidth_with_ops(inst):
+    """solve_treewidth's result and the op list its DP ran."""
+    with mock.patch.object(oracle, "_run_tw_dp", wraps=oracle._run_tw_dp) as dp:
+        res = solve_treewidth(inst)
+    return res, dp.call_args.args[1]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_treewidth_engine_agrees_through_joins(seed):
+    rng = random.Random(seed)
+    for _ in range(20):  # most draws decompose with a join; keep the first that does
+        inst = _connected_multigraph(rng)
+        c, ops = _treewidth_with_ops(inst)
+        if any(op == "join" for op, _ in ops):
+            break
+    assert any(op == "join" for op, _ in ops)
+    a = solve_exact_multiplicity(inst)
+    assert (a.opt_weight, a.feasible) == (c.opt_weight, c.feasible), inst
+    if c.opt_weight is not None:
+        at_opt = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, c.opt_weight)
+        assert check_certificate(at_opt, c.witness)
+
+
+def test_treewidth_grid_5x5():
+    """Unit 5x5 grid, capacity 2, every vertex a waypoint.  The grid is
+    bipartite, so a closed walk has even length, and 25 cells need at least
+    26 traversals; a Hamiltonian cycle on 24 cells plus one corner edge
+    taken twice has exactly that."""
+    pairs = [(r * 5 + c, r * 5 + c + 1) for r in range(5) for c in range(4)]
+    pairs += [(r * 5 + c, r * 5 + c + 5) for r in range(4) for c in range(5)]
+    inst = Instance("wrp", 25, tuple(Edge(u, v, 1, 2) for u, v in pairs),
+                    frozenset(range(25)), 26)
+    res = solve_treewidth(inst)
+    assert res.feasible and res.opt_weight == 26
+    assert check_certificate(inst, res.witness)
+
+
+def test_multiplicity_grid_row_bound():
+    with pytest.raises(ScaleError, match="rows"):
+        oracle.multiplicity_grid([3] * 14 + [2])
 
 
 def test_treewidth_deep_decomposition_without_recursion(monkeypatch):
