@@ -6,7 +6,12 @@ waypoints, capacities are respected, and the weight fits the budget.  With
 at most one waypoint the empty multigraph is the (unique) solution.
 
 Three exact engines, all desk-scale and guarded by explicit caps:
-  * solve_exact_multiplicity - enumerate multiplicity vectors in {0,1,2}^m.
+  * solve_exact_multiplicity - enumerate multiplicity vectors in {0,1,2}^m
+                               as two flat vertex-bitmask arrays, degree
+                               parity and waypoint coverage, folded in one
+                               edge at a time; only the parity-even,
+                               covering vectors are decoded, weighed and
+                               tested for connectivity.
   * solve_heldkarp           - subset DP on the waypoint metric closure
                                (uncapacitated kinds only).
   * solve_treewidth          - connectivity/parity DP over a tree
@@ -108,21 +113,32 @@ def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
 
 # -- engine 1: multiplicity enumeration -------------------------------------
 
-def multiplicity_grid(bases) -> np.ndarray:
-    """Every vector x with 0 <= x[i] < bases[i], one int8 row each; x[0]
-    varies fastest.  ScaleError, before anything is allocated, past
-    MULTIPLICITY_MAX_ROWS rows."""
+def _check_grid_rows(bases) -> None:
+    """ScaleError when more than MULTIPLICITY_MAX_ROWS vectors x have
+    0 <= x[i] < bases[i]."""
     total = math.prod(bases)
     if total > MULTIPLICITY_MAX_ROWS:
         raise ScaleError(f"oracle scale exceeded: multiplicity grid of {total} rows"
                          f" > {MULTIPLICITY_MAX_ROWS}")
-    idx = np.arange(total, dtype=np.int64)
-    counts = np.empty((total, len(bases)), dtype=np.int8)
-    stride = 1
-    for i, base in enumerate(bases):
-        counts[:, i] = (idx // stride) % base
-        stride *= base
-    return counts
+
+
+def multiplicity_grid(bases, values=None, op=np.add) -> np.ndarray:
+    """Fold one value per edge over every vector x with 0 <= x[i] < bases[i].
+
+    values[i][k] is edge i's value at x[i] = k (k itself by default).  Entry
+    j of the flat result combines values[i][x[i]] over all edges with the
+    ufunc `op`, for the x of mixed-radix index j = x[0] + bases[0] * (x[1] +
+    bases[1] * (...)), so x[0] varies fastest.  Each edge costs one
+    broadcast, out = op(table[:, None], out[None, :]).ravel(); no vector is
+    stored.  ScaleError, before anything is allocated, past
+    MULTIPLICITY_MAX_ROWS entries."""
+    _check_grid_rows(bases)
+    tables = [np.arange(base) if values is None else np.asarray(values[i][:base])
+              for i, base in enumerate(bases)]
+    out = tables[0]
+    for table in tables[1:]:
+        out = op(table[:, None], out[None, :]).ravel()
+    return out
 
 
 def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
@@ -135,41 +151,52 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         return OptResult(False, None, None)
 
     touched = sorted({v for e in inst.edges for v in e.ends()})
-    if any(w not in set(touched) for w in inst.waypoints):
+    if not inst.waypoints <= set(touched):
         return OptResult(False, None, None)
-    col = {v: i for i, v in enumerate(touched)}
+    bases = [inst.effective_capacity(e) + 1 for e in inst.edges]
 
-    counts = multiplicity_grid([inst.effective_capacity(e) + 1 for e in inst.edges])
-
-    # degree parity and waypoint coverage, vectorized over touched vertices
-    inc = np.zeros((m, len(touched)), dtype=np.int8)
-    for i, e in enumerate(inst.edges):
-        inc[i, col[e.u]] += 1
-        inc[i, col[e.v]] += 1
-    deg = counts @ inc
-    ok = ((deg & 1) == 0).all(axis=1)
-    wps = [col[w] for w in sorted(inst.waypoints)]
-    ok &= (deg[:, wps] > 0).all(axis=1)
-    cand = np.nonzero(ok)[0]
+    # one bit per touched vertex.  Within the row bound at most 22 edges
+    # (2^22 <= 3^14), so 44 vertices, fit; the row guard runs first so that
+    # an oversized input still fails as a scale error
+    _check_grid_rows(bases)
+    if len(touched) > 62:
+        raise InvariantError(f"{len(touched)} touched vertices exceed a 62-bit mask")
+    dtype = np.int32 if len(touched) < 31 else np.int64
+    bit = {v: 1 << i for i, v in enumerate(touched)}
+    wmask = sum(bit[w] for w in inst.waypoints)
+    ends = [bit[e.u] | bit[e.v] for e in inst.edges]
+    # an edge flips its ends' degree parity when taken once, covers them when taken at all
+    parity = multiplicity_grid(bases, np.array([[0, b, 0] for b in ends], dtype=dtype),
+                               np.bitwise_xor)
+    ok = parity == 0
+    del parity  # one mask array alive at a time
+    cover = multiplicity_grid(bases, np.array([[0, b & wmask, b & wmask] for b in ends],
+                                              dtype=dtype), np.bitwise_or)
+    ok &= cover == wmask
+    del cover
+    cand = np.flatnonzero(ok)
     if cand.size == 0:
         return OptResult(False, None, None)
 
-    big = 2 * inst.total_weight() >= 2**62
-    if big:
+    # decode the candidates' vectors from their mixed-radix indices
+    counts = np.empty((cand.size, m), dtype=np.int64)
+    stride = 1
+    for i, base in enumerate(bases):
+        counts[:, i] = cand // stride % base
+        stride *= base
+
+    if 2 * inst.total_weight() >= 2**62:
         ws = [e.weight for e in inst.edges]
-        weights = np.array(
-            [sum(int(c) * w for c, w in zip(counts[j], ws)) for j in cand], dtype=object
-        )
+        weights = [sum(int(c) * w for c, w in zip(row, ws)) for row in counts]
         order = sorted(range(len(cand)), key=lambda j: (weights[j], int(cand[j])))
     else:
-        w = np.array([e.weight for e in inst.edges], dtype=np.int64)
-        weights = counts[cand] @ w
+        weights = counts @ np.array([e.weight for e in inst.edges], dtype=np.int64)
         order = np.lexsort((cand, weights))
 
     powers = np.int64(1) << np.arange(m, dtype=np.int64)
     conn_cache: dict[int, bool] = {}
     for j in order:
-        row = counts[cand[j]]
+        row = counts[j]
         key = int((row > 0) @ powers)
         hit = conn_cache.get(key)
         if hit is None:

@@ -138,12 +138,9 @@ def total_bitsize(weights, budget: int) -> int:
 
 def _sum_profile(weights):
     """All values of w . x for x in {0,1,2}^m, aligned with a fixed x order."""
-    counts = multiplicity_grid([3] * len(weights))
-    if 2 * sum(weights) >= 2**62:
-        sums = counts.astype(object) @ np.array(weights, dtype=object)
-    else:
-        sums = counts @ np.array(weights, dtype=np.int64)
-    return sums
+    dtype = object if 2 * sum(weights) >= 2**62 else np.int64
+    return multiplicity_grid([3] * len(weights),
+                             np.array([[0, w, 2 * w] for w in weights], dtype=dtype))
 
 
 def _fit_budget(new_sums, signs):

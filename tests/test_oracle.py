@@ -3,13 +3,16 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tspkern import oracle
-from tspkern.instance import Edge, Instance, InvariantError, ScaleError
+from tspkern.cli import main
+from tspkern.instance import Edge, Instance, InvariantError, ScaleError, render_instance
 from tspkern.oracle import (
     OracleCaps,
     check_certificate,
@@ -209,6 +212,133 @@ def test_treewidth_grid_5x5():
 def test_multiplicity_grid_row_bound():
     with pytest.raises(ScaleError, match="rows"):
         oracle.multiplicity_grid([3] * 14 + [2])
+
+
+def test_multiplicity_grid_folds_in_mixed_radix_order():
+    bases = [2, 3, 1, 3]
+    # x[0] varies fastest: product varies its last factor fastest, so reverse
+    vectors = [x[::-1] for x in itertools.product(*(range(b) for b in reversed(bases)))]
+    assert list(oracle.multiplicity_grid(bases)) == [sum(x) for x in vectors]
+    values = np.array([[0, 5, 0], [0, 6, 3], [9, 9, 9], [0, 12, 12]])
+    expect = [values[0, x[0]] ^ values[1, x[1]] ^ values[2, x[2]] ^ values[3, x[3]]
+              for x in vectors]
+    assert list(oracle.multiplicity_grid(bases, values, np.bitwise_xor)) == expect
+
+
+def _mult_reference(inst):
+    """The multiplicity engine's answer by brute force: the first vector in
+    (weight, flat index) order, x[0] varying fastest, that respects the
+    capacities, has even degrees, and whose support is connected and covers
+    every waypoint."""
+    m = len(inst.edges)
+    if len(inst.waypoints) <= 1:
+        return 0 <= inst.budget, 0, (0,) * m
+    ranges = [range(inst.effective_capacity(e) + 1) for e in inst.edges]
+    best = None
+    for index, rev in enumerate(itertools.product(*reversed(ranges))):
+        x = rev[::-1]
+        deg = [0] * inst.n
+        parent = list(range(inst.n))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for c, e in zip(x, inst.edges):
+            if c:
+                deg[e.u] += c
+                deg[e.v] += c
+                parent[find(e.u)] = find(e.v)
+        if any(d % 2 for d in deg) or not all(deg[w] for w in inst.waypoints):
+            continue
+        if len({find(v) for v in range(inst.n) if deg[v]}) != 1:
+            continue
+        key = (sum(c * e.weight for c, e in zip(x, inst.edges)), index)
+        if best is None or key < best[0]:
+            best = (key, x)
+    if best is None:
+        return False, None, None
+    weight = best[0][0]
+    return weight <= inst.budget, weight, best[1]
+
+
+def _small_multigraph(rng: random.Random, big: bool):
+    """A random connected multigraph with at most 9 edges: a spanning tree
+    plus extra edges, some of them parallel to an earlier one.  With `big`,
+    weights are just above 2^60 and their total is at least 2^61."""
+    kind = rng.choice(["tsp", "stsp", "wrp"])
+    n = rng.randint(2, 6)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    m = rng.randint(max(n - 1, 2 if big else 1), 9)  # big: two edges pass 2^61
+    while len(pairs) < m:
+        pairs.append(rng.choice(pairs) if rng.random() < 0.4 else tuple(rng.sample(range(n), 2)))
+    lo, hi = (2**60, 2**60 + 2**40) if big else (0, 9)
+    edges = tuple(Edge(u, v, rng.randint(lo, hi), rng.choice([1, 2]) if kind == "wrp" else None)
+                  for u, v in pairs)
+    wps = frozenset(range(n)) if kind == "tsp" else frozenset(
+        order[:2] + [v for v in range(n) if rng.random() < 0.5])
+    total = sum(e.weight for e in edges)
+    return Instance(kind, n, edges, wps, rng.randint(0, 2 * total))
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@example(seed=1, big=True)
+@settings(max_examples=80, deadline=None)
+def test_multiplicity_engine_matches_brute_force(seed, big):
+    inst = _small_multigraph(random.Random(seed), big)
+    if big:
+        assert inst.total_weight() >= 2**61
+    feasible, weight, witness = _mult_reference(inst)
+    res = solve_exact_multiplicity(inst)
+    assert (res.feasible, res.opt_weight) == (feasible, weight), inst
+    assert (res.witness.multiplicity if res.witness else None) == witness, inst
+
+
+def test_multiplicity_engine_wide_masks(monkeypatch, tmp_path, capsys):
+    """32 touched vertices need 64-bit vertex masks: an 8-cycle with a chord
+    holds the waypoints, and 12 disjoint edges touch 24 more vertices.  21
+    capacity-1 edges make 2^21 vectors, inside the row bound, so a raised
+    edge cap lets the multiplicity engine run."""
+    rng = random.Random(3)
+    pairs = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
+    pairs += [(8 + 2 * i, 9 + 2 * i) for i in range(12)]
+    edges = tuple(Edge(u, v, rng.randint(1, 20), 1) for u, v in pairs)
+    inst = Instance("wrp", 32, edges, frozenset({0, 2, 5}), 10**6)
+    with mock.patch.object(oracle, "multiplicity_grid", wraps=oracle.multiplicity_grid) as grid:
+        res = solve_exact_multiplicity(inst, OracleCaps(multiplicity_edges=21))
+    assert {c.args[1].dtype for c in grid.call_args_list} == {np.dtype(np.int64)}
+    ref = solve_treewidth(inst)
+    assert (res.opt_weight, res.feasible) == (ref.opt_weight, ref.feasible) and res.feasible
+    assert check_certificate(inst, res.witness)
+
+    path = tmp_path / "wide.grw"
+    path.write_text(render_instance(inst))
+    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "21")
+    assert main(["solve", str(path), "--engine", "multiplicity"]) == 0
+    mult = " ".join(map(str, res.witness.multiplicity))
+    assert capsys.readouterr().out == f"yes {ref.opt_weight}\nwitness multiplicities: {mult}\n"
+
+
+def test_multiplicity_engine_memory():
+    """14 capacity-2 edges on 8 vertices, every vertex a waypoint: 3^14
+    vectors, the most the row bound allows.  Two flat 4-byte masks per
+    vector stay well under what a materialized vector grid needs."""
+    rng = random.Random(7)
+    order = rng.sample(range(8), 8)
+    pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, 8)]
+    pairs += [tuple(rng.sample(range(8), 2)) for _ in range(7)]
+    edges = tuple(Edge(u, v, rng.randint(1, 9), 2) for u, v in pairs)
+    inst = Instance("wrp", 8, edges, frozenset(range(8)), 100)
+    tracemalloc.start()
+    try:
+        res = solve_exact_multiplicity(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.opt_weight is not None
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_treewidth_deep_decomposition_without_recursion(monkeypatch):

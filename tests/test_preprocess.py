@@ -4,11 +4,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tspkern.instance import Edge, Instance, InstanceError
 from tspkern.oracle import equivalent, solve_exact_multiplicity
 from tspkern.preprocess import (
+    _sum_profile,
     compress_weights,
     ensure_connected,
     ensure_positive_weights,
@@ -165,6 +166,21 @@ def test_compress_scale_guard():
     edges = tuple(Edge(i % 3, (i + 1) % 3, 2 * i + 2) for i in range(13))
     inst = Instance("stsp", 3, edges, frozenset({0, 1}), 5)
     assert compress_weights(inst).verdict == "unchanged"
+
+
+@given(st.lists(st.one_of(st.integers(0, 10**9), st.integers(2**61 - 2**20, 2**61)),
+                min_size=1, max_size=8))
+@example([2**61, 2**61 - 1, 3])
+@example([0, 7, 10**9, 1, 2, 3, 4, 5])
+@settings(max_examples=60, deadline=None)
+def test_sum_profile_matches_product(weights):
+    """w . x for every x in {0,1,2}^m, x[0] varying fastest; sums that may
+    pass 2^62 are exact Python ints."""
+    ref = [sum(c * w for c, w in zip(reversed(x), weights))
+           for x in itertools.product(range(3), repeat=len(weights))]
+    sums = _sum_profile(weights)
+    assert [int(s) for s in sums] == ref
+    assert (sums.dtype == object) == (2 * sum(weights) >= 2**62)
 
 
 @given(st.integers(0, 10**6))
