@@ -2,7 +2,8 @@
 
 Exit codes, stable across commands: 0 success (or: equivalent / feasible),
 1 infeasible or non-equivalent, 2 usage or parse error (or a failed internal
-soundness check), 3 instance beyond the configured exact-solver caps.
+soundness check), 3 instance beyond the configured exact-solver caps or the
+memory the process may use.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="exact feasibility/optimum within caps")
     s.add_argument("input")
     s.add_argument("--engine", default="auto",
-                   choices=("auto", "multiplicity", "heldkarp", "treewidth"))
+                   choices=("auto", *oracle.ENGINES))
     s.add_argument("--cross-check", action="store_true",
                    help="solve twice with different engines and compare")
 
@@ -224,6 +225,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ScaleError as exc:
         print(f"scale exceeded: {exc}", file=sys.stderr)
+        return EXIT_SCALE
+    except MemoryError:
+        print("scale exceeded: out of memory", file=sys.stderr)
         return EXIT_SCALE
     except (InstanceError, InvariantError, UsageError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ capacitated problem kind ("wrp") and are normalized into {1, 2} on load:
 a closed walk never needs an edge more than twice, so larger capacities
 carry no information.
 
-Every kernel stands on four graph primitives, each written once here:
+The kernels stand on five graph primitives, each written once here:
 
 - incidence: `Instance.adjacency()`, the edge ids at each vertex in
   ascending order, computed once per instance;
@@ -18,7 +18,12 @@ Every kernel stands on four graph primitives, each written once here:
   and `oracle.find_component_preserving_cycle`;
 - editing: `WorkGraph`, a mutable copy of an instance that the local rules
   (the FES rules and short-circuiting) edit in place, firing after firing,
-  and freeze once.
+  and freeze once;
+- structure search: `_structure`, one bounded search tree that finds a
+  smallest vertex set whose removal leaves no obstruction, or checks a
+  modulator hint, behind `compute_vc` (obstruction: an edge) and
+  `find_modulator` (a too-large component, or for paths a vertex of degree
+  3 or a cycle).
 """
 
 from __future__ import annotations
@@ -399,12 +404,6 @@ REGIME_COMPONENTS = "r_components"
 REGIME_PATHS = "r_paths"
 
 
-@dataclass(frozen=True)
-class ModulatorDecomposition:
-    modulator: frozenset[int]
-    components: tuple[tuple[int, ...], ...]  # sorted vertex tuples, by least vertex
-
-
 def component_walk(inst: Instance, eids, vertices=()):
     """Yield the components of the graph on the ends of edges `eids`
     (repetition allowed) plus `vertices`, each as a vertex list in the order
@@ -463,32 +462,53 @@ def compute_fes(inst: Instance) -> list[int]:
     return non_forest(inst, range(len(inst.edges)))
 
 
-def _simple_pairs(inst: Instance) -> list[tuple[int, int]]:
-    return sorted(set(map(_pair, inst.edges)))
+def _structure(inst: Instance, witness, k_max: int, bad_hint: str) -> frozenset[int] | None:
+    """The structure search behind `compute_vc` and `find_modulator`.
 
+    `witness(alive)` names a few vertices of `alive` that hit an obstruction
+    in G[alive], or None when there is none; a set M is a modulator when
+    the witness finds nothing in V minus M.  A modulator hint on the
+    instance is returned when it is one and raises `bad_hint` otherwise (a
+    silently wrong hint would poison every downstream bound).  Without a
+    hint, iterative deepening on k finds a smallest modulator of size at
+    most `k_max`, branching on the witness's vertices in order, or None.
+    """
+    hint = inst.modulator_hint
+    if hint is not None:
+        if witness(set(range(inst.n)) - hint) is not None:
+            raise InstanceError(bad_hint)
+        return hint
 
-def compute_vc(inst: Instance, k_max: int) -> frozenset[int] | None:
-    """Smallest vertex cover of size <= k_max, or None."""
-    pairs = _simple_pairs(inst)
-
-    def exists(uncovered, k, chosen):
-        if not uncovered:
-            return set(chosen)
+    def search(alive, k):
+        bad = witness(alive)
+        if bad is None:
+            return set()
         if k == 0:
             return None
-        u, v = uncovered[0]
-        for pick in (u, v):
-            rest = [p for p in uncovered if pick not in p]
-            got = exists(rest, k - 1, chosen + [pick])
+        for v in bad:
+            got = search(alive - {v}, k - 1)
             if got is not None:
-                return got
+                return got | {v}
         return None
 
+    everyone = set(range(inst.n))
     for k in range(k_max + 1):
-        got = exists(pairs, k, [])
+        got = search(everyone, k)
         if got is not None:
             return frozenset(got)
     return None
+
+
+def compute_vc(inst: Instance, k_max: int) -> frozenset[int] | None:
+    """Smallest vertex cover of size <= k_max, or None; a modulator hint
+    must be a vertex cover and is returned as it is."""
+    pairs = sorted(set(map(_pair, inst.edges)))
+
+    def uncovered(alive):
+        """The lowest edge (u, v), u < v, with neither end chosen."""
+        return next(((u, v) for u, v in pairs if u in alive and v in alive), None)
+
+    return _structure(inst, uncovered, k_max, "modulator hint is not a vertex cover")
 
 
 def _path_violation(inst: Instance, alive: set[int]) -> list[int] | None:
@@ -518,33 +538,14 @@ def _component_violation(inst: Instance, alive: set[int], r: int) -> list[int] |
     return None
 
 
-def _regime_ok(inst: Instance, modulator, regime: str, r: int) -> bool:
-    alive = set(range(inst.n)) - set(modulator)
-    if regime == REGIME_PATHS and _path_violation(inst, alive) is not None:
-        return False
-    return _component_violation(inst, alive, r) is None
-
-
-def _decomposition(inst: Instance, modulator) -> ModulatorDecomposition:
-    comps = tuple(tuple(c) for c in inst.components(without=modulator))
-    return ModulatorDecomposition(frozenset(modulator), comps)
-
-
-def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> ModulatorDecomposition | None:
-    """Smallest modulator putting G minus M into the regime, or None.
-
-    A valid modulator hint on the instance short-circuits the search; an
-    invalid hint is an error (a silently wrong hint would poison every
-    downstream bound).
-    """
+def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> frozenset[int] | None:
+    """Smallest modulator M of size <= k_max putting G minus M into the
+    regime, or None; a modulator hint must put G minus it into the regime
+    and is returned as it is."""
     if regime not in (REGIME_COMPONENTS, REGIME_PATHS):
         raise ValueError(f"unknown regime {regime!r}")
     if r < 1:
         raise InstanceError(f"r must be positive, got {r}")
-    if inst.modulator_hint is not None:
-        if not _regime_ok(inst, inst.modulator_hint, regime, r):
-            raise InstanceError("modulator hint does not satisfy the regime")
-        return _decomposition(inst, inst.modulator_hint)
 
     def witness(alive):
         if regime == REGIME_PATHS:
@@ -553,21 +554,4 @@ def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> Modulator
                 return bad
         return _component_violation(inst, alive, r)
 
-    def search(alive, k):
-        bad = witness(alive)
-        if bad is None:
-            return set()
-        if k == 0:
-            return None
-        for v in bad:
-            got = search(alive - {v}, k - 1)
-            if got is not None:
-                return got | {v}
-        return None
-
-    everyone = set(range(inst.n))
-    for k in range(k_max + 1):
-        got = search(everyone, k)
-        if got is not None:
-            return _decomposition(inst, got)
-    return None
+    return _structure(inst, witness, k_max, "modulator hint does not satisfy the regime")

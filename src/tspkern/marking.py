@@ -2,12 +2,12 @@
 
 A *unit* is what a marking rule keeps or deletes whole: one vertex outside
 the vertex cover (`vc.py`) or one component of G minus the modulator
-(`modulator.py`).  A solution meets a unit through a *behavior*, an edge
-multiset with a weight.  The unit's natural behavior is its least behavior
-by (weight, edges), and an *impact* is the fingerprint a behavior leaves on
-the cover or modulator.  The unit's *impact table* maps each impact of its
-behaviors to the least weight among them; the price of an impact is that
-weight minus the natural weight.
+(`modulator.py`).  A solution meets a unit through a *behavior*
+(`Behavior`), an edge multiset with a weight.  The unit's natural behavior
+is its least behavior by (weight, edges), and an *impact* is the
+fingerprint a behavior leaves on the cover or modulator.  The unit's
+*impact table* maps each impact of its behaviors to the least weight among
+them; the price of an impact is that weight minus the natural weight.
 
 A round marks units in colors and deletes the rest:
 
@@ -45,7 +45,19 @@ class NoBehavior(ValueError):
     """Some unit admits no behavior: the instance has no solution."""
 
 
-def natural(behaviors, label: str):
+@dataclass(frozen=True)
+class Behavior:
+    edges: tuple[int, ...]  # sorted edge indices, with repetition
+    weight: int
+
+    @classmethod
+    def of(cls, inst: Instance, eids) -> "Behavior":
+        """The behavior using the edges `eids`, with repetition, in any order."""
+        edges = tuple(sorted(eids))
+        return cls(edges, sum(inst.edges[i].weight for i in edges))
+
+
+def natural(behaviors, label: str) -> Behavior:
     """The least behavior by (weight, edges); `label` names the unit in the
     error raised when there is none."""
     if not behaviors:
@@ -56,7 +68,7 @@ def natural(behaviors, label: str):
 @dataclass(frozen=True)
 class Unit:
     deletes: tuple[int, ...]  # the vertices deleted with the unit
-    natural: object  # the natural behavior
+    natural: Behavior
     impact: Hashable  # the natural behavior's impact
     table: dict  # impact -> least weight of a behavior with that impact
 

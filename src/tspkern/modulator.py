@@ -29,6 +29,7 @@ from .instance import (
 )
 from .marking import (
     INF,
+    Behavior,
     Unit,
     close_round,
     collect_units,
@@ -43,13 +44,6 @@ from .report import KernelReport
 
 # most multiplicity vectors a component's behaviors are enumerated from
 BEHAVIOR_GUARD = 3**12
-
-
-@dataclass(frozen=True)
-class ComponentBehavior:
-    component: int  # index into the decomposition; -1 when free-standing
-    edges: tuple[int, ...]  # sorted edge indices, with repetition
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,6 @@ def component_graph(inst: Instance, M, C) -> list[int]:
     """Edge indices of G_C: all edges inside C or between C and M."""
     adj, inside = inst.adjacency(), set(C) | set(M)
     return sorted({i for v in C for i in adj[v] if inst.edges[i].other(v) in inside})
-
-
-def _behavior_multiset(counts: dict[int, int]):
-    return tuple(sorted(itertools.chain.from_iterable([i] * c for i, c in counts.items() if c)))
 
 
 def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, int]) -> bool:
@@ -110,7 +100,7 @@ def _anchored_at(inst: Instance, M, eids, anchors) -> bool:
                if not M.issuperset(comp))
 
 
-def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[ComponentBehavior]:
+def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior]:
     eids = component_graph(inst, M, C)
     ranges = [range(inst.effective_capacity(inst.edges[i]) + 1) for i in eids]
     space = 1
@@ -122,9 +112,8 @@ def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Componen
     for counts in itertools.product(*ranges):
         table = dict(zip(eids, counts))
         if is_component_behavior(inst, M, C, r, table):
-            edges = _behavior_multiset(table)
-            weight = sum(inst.edges[i].weight for i in edges)
-            out.append(ComponentBehavior(-1, edges, weight))
+            out.append(Behavior.of(inst, itertools.chain.from_iterable(
+                [i] * c for i, c in table.items())))
     return out
 
 
@@ -132,14 +121,7 @@ def _label(C) -> str:
     return f"component {[v + 1 for v in sorted(C)]}"
 
 
-def natural_behavior_component(inst: Instance, M, C, r: int,
-                               behaviors=None) -> ComponentBehavior:
-    if behaviors is None:
-        behaviors = enumerate_component_behaviors(inst, M, C, r)
-    return natural(behaviors, _label(C))
-
-
-def component_impact(inst: Instance, M, behavior: ComponentBehavior) -> ComponentImpact:
+def component_impact(inst: Instance, M, behavior: Behavior) -> ComponentImpact:
     M = set(M)
     deg: dict[int, int] = {}
     for i in behavior.edges:
@@ -163,18 +145,8 @@ def component_impact(inst: Instance, M, behavior: ComponentBehavior) -> Componen
     return ComponentImpact(touched, tuple(sorted(rep.items())))
 
 
-def _component_unit(inst: Instance, M, C, behaviors) -> Unit:
+def component_unit(inst: Instance, M, C, behaviors) -> Unit:
     return unit(_label(C), C, behaviors, lambda b: component_impact(inst, M, b))
-
-
-def price_component(inst: Instance, M, C, r: int, I: ComponentImpact, I2: ComponentImpact,
-                    behaviors=None):
-    if behaviors is None:
-        behaviors = enumerate_component_behaviors(inst, M, C, r)
-    if not behaviors:
-        return INF
-    u = _component_unit(inst, M, C, behaviors)
-    return u.price(I2) if u.impact == I else INF
 
 
 def _shortest_mm_paths(inst: Instance, M, C):
@@ -229,7 +201,7 @@ def _modulator_round(inst: Instance, M, r: int, pipeline: str, rule: str,
     given for the subset kind only, maps (k, impact count) to the yellow cap."""
     report = KernelReport(pipeline=pipeline)
     comps = inst.components(without=M)
-    units = collect_units(report, comps, lambda C: _component_unit(
+    units = collect_units(report, comps, lambda C: component_unit(
         inst, M, C, enumerate_component_behaviors(inst, M, C, r)))
     if units is None:
         return inst, report
@@ -280,7 +252,7 @@ def saturate_path_nonterminals(inst: Instance) -> Instance:
     return g.freeze()
 
 
-def pieces(inst: Instance, M, behavior: ComponentBehavior) -> list[Piece]:
+def pieces(inst: Instance, M, behavior: Behavior) -> list[Piece]:
     M = set(M)
     inner: list[int] = []
     legs_at: dict[int, list[int]] = {}
@@ -298,13 +270,13 @@ def pieces(inst: Instance, M, behavior: ComponentBehavior) -> list[Piece]:
     return out
 
 
-def blend_behavior(inst: Instance, M, C, A: ComponentBehavior, M_prime, v: int,
-                   r: int) -> ComponentBehavior:
+def blend_behavior(inst: Instance, M, C, A: Behavior, M_prime, v: int,
+                   r: int) -> Behavior:
     """A behavior touching v, confined to T(A) u T(b^nat), anchored at M',
     no heavier than A.  Existence is the blending lemma; we search for it."""
     M, M_prime = set(M), set(M_prime)
     behaviors = enumerate_component_behaviors(inst, M, C, r)
-    nat = natural_behavior_component(inst, M, C, r, behaviors)
+    nat = natural(behaviors, _label(C))
     nat_touch = component_impact(inst, M, nat).touched
     a_touch = component_impact(inst, M, A).touched
     if v not in nat_touch or v in M_prime:

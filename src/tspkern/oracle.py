@@ -34,7 +34,6 @@ Three exact engines, all desk-scale and guarded by explicit caps:
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ import networkx as nx
 import numpy as np
 
 from .instance import KIND_WRP, Instance, InvariantError, ScaleError, component_walk, non_forest
+from .marking import Behavior
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class OracleCaps:
 DEFAULT_CAPS = OracleCaps()
 
 # rows of the largest multiplicity grid: every grid the default caps allow
-# (14 edges, three multiplicities each), and not one row more
-MULTIPLICITY_MAX_ROWS = 3**14
+# (three multiplicities per edge), and not one row more
+MULTIPLICITY_MAX_ROWS = 3**DEFAULT_CAPS.multiplicity_edges
 
 
 def make_solution(inst: Instance, multiplicity) -> SolutionMultigraph:
@@ -482,10 +482,8 @@ def split_into_segments(inst: Instance, walk: Walk, M) -> list[Walk]:
     return segments
 
 
-def solution_component_behavior(inst: Instance, walk: Walk, M, C):
+def solution_component_behavior(inst: Instance, walk: Walk, M, C) -> Behavior:
     """Edge multiset F(S,C): segments discovering a new C-vertex, in order."""
-    from .modulator import ComponentBehavior  # deferred: avoids an import cycle
-
     Cset = set(C)
     visited = set()
     edges = Counter()
@@ -494,9 +492,7 @@ def solution_component_behavior(inst: Instance, walk: Walk, M, C):
         if here - visited:
             edges.update(seg.edge_ids)
         visited |= here
-    flat = tuple(sorted(itertools.chain.from_iterable([i] * c for i, c in edges.items())))
-    weight = sum(inst.edges[i].weight * c for i, c in edges.items())
-    return ComponentBehavior(component=-1, edges=flat, weight=weight)
+    return Behavior.of(inst, edges.elements())
 
 
 # -- engine 3: tree-decomposition DP -----------------------------------------

@@ -3,11 +3,12 @@
 Every regime follows the same recipe.  `REGIMES` maps each regime name to a
 row that gives the accepted kind (FES takes any kind and reads it as
 capacitated), the structure step, the round rule, and the stats that finish
-the report.  The structure step takes a modulator hint or searches for a
-vertex cover or modulator (`compute_vc` / `find_modulator`); for paths it
-also saturates the path vertices.  A round applies the regime's marking
-rule once, or for FES the first applicable local rule of `FES_RULES`.  The
-FES rounds edit one `WorkGraph`, which the driver freezes once at the end.
+the report.  The structure step of the four marking regimes checks a
+modulator hint or searches for a vertex cover or modulator (`compute_vc` /
+`find_modulator`, one search behind both); for paths it also saturates the
+path vertices.  A round applies the regime's marking rule once, or for FES
+the first applicable local rule of `FES_RULES`.  The FES rounds edit one
+`WorkGraph`, which the driver freezes once at the end.
 
 `kernelize` runs the stop rules and connectivity once, then the structure
 step, then rounds until one fires nothing, rechecking the stop rules after
@@ -58,36 +59,24 @@ class Regime:
     stats: Callable[[Instance, Instance | None], dict] = lambda start, kernel: {}
 
 
-def _with_hint(inst: Instance, M) -> Instance:
-    if inst.modulator_hint == frozenset(M):
-        return inst
-    return replace(inst, modulator_hint=frozenset(M))
-
-
-def _vertex_cover(inst: Instance, r, k_max: int | None, report) -> Instance:
-    hint = inst.modulator_hint
-    if hint is not None:
-        if any(e.u not in hint and e.v not in hint for e in inst.edges):
-            raise InstanceError("modulator hint is not a vertex cover")
-        return inst
-    cover = compute_vc(inst, inst.n if k_max is None else k_max)
-    if cover is None:
-        raise InstanceError(f"no vertex cover within k_max={k_max}")
-    return _with_hint(inst, cover)
-
-
-def _modulator(inst: Instance, regime: str, r: int, k_max: int | None) -> Instance:
-    dec = find_modulator(inst, regime, r, inst.n if k_max is None else k_max)
-    if dec is None:
-        raise InstanceError(f"no modulator within k_max={k_max}")
-    return _with_hint(inst, dec.modulator)
+def _structure(inst: Instance, regime: str | None, r: int, k_max: int | None) -> Instance:
+    """The instance carrying its modulator as hint: a vertex cover when
+    `regime` is None, otherwise a modulator into the `find_modulator` regime."""
+    k = inst.n if k_max is None else k_max
+    if regime is None:
+        M, noun = compute_vc(inst, k), "vertex cover"
+    else:
+        M, noun = find_modulator(inst, regime, r, k), "modulator"
+    if M is None:
+        raise InstanceError(f"no {noun} within k_max={k_max}")
+    return inst if inst.modulator_hint == M else replace(inst, modulator_hint=M)
 
 
 def _saturated_path_modulator(inst: Instance, r: int, k_max: int | None,
                               report: KernelReport) -> Instance:
     """Short-circuiting keeps the waypoints, the budget and connectivity, so
     the stop rules need no recheck."""
-    inst = _modulator(inst, REGIME_PATHS, r, k_max)
+    inst = _structure(inst, REGIME_PATHS, r, k_max)
     before = inst.n
     inst = saturate_path_nonterminals(inst)
     if inst.n != before:
@@ -112,17 +101,17 @@ REGIMES = {
         stats=_fes_stats),
     "vc-tsp": Regime(
         "vc-tsp", KIND_TSP, "all-waypoint",
-        structure=_vertex_cover,
+        structure=lambda inst, r, k_max, report: _structure(inst, None, r, k_max),
         rule=lambda inst, r: rule_vc_tsp(inst, inst.modulator_hint),
         entry=lambda inst, r=None, k_max=None: kernelize_vc_tsp(inst, k_max)),
     "vc-wrp": Regime(
         "vc-wrp", KIND_WRP, "capacitated",
-        structure=_vertex_cover,
+        structure=lambda inst, r, k_max, report: _structure(inst, None, r, k_max),
         rule=lambda inst, r: rule_vc_wrp(inst, inst.modulator_hint),
         entry=lambda inst, r=None, k_max=None: kernelize_vc_wrp(inst, k_max)),
     "components": Regime(
         "components-tsp", KIND_TSP, "all-waypoint",
-        structure=lambda inst, r, k_max, report: _modulator(inst, REGIME_COMPONENTS, r, k_max),
+        structure=lambda inst, r, k_max, report: _structure(inst, REGIME_COMPONENTS, r, k_max),
         rule=lambda inst, r: rule_components_tsp(inst, inst.modulator_hint, r),
         entry=lambda inst, r=1, k_max=None: kernelize_components_tsp(inst, r, k_max)),
     "paths": Regime(

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 from .instance import Instance, InstanceError, InvariantError
 from .marking import (
-    INF,
-    NoBehavior,
+    Behavior,
     Unit,
     close_round,
     collect_units,
     mark_red,
-    natural,
     settle,
     table_impacts,
     unit,
@@ -33,24 +31,12 @@ REGIME_WRP = "wrp"
 
 
 @dataclass(frozen=True)
-class VertexBehavior:
-    vertex: int
-    edges: tuple[int, ...]  # sorted edge indices, with repetition
-    weight: int
-
-
-@dataclass(frozen=True)
 class VertexImpact:
     touched: frozenset[int]
     degrees: tuple[tuple[int, int], ...] | None = None  # (m, parity class), wrp only
 
 
-def _behavior(inst: Instance, r: int, eids) -> VertexBehavior:
-    eids = tuple(sorted(eids))
-    return VertexBehavior(r, eids, sum(inst.edges[i].weight for i in eids))
-
-
-def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[VertexBehavior]:
+def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[Behavior]:
     if r in M:
         raise InstanceError(f"vertex {r + 1} is in the modulator")
     incident = inst.adjacency()[r]
@@ -70,33 +56,25 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[V
     if regime == REGIME_TSP:
         for combo in itertools.combinations_with_replacement(incident, 2):
             if usable(combo):
-                out.append(_behavior(inst, r, combo))
+                out.append(Behavior.of(inst, combo))
     elif regime == REGIME_WRP:
         if r not in inst.waypoints:
-            out.append(_behavior(inst, r, ()))
+            out.append(Behavior((), 0))
         for size in (2, 4):
             for combo in itertools.combinations_with_replacement(incident, size):
                 if usable(combo):
-                    out.append(_behavior(inst, r, combo))
+                    out.append(Behavior.of(inst, combo))
     else:
         raise ValueError(f"unknown regime {regime!r}")
     return out
 
 
-def natural_behavior_vertex(inst: Instance, M, r: int, regime: str) -> VertexBehavior:
-    if regime == REGIME_TSP:
-        incident = inst.adjacency()[r]
-        if not incident:
-            raise NoBehavior(f"vertex {r + 1} has no incident edge")
-        best = min(incident, key=lambda i: (inst.edges[i].weight, i))
-        return _behavior(inst, r, (best, best))
-    return natural(enumerate_vertex_behaviors(inst, M, r, regime), f"vertex {r + 1}")
-
-
-def vertex_impact(inst: Instance, behavior: VertexBehavior, regime: str) -> VertexImpact:
+def vertex_impact(inst: Instance, r: int, behavior: Behavior, regime: str) -> VertexImpact:
+    """The cover vertices that `behavior`, a behavior of vertex r, touches,
+    and for the capacitated kind the parity class of each touch."""
     deg: dict[int, int] = {}
     for i in behavior.edges:
-        m = inst.edges[i].other(behavior.vertex)
+        m = inst.edges[i].other(r)
         deg[m] = deg.get(m, 0) + 1
     touched = frozenset(deg)
     if regime == REGIME_TSP:
@@ -105,18 +83,9 @@ def vertex_impact(inst: Instance, behavior: VertexBehavior, regime: str) -> Vert
     return VertexImpact(touched, classes)
 
 
-def _unit(inst: Instance, M, r: int, regime: str) -> Unit:
+def vertex_unit(inst: Instance, M, r: int, regime: str) -> Unit:
     return unit(f"vertex {r + 1}", (r,), enumerate_vertex_behaviors(inst, M, r, regime),
-                lambda b: vertex_impact(inst, b, regime))
-
-
-def price_vertex_tsp(inst: Instance, M, r: int, I: VertexImpact):
-    return _unit(inst, M, r, REGIME_TSP).price(I)
-
-
-def price_vertex_wrp(inst: Instance, M, r: int, I: VertexImpact, I2: VertexImpact):
-    u = _unit(inst, M, r, REGIME_WRP)
-    return u.price(I2) if u.impact == I else INF
+                lambda b: vertex_impact(inst, r, b, regime))
 
 
 def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
@@ -126,7 +95,7 @@ def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r: _unit(inst, M, r, REGIME_TSP))
+    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, REGIME_TSP))
     if units is None:
         return inst, report
     impacts = table_impacts(units)
@@ -148,7 +117,7 @@ def rule_vc_wrp(inst: Instance, M) -> tuple[Instance, KernelReport]:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r: _unit(inst, M, r, REGIME_WRP))
+    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, REGIME_WRP))
     if units is None:
         return inst, report
     ni = len(table_impacts(units))

@@ -26,8 +26,8 @@ from tspkern.instance import Edge, Instance, compute_fes, render_instance
 from tspkern.modulator import (
     blend_behavior,
     component_impact,
+    component_unit,
     enumerate_component_behaviors,
-    natural_behavior_component,
     pieces,
     rule_components_tsp,
     rule_paths_subtsp,
@@ -300,7 +300,7 @@ def test_06_blending():
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = natural_behavior_component(inst, M, C, r, behaviors)
+        nat = component_unit(inst, M, C, behaviors).natural
         nat_touch = component_impact(inst, M, nat).touched
         for A in rng.sample(behaviors, len(behaviors)):
             a_touch = component_impact(inst, M, A).touched

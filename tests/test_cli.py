@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tspkern
 from tspkern import oracle
 from tspkern.cli import build_parser, main
 from tspkern.gadgets import gen_planted
@@ -75,6 +80,35 @@ def test_multiplicity_grid_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
     assert main(["solve", str(path), "--engine", "multiplicity"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("scale exceeded:") and f"{3**30} rows" in err
+
+
+def test_out_of_memory_is_scale_exit(tmp_path, triangle):
+    """A run that exhausts the memory the process may use exits 3 with a
+    one-line message, not a traceback."""
+    resource = pytest.importorskip("resource")
+    gib = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (gib, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = str(Path(tspkern.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "tspkern.cli", *argv], env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=120)
+
+    assert run("solve", triangle).returncode == 0
+    for kind in ("tsp", "stsp"):
+        (tmp_path / f"{kind}.grw").write_text(f"p {kind} 2000000000 0\nb 0\n")
+    for argv in (("solve", str(tmp_path / "tsp.grw")),
+                 ("kernelize", str(tmp_path / "stsp.grw"), str(tmp_path / "k.grw"),
+                  "--regime", "fes")):
+        done = run(*argv)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "scale exceeded: out of memory\n"
 
 
 def test_malformed_input(tmp_path, capsys):

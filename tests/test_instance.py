@@ -132,23 +132,46 @@ def test_vc_c5():
     assert all(e.u in got or e.v in got for e in c5.edges)
 
 
-def _min_vc_bruteforce(inst):
-    pairs = {(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges}
-    for k in range(inst.n + 1):
-        for sub in itertools.combinations(range(inst.n), k):
-            s = set(sub)
-            if all(u in s or v in s for u, v in pairs):
-                return k
-    return inst.n
+def _is_modulator(inst, regime, r, S) -> bool:
+    """G minus S has no edge ("vc"), no component above r vertices, and for
+    paths only paths: degrees at most 2, no cycle, parallel edges included."""
+    g = _induced_graph(inst, set(range(inst.n)) - set(S))
+    if regime == "vc":
+        return g.number_of_edges() == 0
+    comps = list(nx.connected_components(g))
+    if any(len(c) > r for c in comps):
+        return False
+    return regime != REGIME_PATHS or (
+        all(d <= 2 for _, d in g.degree())
+        and g.number_of_edges() == g.number_of_nodes() - len(comps))
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_vc_matches_bruteforce(seed):
-    inst = _random_instance(random.Random(seed))
-    best = _min_vc_bruteforce(inst)
-    got = compute_vc(inst, inst.n)
-    assert got is not None and len(got) == best
+@given(st.integers(0, 10_000), st.sampled_from(("vc", REGIME_COMPONENTS, REGIME_PATHS)),
+       st.integers(1, 3))
+@settings(max_examples=90, deadline=None)
+def test_vc_matches_bruteforce(seed, regime, r):
+    """The structure search, for a vertex cover ("vc") or a modulator, finds
+    one of least size and accepts a hint exactly when it is one."""
+    rng = random.Random(seed)
+    inst = dataclasses.replace(_random_instance(rng), modulator_hint=None)
+
+    def search(inst, k_max):
+        if regime == "vc":
+            return compute_vc(inst, k_max)
+        return find_modulator(inst, regime, r, k_max)
+
+    best = min(k for k in range(inst.n + 1) for S in itertools.combinations(range(inst.n), k)
+               if _is_modulator(inst, regime, r, S))
+    got = search(inst, inst.n)
+    assert got is not None and len(got) == best and _is_modulator(inst, regime, r, got)
+    assert best == 0 or search(inst, best - 1) is None
+    hint = frozenset(v for v in range(inst.n) if rng.random() < 0.5)
+    hinted = dataclasses.replace(inst, modulator_hint=hint)
+    if _is_modulator(inst, regime, r, hint):
+        assert search(hinted, 0) == hint
+    else:
+        with pytest.raises(InstanceError, match="modulator hint"):
+            search(hinted, inst.n)
 
 
 def k4():
@@ -157,15 +180,15 @@ def k4():
 
 
 def test_modulator_k4():
-    dec = find_modulator(k4(), REGIME_COMPONENTS, 1, 3)
-    assert dec is not None and len(dec.modulator) == 3
-    assert all(len(c) == 1 for c in dec.components)
+    M = find_modulator(k4(), REGIME_COMPONENTS, 1, 3)
+    assert M is not None and len(M) == 3
+    assert all(len(c) == 1 for c in k4().components(without=M))
 
 
 def test_modulator_empty_for_paths():
     inst = Instance("stsp", 4, (Edge(0, 1, 1), Edge(2, 3, 1)), frozenset(), 0)
-    dec = find_modulator(inst, REGIME_PATHS, 2, 0)
-    assert dec is not None and dec.modulator == frozenset()
+    M = find_modulator(inst, REGIME_PATHS, 2, 0)
+    assert M == frozenset()
 
 
 def test_modulator_bad_hint_rejected():
@@ -182,14 +205,15 @@ def test_modulator_regime_revalidates(seed):
     inst = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, inst.budget, None)
     r = rng.randint(1, 3)
     regime = rng.choice([REGIME_COMPONENTS, REGIME_PATHS])
-    dec = find_modulator(inst, regime, r, inst.n)
-    assert dec is not None
+    M = find_modulator(inst, regime, r, inst.n)
+    assert M is not None
     # decomposition invariants: components partition V minus M and fit the regime
-    flat = [v for c in dec.components for v in c]
-    assert sorted(flat) == sorted(set(range(inst.n)) - dec.modulator)
-    assert all(len(c) <= r for c in dec.components)
+    comps = inst.components(without=M)
+    flat = [v for c in comps for v in c]
+    assert sorted(flat) == sorted(set(range(inst.n)) - M)
+    assert all(len(c) <= r for c in comps)
     if regime == REGIME_PATHS:
-        for comp in dec.components:
+        for comp in comps:
             inside = set(comp)
             deg = {v: 0 for v in comp}
             seen_pairs = 0

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tspkern.instance import Edge, Instance, InstanceError, ScaleError
+from tspkern.marking import Behavior
 from tspkern.modulator import (
     BEHAVIOR_GUARD,
-    ComponentBehavior,
     blend_behavior,
     component_graph,
     component_impact,
+    component_unit,
     enumerate_component_behaviors,
     is_component_behavior,
-    natural_behavior_component,
     pieces,
-    price_component,
     rule_components_tsp,
     rule_paths_subtsp,
     saturate_path_nonterminals,
@@ -36,6 +35,10 @@ def test_component_graph_drops_modulator_edges():
     inst = singleton_component()
     eids = component_graph(inst, {0, 1}, {2})
     assert eids == [1, 2]  # edge 0 is modulator-internal
+
+
+def _natural(inst, M, C, r):
+    return component_unit(inst, M, C, enumerate_component_behaviors(inst, M, C, r)).natural
 
 
 def test_enumerate_singleton():
@@ -88,7 +91,7 @@ def test_naive_filter_crosscheck():
 
 def test_natural_component():
     inst = singleton_component()
-    nat = natural_behavior_component(inst, {0, 1}, {2}, 1)
+    nat = _natural(inst, {0, 1}, {2}, 1)
     assert nat.edges == (1, 1) and nat.weight == 4
 
 
@@ -105,7 +108,7 @@ def test_impact_figure_config():
     inst = Instance("stsp", 8, edges, frozenset(range(8)), 99)
     beh_edges = (0, 1, 2, 3, 4, 5, 6)
     weight = sum(inst.edges[i].weight for i in beh_edges)
-    beh = ComponentBehavior(-1, beh_edges, weight)
+    beh = Behavior(beh_edges, weight)
     imp = component_impact(inst, {0, 1, 2, 3, 4}, beh)
     assert imp.touched == frozenset({1, 2, 4})
     assert dict(imp.rep_edges) == {(1, 2): 2, (1, 4): 1}
@@ -113,7 +116,7 @@ def test_impact_figure_config():
 
 def test_impact_single_touch_empty_reps():
     inst = singleton_component()
-    nat = natural_behavior_component(inst, {0, 1}, {2}, 1)
+    nat = _natural(inst, {0, 1}, {2}, 1)
     assert component_impact(inst, {0, 1}, nat).rep_edges == ()
 
 
@@ -141,12 +144,13 @@ def test_parity_law(seed):
 def test_price_component_basics():
     inst = singleton_component()
     behaviors = enumerate_component_behaviors(inst, {0, 1}, {2}, 1)
-    nat_imp = component_impact(inst, {0, 1},
-                               natural_behavior_component(inst, {0, 1}, {2}, 1))
-    assert price_component(inst, {0, 1}, {2}, 1, nat_imp, nat_imp) == 0
+    u = component_unit(inst, {0, 1}, {2}, behaviors)
+    nat_imp = component_impact(inst, {0, 1}, u.natural)
+    assert u.impact == nat_imp and u.price(nat_imp) == 0
     other = [component_impact(inst, {0, 1}, b) for b in behaviors
              if component_impact(inst, {0, 1}, b) != nat_imp]
-    assert price_component(inst, {0, 1}, {2}, 1, other[0], nat_imp) == float("inf")
+    # a unit is priced from its own natural impact only
+    assert other[0] != u.impact
 
 
 def _components_instance(rng, kind, k, r, chunks):
@@ -214,7 +218,7 @@ def test_saturation():
 
 def test_pieces_and_legs():
     inst = singleton_component(kind="stsp")
-    nat = natural_behavior_component(inst, {0, 1}, {2}, 1)
+    nat = _natural(inst, {0, 1}, {2}, 1)
     got = pieces(inst, {0, 1}, nat)
     assert len(got) == 1
     assert got[0].path_vertices == (2,)
@@ -252,7 +256,7 @@ def test_natural_pieces_two_legged(seed):
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = natural_behavior_component(inst, M, C, r, behaviors)
+        nat = component_unit(inst, M, C, behaviors).natural
         assert all(len(p.legs) == 2 for p in pieces(inst, M, nat))
 
 
@@ -267,7 +271,7 @@ def _blend_cases(rng, count):
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = natural_behavior_component(inst, M, C, r, behaviors)
+        nat = component_unit(inst, M, C, behaviors).natural
         nat_touch = component_impact(inst, M, nat).touched
         for A in behaviors:
             a_touch = component_impact(inst, M, A).touched
@@ -290,7 +294,7 @@ def test_blending_properties():
     for inst, M, C, A, M_prime, v, r in _blend_cases(rng, 60):
         F = blend_behavior(inst, M, C, A, M_prime, v, r)
         touched = component_impact(inst, M, F).touched
-        nat = natural_behavior_component(inst, M, C, r)
+        nat = _natural(inst, M, C, r)
         nat_touch = component_impact(inst, M, nat).touched
         a_touch = component_impact(inst, M, A).touched
         assert v in touched

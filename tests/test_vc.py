@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tspkern import vc
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError
-from tspkern.marking import Unit, close_round
+from tspkern.marking import Behavior, Unit, close_round
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_vc_tsp, kernelize_vc_wrp
 from tspkern.report import KernelReport
@@ -16,14 +16,11 @@ from tspkern.vc import (
     REGIME_TSP,
     REGIME_WRP,
     VertexImpact,
-    _unit,
     enumerate_vertex_behaviors,
-    natural_behavior_vertex,
-    price_vertex_tsp,
-    price_vertex_wrp,
     rule_vc_tsp,
     rule_vc_wrp,
     vertex_impact,
+    vertex_unit,
 )
 
 
@@ -81,49 +78,52 @@ def test_enumerate_wrp_matches_bruteforce(seed):
 
 def test_natural_tsp_doubled_cheapest():
     inst = two_neighbor_tsp()
-    nat = natural_behavior_vertex(inst, {0, 1}, 2, REGIME_TSP)
+    nat = vertex_unit(inst, {0, 1}, 2, REGIME_TSP).natural
     assert nat.edges == (1, 1) and nat.weight == 4
 
 
 def test_natural_tsp_tie_lowest_index():
     inst = two_neighbor_tsp(2, 2)
-    nat = natural_behavior_vertex(inst, {0, 1}, 2, REGIME_TSP)
+    nat = vertex_unit(inst, {0, 1}, 2, REGIME_TSP).natural
     assert nat.edges == (1, 1)
-    assert _unit(inst, {0, 1}, 2, REGIME_TSP).natural == nat
+    assert nat == Behavior.of(inst, (1, 1))
 
 
 def test_natural_wrp_nonwaypoint_empty():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0}), 9)
-    nat = natural_behavior_vertex(inst, {0}, 1, REGIME_WRP)
+    nat = vertex_unit(inst, {0}, 1, REGIME_WRP).natural
     assert nat.edges == () and nat.weight == 0
 
 
 def test_impacts():
     inst = two_neighbor_tsp()
     behaviors = {b.edges: b for b in enumerate_vertex_behaviors(inst, {0, 1}, 2, REGIME_TSP)}
-    assert vertex_impact(inst, behaviors[(1, 1)], REGIME_TSP).touched == frozenset({0})
-    assert vertex_impact(inst, behaviors[(1, 2)], REGIME_TSP).touched == frozenset({0, 1})
+    assert vertex_impact(inst, 2, behaviors[(1, 1)], REGIME_TSP).touched == frozenset({0})
+    assert vertex_impact(inst, 2, behaviors[(1, 2)], REGIME_TSP).touched == frozenset({0, 1})
     wrp = Instance("wrp", 4, (Edge(0, 3, 1, 2), Edge(1, 3, 1, 2), Edge(2, 3, 1, 2)),
                    frozenset({3}), 9)
     beh = [b for b in enumerate_vertex_behaviors(wrp, {0, 1, 2}, 3, REGIME_WRP)
            if b.edges == (0, 0, 1, 2)][0]
-    imp = vertex_impact(wrp, beh, REGIME_WRP)
+    imp = vertex_impact(wrp, 3, beh, REGIME_WRP)
     assert imp.degrees == ((0, 2), (1, 1), (2, 1))
 
 
 def test_prices_tsp():
     inst = two_neighbor_tsp()  # weights 2, 5 -> b_nat weight 4
-    assert price_vertex_tsp(inst, {0, 1}, 2, VertexImpact(frozenset({1}))) == 6
-    assert price_vertex_tsp(inst, {0, 1}, 2, VertexImpact(frozenset({0, 1}))) == 3
-    assert price_vertex_tsp(inst, {0, 1}, 2, VertexImpact(frozenset({0, 1, 2}))) == float("inf")
+    u = vertex_unit(inst, {0, 1}, 2, REGIME_TSP)
+    assert u.price(VertexImpact(frozenset({1}))) == 6
+    assert u.price(VertexImpact(frozenset({0, 1}))) == 3
+    assert u.price(VertexImpact(frozenset({0, 1, 2}))) == float("inf")
 
 
 def test_price_wrp_mismatch_infinite():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0, 1}), 9)
     nat_imp = VertexImpact(frozenset({0}), ((0, 2),))
     wrong = VertexImpact(frozenset(), ())
-    assert price_vertex_wrp(inst, {0}, 1, wrong, nat_imp) == float("inf")
-    assert price_vertex_wrp(inst, {0}, 1, nat_imp, nat_imp) == 0
+    u = vertex_unit(inst, {0}, 1, REGIME_WRP)
+    # a unit is priced from its own natural impact only
+    assert u.impact != wrong and u.price(wrong) == float("inf")
+    assert u.impact == nat_imp and u.price(nat_imp) == 0
 
 
 def _cover_instance(rng, kind, k, extra):
@@ -155,7 +155,7 @@ def test_rule_tsp_small_untouched():
 def test_impact_bound_is_checked(monkeypatch):
     # an impact function that tells every behavior apart breaks the k^2 bound
     monkeypatch.setattr(vc, "vertex_impact",
-                        lambda inst, b, regime: VertexImpact(frozenset(b.edges)))
+                        lambda inst, r, b, regime: VertexImpact(frozenset(b.edges)))
     inst = _cover_instance(random.Random(0), "tsp", 2, 8)
     with pytest.raises(InvariantError, match="k\\^2 bound"):
         rule_vc_tsp(inst, {0, 1})
@@ -163,8 +163,8 @@ def test_impact_bound_is_checked(monkeypatch):
 
 def test_close_round_checks_parity():
     inst = two_neighbor_tsp()
-    nat = natural_behavior_vertex(inst, {0, 1}, 2, REGIME_TSP)
-    lone = Unit((2,), nat, vertex_impact(inst, nat, REGIME_TSP), {})
+    nat = vertex_unit(inst, {0, 1}, 2, REGIME_TSP).natural
+    lone = Unit((2,), nat, vertex_impact(inst, 2, nat, REGIME_TSP), {})
     with pytest.raises(InvariantError, match="odd number"):
         close_round(inst, KernelReport(pipeline="vc-wrp"), "rule_vc_wrp", [lone], set(),
                     "vertices")
