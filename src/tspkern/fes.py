@@ -8,8 +8,7 @@ residual feedback edge number; chains anchored at avoidable non-waypoint
 branch vertices may keep up to three inner vertices.
 
 Each rule edits a `WorkGraph`.  The kernel driver passes one graph through
-every round, so a firing costs time in proportion to what it touches; a rule
-called on a frozen Instance wraps it and returns the frozen result.  The
+every round, so a firing costs time in proportion to what it touches.  The
 leaf rules take the lowest leaf from the graph's leaf heaps.  The chain
 rules scan, but run only in rounds where no leaf rule applies.
 """
@@ -17,32 +16,29 @@ rules scan, but run only in rounds where no leaf rule applies.
 from __future__ import annotations
 
 from .instance import Edge, Instance, WorkGraph
-from .preprocess import VERDICT_UNCHANGED, RuleOutcome, decided_no, edited, unchanged
+from .preprocess import VERDICT_UNCHANGED, RuleOutcome, decided_no, reduced, unchanged
 from .report import KernelReport
 
 
-def rr_leaf_cap1(inst: Instance | WorkGraph) -> RuleOutcome:
+def rr_leaf_cap1(g: WorkGraph) -> RuleOutcome:
     """A waypoint leaf whose only edge has capacity 1 cannot be entered and left."""
-    g = WorkGraph.of(inst)
     v = g.leaf(waypoint=True, cap1=True)
     if v is None:
         return unchanged()
     return decided_no(f"rr_leaf_cap1: waypoint leaf {g.label(v)} on a capacity-1 edge")
 
 
-def rr_nonterminal_leaf(inst: Instance | WorkGraph) -> RuleOutcome:
-    g = WorkGraph.of(inst)
+def rr_nonterminal_leaf(g: WorkGraph) -> RuleOutcome:
     v = g.leaf(waypoint=False)
     if v is None:
         return unchanged()
     log = f"rr_nonterminal_leaf: removed {g.label(v)}"
     g.remove_vertices((v,))
-    return edited(inst, g, log)
+    return reduced(g, log)
 
 
-def rr_terminal_leaf(inst: Instance | WorkGraph) -> RuleOutcome:
+def rr_terminal_leaf(g: WorkGraph) -> RuleOutcome:
     """Fold a waypoint leaf into its neighbor, paying the edge twice."""
-    g = WorkGraph.of(inst)
     v = g.leaf(waypoint=True)
     if v is None:
         return unchanged()
@@ -53,7 +49,7 @@ def rr_terminal_leaf(inst: Instance | WorkGraph) -> RuleOutcome:
     g.remove_vertices((v,))
     g.add_waypoint(u)
     g.budget -= 2 * e.weight
-    return edited(inst, g, log)
+    return reduced(g, log)
 
 
 def _find_chains(g: WorkGraph, want_waypoint: bool, min_edges: int):
@@ -114,8 +110,7 @@ def _find_chains(g: WorkGraph, want_waypoint: bool, min_edges: int):
             yield verts, eids
 
 
-def rr_contract_nonterminal_path(inst: Instance | WorkGraph) -> RuleOutcome:
-    g = WorkGraph.of(inst)
+def rr_contract_nonterminal_path(g: WorkGraph) -> RuleOutcome:
     got = next(_find_chains(g, want_waypoint=False, min_edges=2), None)
     if got is None:
         return unchanged()
@@ -124,7 +119,7 @@ def rr_contract_nonterminal_path(inst: Instance | WorkGraph) -> RuleOutcome:
     cap = min(g.edges[ei].capacity for ei in eids)
     g.remove_vertices(verts[1:-1])
     g.add_edge(Edge(verts[0], verts[-1], weight, cap))
-    return edited(inst, g, f"rr_contract_nonterminal_path: contracted {len(verts) - 2} inner vertex(es)")
+    return reduced(g, f"rr_contract_nonterminal_path: contracted {len(verts) - 2} inner vertex(es)")
 
 
 def _reduce_terminal_chain(g: WorkGraph, verts, eids):
@@ -179,8 +174,7 @@ def _reduce_terminal_chain(g: WorkGraph, verts, eids):
     return None
 
 
-def rr_replace_terminal_path(inst: Instance | WorkGraph) -> RuleOutcome:
-    g = WorkGraph.of(inst)
+def rr_replace_terminal_path(g: WorkGraph) -> RuleOutcome:
     for verts, eids in _find_chains(g, want_waypoint=True, min_edges=3):
         got = _reduce_terminal_chain(g, verts, eids)
         if got is None:
@@ -197,8 +191,8 @@ def rr_replace_terminal_path(inst: Instance | WorkGraph) -> RuleOutcome:
         g.remove_vertices(victims)
         for x in new_wps:
             g.add_waypoint(x)
-        return edited(inst, g, f"rr_replace_terminal_path: case {case},"
-                               f" replaced {len(victims) + len(new_wps)} inner vertex(es)")
+        return reduced(g, f"rr_replace_terminal_path: case {case},"
+                          f" replaced {len(victims) + len(new_wps)} inner vertex(es)")
     return unchanged()
 
 
@@ -217,13 +211,11 @@ def rule_fes(g: WorkGraph) -> tuple[WorkGraph, KernelReport]:
     part = KernelReport(pipeline="fes")
     for name, rule in FES_RULES:
         outcome = rule(g)
-        if outcome.verdict == VERDICT_UNCHANGED:
-            continue
-        part.fire(name, outcome.log_entry)
-        if outcome.decided:
-            part.decided = outcome.verdict
-            return g, part
-        return outcome.instance, part
+        if outcome.verdict != VERDICT_UNCHANGED:
+            part.fire(name, outcome.log_entry)
+            if outcome.decided:
+                part.decided = outcome.verdict
+            break
     return g, part
 
 

@@ -15,7 +15,7 @@ The kernels stand on five graph primitives, each written once here:
   the modulator search, the support walks of the modulator kernels and the
   certificate check;
 - spanning forest: `non_forest`, one union-find pass, behind `compute_fes`
-  and `oracle.find_component_preserving_cycle`;
+  (the tests' nice-solution check also finds its cycles with it);
 - editing: `WorkGraph`, a mutable copy of an instance that the local rules
   (the FES rules and short-circuiting) edit in place, firing after firing,
   and freeze once;
@@ -212,10 +212,6 @@ class WorkGraph:
         self._leaves = {(w, c): [] for w in (False, True) for c in (False, True)}
         for v in range(inst.n):
             self._touch(v)
-
-    @classmethod
-    def of(cls, inst: "Instance | WorkGraph") -> "WorkGraph":
-        return inst if isinstance(inst, WorkGraph) else cls(inst)
 
     def vertices(self) -> list[int]:
         return [v for v, up in enumerate(self.alive) if up]

@@ -109,8 +109,8 @@ def mark_red(units, cap: int, one_row: bool = False) -> set[int]:
     buckets: dict = {}
     for ui, u in enumerate(units):
         row = None if one_row else u.impact
-        for imp, weight in u.table.items():
-            buckets.setdefault((row, imp), []).append((weight - u.natural.weight, ui))
+        for imp in u.table:
+            buckets.setdefault((row, imp), []).append((u.price(imp), ui))
     red: set[int] = set()
     for bucket in buckets.values():
         bucket.sort()
@@ -163,6 +163,5 @@ def close_round(inst: Instance, report: KernelReport, rule: str, units, marked: 
         return inst
     victims = {v for u in removed for v in u.deletes}
     delta = -sum(u.natural.weight for u in removed)
-    report.budget_delta = delta
     report.fire(rule, f"removed {len(removed)} {noun}, budget {delta:+d}")
     return inst.remove_vertices(victims, budget_delta=delta)

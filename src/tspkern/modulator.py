@@ -34,7 +34,6 @@ from .marking import (
     close_round,
     collect_units,
     mark_red,
-    natural,
     settle,
     table_impacts,
     unit,
@@ -50,12 +49,6 @@ BEHAVIOR_GUARD = 3**12
 class ComponentImpact:
     touched: frozenset[int]
     rep_edges: tuple[tuple[tuple[int, int], int], ...]  # ((mi, mj), mult)
-
-
-@dataclass(frozen=True)
-class Piece:
-    path_vertices: tuple[int, ...]
-    legs: tuple[int, ...]  # modulator-incident edge indices, with repetition
 
 
 def component_graph(inst: Instance, M, C) -> list[int]:
@@ -90,14 +83,8 @@ def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, i
             return False
     # no edge joins two modulator vertices, so every support component holds
     # a C-vertex and must reach M
-    return _anchored_at(inst, M, [i for i, c in edge_counts.items() if c], M)
-
-
-def _anchored_at(inst: Instance, M, eids, anchors) -> bool:
-    """Every support component of `eids` with a non-modulator vertex meets
-    `anchors`."""
-    return all(anchors.intersection(comp) for comp in component_walk(inst, eids)
-               if not M.issuperset(comp))
+    return all(not M.isdisjoint(comp) for comp in
+               component_walk(inst, [i for i, c in edge_counts.items() if c]))
 
 
 def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior]:
@@ -234,7 +221,7 @@ def rule_components_tsp(inst: Instance, M, r: int) -> tuple[Instance, KernelRepo
     return _modulator_round(inst, frozenset(M), r, "components-tsp", "rule_components_tsp")
 
 
-# -- subset kind: saturation, pieces, blending, Rule 10 ----------------------
+# -- subset kind: saturation and Rule 10 -------------------------------------
 
 def saturate_path_nonterminals(inst: Instance) -> Instance:
     """Short-circuit every non-waypoint outside the modulator hint; paths
@@ -250,58 +237,6 @@ def saturate_path_nonterminals(inst: Instance) -> Instance:
         if v not in inst.waypoints and v not in inst.modulator_hint:
             rr_short_circuit(g, v)
     return g.freeze()
-
-
-def pieces(inst: Instance, M, behavior: Behavior) -> list[Piece]:
-    M = set(M)
-    inner: list[int] = []
-    legs_at: dict[int, list[int]] = {}
-    for i in behavior.edges:
-        e = inst.edges[i]
-        if e.u in M or e.v in M:
-            legs_at.setdefault(e.v if e.u in M else e.u, []).append(i)
-        else:
-            inner.append(i)
-    out = []
-    for comp in component_walk(inst, inner, legs_at):
-        path = tuple(sorted(comp))
-        legs = tuple(sorted(itertools.chain.from_iterable(legs_at.get(v, ()) for v in path)))
-        out.append(Piece(path, legs))
-    return out
-
-
-def blend_behavior(inst: Instance, M, C, A: Behavior, M_prime, v: int,
-                   r: int) -> Behavior:
-    """A behavior touching v, confined to T(A) u T(b^nat), anchored at M',
-    no heavier than A.  Existence is the blending lemma; we search for it."""
-    M, M_prime = set(M), set(M_prime)
-    behaviors = enumerate_component_behaviors(inst, M, C, r)
-    nat = natural(behaviors, _label(C))
-    nat_touch = component_impact(inst, M, nat).touched
-    a_touch = component_impact(inst, M, A).touched
-    if v not in nat_touch or v in M_prime:
-        raise InstanceError("v must be naturally touched and outside M'")
-    if not a_touch <= M_prime:
-        raise InstanceError("A must touch only M'")
-    if any(len(p.legs) != 2 for p in pieces(inst, M, A)):
-        raise InstanceError("every piece of A must have two legs")
-
-    allowed = a_touch | nat_touch
-    found = None
-    for b in behaviors:
-        if b.weight > A.weight:
-            continue
-        imp = component_impact(inst, M, b)
-        if v not in imp.touched or not imp.touched <= allowed:
-            continue
-        if not _anchored_at(inst, M, b.edges, M_prime):
-            continue
-        if found is None or (b.weight, b.edges) < (found.weight, found.edges):
-            found = b
-    if found is None:
-        raise InvariantError(f"no blended behavior of {_label(C)} touches vertex {v + 1},"
-                             " against the blending lemma")
-    return found
 
 
 def rule_paths_subtsp(inst: Instance, M, r: int) -> tuple[Instance, KernelReport]:

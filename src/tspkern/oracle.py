@@ -1,4 +1,4 @@
-"""Exact ground-truth solvers and solution-normalization utilities.
+"""Exact ground-truth solvers.
 
 A solution is certified as an Eulerian multigraph: a multiplicity per edge
 such that every degree is even, the support is connected and covers all
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .instance import KIND_WRP, Instance, InvariantError, ScaleError, component_walk, non_forest
-from .marking import Behavior
+from .instance import KIND_WRP, Instance, InstanceError, InvariantError, ScaleError, component_walk
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def _apsp_with_paths(inst: Instance):
 
 def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     if inst.kind == KIND_WRP:
-        raise ValueError("capacities unsupported by this engine")
+        raise InstanceError("capacities unsupported by this engine")
     wps = sorted(inst.waypoints)
     ell = len(wps)
     if ell > caps.heldkarp_waypoints:
@@ -310,189 +309,6 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
     if sol.total_weight != best:
         raise InvariantError(f"Held-Karp witness weighs {sol.total_weight}, optimum {best}")
     return OptResult(best <= inst.budget, int(best), sol)
-
-
-# -- normalization -----------------------------------------------------------
-
-def find_component_preserving_cycle(inst: Instance, sol: SolutionMultigraph) -> list[int]:
-    """A cycle (edge indices, with repetition) whose removal keeps the
-    component partition of the support, per the maximal-forest argument."""
-    instances = []
-    for i, m in enumerate(sol.multiplicity):
-        instances.extend([i] * m)
-    support = set()
-    for i in instances:
-        support.add(inst.edges[i].u)
-        support.add(inst.edges[i].v)
-    if len(instances) <= 2 * len(support) - 2:
-        raise ValueError("multigraph has too few edges for a removable cycle")
-
-    rest = [instances[pos] for pos in non_forest(inst, instances)]
-
-    # parallel pair inside the remainder is already a cycle
-    seen_pair = {}
-    for i in rest:
-        e = inst.edges[i]
-        pair = (min(e.u, e.v), max(e.u, e.v))
-        if pair in seen_pair:
-            return [seen_pair[pair], i]
-        seen_pair[pair] = i
-
-    # no parallel pairs remain, so a plain DFS over distinct pairs suffices
-    adj = {}
-    for pos, i in enumerate(rest):
-        e = inst.edges[i]
-        adj.setdefault(e.u, []).append((e.v, pos))
-        adj.setdefault(e.v, []).append((e.u, pos))
-    visited = set()
-    for s in adj:
-        if s in visited:
-            continue
-        trail = {s: (None, None)}  # vertex -> (dfs parent, arrival edge pos)
-        visited.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w, pos in adj[v]:
-                if pos == trail[v][1]:
-                    continue  # the tree edge back to the parent
-                if w in trail:
-                    # non-tree edge: both endpoints have tree paths to the
-                    # DFS root; join them at their lowest common ancestor
-                    anc = {}
-                    x = v
-                    while x is not None:
-                        anc[x] = trail[x][1]
-                        x = trail[x][0]
-                    cycle = [rest[pos]]
-                    x = w
-                    while x not in anc:
-                        cycle.append(rest[trail[x][1]])
-                        x = trail[x][0]
-                    lca = x
-                    x = v
-                    while x != lca:
-                        cycle.append(rest[trail[x][1]])
-                        x = trail[x][0]
-                    return cycle
-                trail[w] = (v, pos)
-                visited.add(w)
-                stack.append(w)
-    raise InvariantError("remainder of a maximal forest must contain a cycle")
-
-
-def make_nice(inst: Instance, sol: SolutionMultigraph) -> SolutionMultigraph:
-    if not check_certificate(inst, sol):
-        raise ValueError("make_nice requires a valid certificate")
-    mult = list(sol.multiplicity)
-    changed = True
-    while changed:
-        changed = False
-        for i, m in enumerate(mult):
-            if m >= 3:
-                mult[i] = m - 2
-                changed = True
-        cur = make_solution(inst, mult)
-        while sum(mult) > 2 * inst.n:
-            cycle = find_component_preserving_cycle(inst, cur)
-            for i in cycle:
-                mult[i] -= 1
-            cur = make_solution(inst, mult)
-            changed = True
-    out = make_solution(inst, mult)
-    if not check_certificate(inst, out) or out.total_weight > sol.total_weight:
-        raise InvariantError("make_nice lost the certificate or gained weight")
-    return out
-
-
-# -- walks and segments ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Walk:
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edge_ids) + 1:
-            raise ValueError("walk shape mismatch")
-
-    @property
-    def closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
-
-def euler_walk(inst: Instance, sol: SolutionMultigraph, start: int) -> Walk:
-    """Closed Euler walk over the solution multigraph, Hierholzer style."""
-    remaining = list(sol.multiplicity)
-    if sum(remaining) == 0:
-        return Walk((start,), ())
-    adj = [[] for _ in range(inst.n)]
-    for i, e in enumerate(inst.edges):
-        if remaining[i]:
-            adj[e.u].append(i)
-            adj[e.v].append(i)
-    if not adj[start]:
-        raise ValueError("start vertex not in the support")
-    # stack-based Hierholzer over edge instances
-    path_v, path_e = [], []
-    stack = [(start, None)]
-    while stack:
-        v, via = stack[-1]
-        picked = None
-        for i in adj[v]:
-            if remaining[i]:
-                picked = i
-                break
-        if picked is None:
-            stack.pop()
-            path_v.append(v)
-            path_e.append(via)
-        else:
-            remaining[picked] -= 1
-            stack.append((inst.edges[picked].other(v), picked))
-    path_v.reverse()
-    path_e.reverse()
-    if path_e[0] is not None:
-        raise InvariantError("Euler walk does not begin at its start vertex")
-    walk = Walk(tuple(path_v), tuple(path_e[1:]))
-    if not walk.closed or sum(sol.multiplicity) != len(walk.edge_ids):
-        raise InvariantError("Euler walk is open or misses solution edges")
-    for a, b, ei in zip(walk.vertices, walk.vertices[1:], walk.edge_ids):
-        if {a, b} != set(inst.edges[ei].ends()):
-            raise InvariantError(f"Euler walk steps from {a} to {b} along edge {ei}")
-    return walk
-
-
-def split_into_segments(inst: Instance, walk: Walk, M) -> list[Walk]:
-    M = set(M)
-    if walk.vertices[0] not in M:
-        raise ValueError("walk must start at a modulator vertex")
-    if not walk.closed:
-        raise ValueError("walk must be closed")
-    segments = []
-    seg_v, seg_e = [walk.vertices[0]], []
-    for v, e in zip(walk.vertices[1:], walk.edge_ids):
-        seg_v.append(v)
-        seg_e.append(e)
-        if v in M:
-            segments.append(Walk(tuple(seg_v), tuple(seg_e)))
-            seg_v, seg_e = [v], []
-    if seg_e:
-        raise ValueError("closed walk from M must end in M")
-    return segments
-
-
-def solution_component_behavior(inst: Instance, walk: Walk, M, C) -> Behavior:
-    """Edge multiset F(S,C): segments discovering a new C-vertex, in order."""
-    Cset = set(C)
-    visited = set()
-    edges = Counter()
-    for seg in split_into_segments(inst, walk, M):
-        here = {v for v in seg.vertices if v in Cset}
-        if here - visited:
-            edges.update(seg.edge_ids)
-        visited |= here
-    return Behavior.of(inst, edges.elements())
 
 
 # -- engine 3: tree-decomposition DP -----------------------------------------

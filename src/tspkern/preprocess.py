@@ -1,5 +1,5 @@
 """Problem-agnostic reductions: stop rules, short-circuiting, connectivity
-and positivity normalization, and verified weight compression."""
+normalization, and verified weight compression."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .instance import (
     Edge,
     Instance,
     InstanceError,
-    MAX_WEIGHT,
     WorkGraph,
 )
 from .oracle import multiplicity_grid
@@ -48,12 +47,6 @@ def reduced(inst: Instance, log: str) -> RuleOutcome:
     return RuleOutcome(VERDICT_REDUCED, inst, log)
 
 
-def edited(inst: Instance | WorkGraph, g: WorkGraph, log: str) -> RuleOutcome:
-    """The outcome of a rule that edited `g`, the work graph of `inst`: `g`
-    itself when the rule was handed a graph, else the frozen result."""
-    return reduced(g if g is inst else g.freeze(), log)
-
-
 def unchanged(log: str = "") -> RuleOutcome:
     return RuleOutcome(VERDICT_UNCHANGED, None, log)
 
@@ -66,9 +59,8 @@ def rr_stop(inst: Instance | WorkGraph) -> RuleOutcome:
     return unchanged()
 
 
-def rr_short_circuit(inst: Instance | WorkGraph, v: int) -> RuleOutcome:
+def rr_short_circuit(g: WorkGraph, v: int) -> RuleOutcome:
     """Replace a non-waypoint by shortcut edges between its neighbors."""
-    g = WorkGraph.of(inst)
     if g.kind != KIND_SUBTSP:
         raise InstanceError("short-circuit rule applies to the subset kind only")
     if v in g.waypoints:
@@ -95,7 +87,7 @@ def rr_short_circuit(inst: Instance | WorkGraph, v: int) -> RuleOutcome:
         extra.append(Edge(a, b, w))
     for e in extra:
         g.add_edge(e)
-    return edited(inst, g, f"{log}, added {len(extra)} shortcut(s)")
+    return reduced(g, f"{log}, added {len(extra)} shortcut(s)")
 
 
 def ensure_connected(inst: Instance) -> RuleOutcome:
@@ -109,23 +101,6 @@ def ensure_connected(inst: Instance) -> RuleOutcome:
     victims = set(range(inst.n)) - keep
     out = inst.remove_vertices(victims)
     return reduced(out, f"ensure_connected: restricted to the {len(keep)}-vertex waypoint component")
-
-
-def ensure_positive_weights(inst: Instance) -> RuleOutcome:
-    if all(e.weight > 0 for e in inst.edges):
-        return unchanged()
-    q = inst.total_weight() + 2 * inst.n + 1
-    edges = []
-    for e in inst.edges:
-        w = q * e.weight if e.weight > 0 else 1
-        if w > MAX_WEIGHT:
-            raise OverflowError("positivity normalization exceeds 63-bit weights")
-        edges.append(Edge(e.u, e.v, w, e.capacity))
-    budget = q * inst.budget + 2 * inst.n
-    if abs(budget) > MAX_WEIGHT:
-        raise OverflowError("positivity normalization exceeds 63-bit budget")
-    out = inst.with_edges(edges, budget_delta=budget - inst.budget)
-    return reduced(out, f"ensure_positive_weights: scaled by Q={q}")
 
 
 def _bitsize(x: int) -> int:

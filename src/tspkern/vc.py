@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .instance import Instance, InstanceError, InvariantError
+from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError
 from .marking import (
     Behavior,
     Unit,
@@ -26,9 +26,6 @@ from .marking import (
 )
 from .report import KernelReport
 
-REGIME_TSP = "tsp"
-REGIME_WRP = "wrp"
-
 
 @dataclass(frozen=True)
 class VertexImpact:
@@ -36,7 +33,7 @@ class VertexImpact:
     degrees: tuple[tuple[int, int], ...] | None = None  # (m, parity class), wrp only
 
 
-def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[Behavior]:
+def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
     if r in M:
         raise InstanceError(f"vertex {r + 1} is in the modulator")
     incident = inst.adjacency()[r]
@@ -53,11 +50,11 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[B
         return True
 
     out = []
-    if regime == REGIME_TSP:
+    if inst.kind == KIND_TSP:
         for combo in itertools.combinations_with_replacement(incident, 2):
             if usable(combo):
                 out.append(Behavior.of(inst, combo))
-    elif regime == REGIME_WRP:
+    elif inst.kind == KIND_WRP:
         if r not in inst.waypoints:
             out.append(Behavior((), 0))
         for size in (2, 4):
@@ -65,11 +62,11 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int, regime: str) -> list[B
                 if usable(combo):
                     out.append(Behavior.of(inst, combo))
     else:
-        raise ValueError(f"unknown regime {regime!r}")
+        raise InstanceError(f"vertex behaviors need the tsp or wrp kind, got {inst.kind}")
     return out
 
 
-def vertex_impact(inst: Instance, r: int, behavior: Behavior, regime: str) -> VertexImpact:
+def vertex_impact(inst: Instance, r: int, behavior: Behavior) -> VertexImpact:
     """The cover vertices that `behavior`, a behavior of vertex r, touches,
     and for the capacitated kind the parity class of each touch."""
     deg: dict[int, int] = {}
@@ -77,15 +74,15 @@ def vertex_impact(inst: Instance, r: int, behavior: Behavior, regime: str) -> Ve
         m = inst.edges[i].other(r)
         deg[m] = deg.get(m, 0) + 1
     touched = frozenset(deg)
-    if regime == REGIME_TSP:
+    if inst.kind == KIND_TSP:
         return VertexImpact(touched)
     classes = tuple(sorted((m, 1 if d % 2 else 2) for m, d in deg.items()))
     return VertexImpact(touched, classes)
 
 
-def vertex_unit(inst: Instance, M, r: int, regime: str) -> Unit:
-    return unit(f"vertex {r + 1}", (r,), enumerate_vertex_behaviors(inst, M, r, regime),
-                lambda b: vertex_impact(inst, r, b, regime))
+def vertex_unit(inst: Instance, M, r: int) -> Unit:
+    return unit(f"vertex {r + 1}", (r,), enumerate_vertex_behaviors(inst, M, r),
+                lambda b: vertex_impact(inst, r, b))
 
 
 def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
@@ -95,7 +92,7 @@ def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, REGIME_TSP))
+    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r))
     if units is None:
         return inst, report
     impacts = table_impacts(units)
@@ -117,7 +114,7 @@ def rule_vc_wrp(inst: Instance, M) -> tuple[Instance, KernelReport]:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, REGIME_WRP))
+    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r))
     if units is None:
         return inst, report
     ni = len(table_impacts(units))

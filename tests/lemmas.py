@@ -1,0 +1,281 @@
+"""Empirical checkers for the lemmas that prove the kernels safe, run by
+the tests and not shipped with the package: nice solutions (`make_nice`),
+the behavior that a solution's Euler walk induces on a component
+(`solution_component_behavior`), blending for Subset TSP
+(`blend_behavior`), and positive weights (`ensure_positive_weights`).
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from dataclasses import dataclass
+
+from tspkern.instance import (
+    MAX_WEIGHT,
+    Edge,
+    Instance,
+    InstanceError,
+    InvariantError,
+    component_walk,
+    non_forest,
+)
+from tspkern.marking import Behavior, natural
+from tspkern.modulator import _label, component_impact, enumerate_component_behaviors
+from tspkern.oracle import SolutionMultigraph, check_certificate, make_solution
+from tspkern.preprocess import RuleOutcome, reduced, unchanged
+
+
+# -- nice solutions ----------------------------------------------------------
+
+def find_component_preserving_cycle(inst: Instance, sol: SolutionMultigraph) -> list[int]:
+    """A cycle (edge indices, with repetition) whose removal keeps the
+    component partition of the support, per the maximal-forest argument."""
+    instances = [i for i, m in enumerate(sol.multiplicity) for _ in range(m)]
+    support = {v for i in instances for v in inst.edges[i].ends()}
+    if len(instances) <= 2 * len(support) - 2:
+        raise ValueError("multigraph has too few edges for a removable cycle")
+
+    rest = [instances[pos] for pos in non_forest(inst, instances)]
+
+    # parallel pair inside the remainder is already a cycle
+    seen_pair = {}
+    for i in rest:
+        e = inst.edges[i]
+        pair = (min(e.u, e.v), max(e.u, e.v))
+        if pair in seen_pair:
+            return [seen_pair[pair], i]
+        seen_pair[pair] = i
+
+    # no parallel pairs remain, so a plain DFS over distinct pairs suffices
+    adj = {}
+    for pos, i in enumerate(rest):
+        e = inst.edges[i]
+        adj.setdefault(e.u, []).append((e.v, pos))
+        adj.setdefault(e.v, []).append((e.u, pos))
+    visited = set()
+    for s in adj:
+        if s in visited:
+            continue
+        trail = {s: (None, None)}  # vertex -> (dfs parent, arrival edge pos)
+        visited.add(s)
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w, pos in adj[v]:
+                if pos == trail[v][1]:
+                    continue  # the tree edge back to the parent
+                if w in trail:
+                    # non-tree edge: both endpoints have tree paths to the
+                    # DFS root; join them at their lowest common ancestor
+                    anc = {}
+                    x = v
+                    while x is not None:
+                        anc[x] = trail[x][1]
+                        x = trail[x][0]
+                    cycle = [rest[pos]]
+                    x = w
+                    while x not in anc:
+                        cycle.append(rest[trail[x][1]])
+                        x = trail[x][0]
+                    lca = x
+                    x = v
+                    while x != lca:
+                        cycle.append(rest[trail[x][1]])
+                        x = trail[x][0]
+                    return cycle
+                trail[w] = (v, pos)
+                visited.add(w)
+                stack.append(w)
+    raise InvariantError("remainder of a maximal forest must contain a cycle")
+
+
+def make_nice(inst: Instance, sol: SolutionMultigraph) -> SolutionMultigraph:
+    if not check_certificate(inst, sol):
+        raise ValueError("make_nice requires a valid certificate")
+    mult = list(sol.multiplicity)
+    changed = True
+    while changed:
+        changed = False
+        for i, m in enumerate(mult):
+            if m >= 3:
+                mult[i] = m - 2
+                changed = True
+        cur = make_solution(inst, mult)
+        while sum(mult) > 2 * inst.n:
+            cycle = find_component_preserving_cycle(inst, cur)
+            for i in cycle:
+                mult[i] -= 1
+            cur = make_solution(inst, mult)
+            changed = True
+    out = make_solution(inst, mult)
+    if not check_certificate(inst, out) or out.total_weight > sol.total_weight:
+        raise InvariantError("make_nice lost the certificate or gained weight")
+    return out
+
+
+# -- walks, segments and the behavior a solution induces ---------------------
+
+@dataclass(frozen=True)
+class Walk:
+    vertices: tuple[int, ...]
+    edge_ids: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.vertices) != len(self.edge_ids) + 1:
+            raise ValueError("walk shape mismatch")
+
+    @property
+    def closed(self) -> bool:
+        return self.vertices[0] == self.vertices[-1]
+
+
+def euler_walk(inst: Instance, sol: SolutionMultigraph, start: int) -> Walk:
+    """Closed Euler walk over the solution multigraph, Hierholzer style."""
+    remaining = list(sol.multiplicity)
+    if sum(remaining) == 0:
+        return Walk((start,), ())
+    adj = inst.adjacency()
+    if not any(remaining[i] for i in adj[start]):
+        raise ValueError("start vertex not in the support")
+    # stack-based Hierholzer over edge instances
+    path_v, path_e = [], []
+    stack = [(start, None)]
+    while stack:
+        v, via = stack[-1]
+        picked = None
+        for i in adj[v]:
+            if remaining[i]:
+                picked = i
+                break
+        if picked is None:
+            stack.pop()
+            path_v.append(v)
+            path_e.append(via)
+        else:
+            remaining[picked] -= 1
+            stack.append((inst.edges[picked].other(v), picked))
+    path_v.reverse()
+    path_e.reverse()
+    if path_e[0] is not None:
+        raise InvariantError("Euler walk does not begin at its start vertex")
+    walk = Walk(tuple(path_v), tuple(path_e[1:]))
+    if not walk.closed or sum(sol.multiplicity) != len(walk.edge_ids):
+        raise InvariantError("Euler walk is open or misses solution edges")
+    for a, b, ei in zip(walk.vertices, walk.vertices[1:], walk.edge_ids):
+        if {a, b} != set(inst.edges[ei].ends()):
+            raise InvariantError(f"Euler walk steps from {a} to {b} along edge {ei}")
+    return walk
+
+
+def split_into_segments(inst: Instance, walk: Walk, M) -> list[Walk]:
+    M = set(M)
+    if walk.vertices[0] not in M:
+        raise ValueError("walk must start at a modulator vertex")
+    if not walk.closed:
+        raise ValueError("walk must be closed")
+    segments = []
+    seg_v, seg_e = [walk.vertices[0]], []
+    for v, e in zip(walk.vertices[1:], walk.edge_ids):
+        seg_v.append(v)
+        seg_e.append(e)
+        if v in M:
+            segments.append(Walk(tuple(seg_v), tuple(seg_e)))
+            seg_v, seg_e = [v], []
+    if seg_e:
+        raise ValueError("closed walk from M must end in M")
+    return segments
+
+
+def solution_component_behavior(inst: Instance, walk: Walk, M, C) -> Behavior:
+    """Edge multiset F(S,C): segments discovering a new C-vertex, in order."""
+    Cset = set(C)
+    visited = set()
+    edges = Counter()
+    for seg in split_into_segments(inst, walk, M):
+        here = {v for v in seg.vertices if v in Cset}
+        if here - visited:
+            edges.update(seg.edge_ids)
+        visited |= here
+    return Behavior.of(inst, edges.elements())
+
+
+# -- pieces and blending (subset kind) ---------------------------------------
+
+@dataclass(frozen=True)
+class Piece:
+    path_vertices: tuple[int, ...]
+    legs: tuple[int, ...]  # modulator-incident edge indices, with repetition
+
+
+def pieces(inst: Instance, M, behavior: Behavior) -> list[Piece]:
+    M = set(M)
+    inner: list[int] = []
+    legs_at: dict[int, list[int]] = {}
+    for i in behavior.edges:
+        e = inst.edges[i]
+        if e.u in M or e.v in M:
+            legs_at.setdefault(e.v if e.u in M else e.u, []).append(i)
+        else:
+            inner.append(i)
+    out = []
+    for comp in component_walk(inst, inner, legs_at):
+        path = tuple(sorted(comp))
+        legs = tuple(sorted(itertools.chain.from_iterable(legs_at.get(v, ()) for v in path)))
+        out.append(Piece(path, legs))
+    return out
+
+
+def blend_behavior(inst: Instance, M, C, A: Behavior, M_prime, v: int,
+                   r: int) -> Behavior:
+    """A behavior touching v, confined to T(A) u T(b^nat), anchored at M',
+    no heavier than A.  Existence is the blending lemma; we search for it."""
+    M, M_prime = set(M), set(M_prime)
+    behaviors = enumerate_component_behaviors(inst, M, C, r)
+    nat = natural(behaviors, _label(C))
+    nat_touch = component_impact(inst, M, nat).touched
+    a_touch = component_impact(inst, M, A).touched
+    if v not in nat_touch or v in M_prime:
+        raise InstanceError("v must be naturally touched and outside M'")
+    if not a_touch <= M_prime:
+        raise InstanceError("A must touch only M'")
+    if any(len(p.legs) != 2 for p in pieces(inst, M, A)):
+        raise InstanceError("every piece of A must have two legs")
+
+    allowed = a_touch | nat_touch
+    found = None
+    for b in behaviors:
+        if b.weight > A.weight:
+            continue
+        imp = component_impact(inst, M, b)
+        if v not in imp.touched or not imp.touched <= allowed:
+            continue
+        # every support component with a vertex outside M meets M'
+        if not all(M_prime.intersection(comp) for comp in component_walk(inst, b.edges)
+                   if not M.issuperset(comp)):
+            continue
+        if found is None or (b.weight, b.edges) < (found.weight, found.edges):
+            found = b
+    if found is None:
+        raise InvariantError(f"no blended behavior of {_label(C)} touches vertex {v + 1},"
+                             " against the blending lemma")
+    return found
+
+
+# -- positivity --------------------------------------------------------------
+
+def ensure_positive_weights(inst: Instance) -> RuleOutcome:
+    if all(e.weight > 0 for e in inst.edges):
+        return unchanged()
+    q = inst.total_weight() + 2 * inst.n + 1
+    edges = []
+    for e in inst.edges:
+        w = q * e.weight if e.weight > 0 else 1
+        if w > MAX_WEIGHT:
+            raise OverflowError("positivity normalization exceeds 63-bit weights")
+        edges.append(Edge(e.u, e.v, w, e.capacity))
+    budget = q * inst.budget + 2 * inst.n
+    if abs(budget) > MAX_WEIGHT:
+        raise OverflowError("positivity normalization exceeds 63-bit budget")
+    out = inst.with_edges(edges, budget_delta=budget - inst.budget)
+    return reduced(out, f"ensure_positive_weights: scaled by Q={q}")

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from lemmas import blend_behavior, pieces
 from tspkern.fes import kernelize_fes
 from tspkern.gadgets import (
     HpInstance,
@@ -24,11 +25,9 @@ from tspkern.gadgets import (
 )
 from tspkern.instance import Edge, Instance, compute_fes, render_instance
 from tspkern.modulator import (
-    blend_behavior,
     component_impact,
     component_unit,
     enumerate_component_behaviors,
-    pieces,
     rule_components_tsp,
     rule_paths_subtsp,
     saturate_path_nonterminals,

@@ -51,6 +51,17 @@ def test_solve_engine_choice_and_crosscheck(triangle, capsys):
     assert "cross-check optimum: 9" in capsys.readouterr().out
 
 
+def test_engine_for_another_kind_is_usage_error(tmp_path, capsys):
+    # Held-Karp has no capacities; exit 1 would read as "infeasible"
+    path = tmp_path / "cap.grw"
+    path.write_text("p wrp 3 3\nb 10\nw 1 2 3\ne 1 2 1 2\ne 2 3 1 2\ne 1 3 1 2\n")
+    for extra in ([], ["--cross-check"]):
+        assert main(["solve", str(path), "--engine", "heldkarp", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: capacities unsupported by this engine\n"
+
+
 def test_cross_check_disagreement_is_error(monkeypatch, triangle, capsys):
     real = oracle.solve_treewidth
 

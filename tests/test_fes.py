@@ -12,7 +12,7 @@ from tspkern.fes import (
     rr_replace_terminal_path,
     rr_terminal_leaf,
 )
-from tspkern.instance import Edge, Instance, compute_fes
+from tspkern.instance import Edge, Instance, WorkGraph, compute_fes
 from tspkern.oracle import solve_exact_multiplicity
 
 
@@ -23,31 +23,31 @@ def wrp(n, edges, waypoints, budget):
 
 def test_leaf_cap1():
     inst = wrp(2, [(0, 1, 1, 1)], {0, 1}, 9)
-    assert rr_leaf_cap1(inst).verdict == "no"
+    assert rr_leaf_cap1(WorkGraph(inst)).verdict == "no"
     ok = wrp(2, [(0, 1, 1, 2)], {0, 1}, 9)
-    assert rr_leaf_cap1(ok).verdict == "unchanged"
+    assert rr_leaf_cap1(WorkGraph(ok)).verdict == "unchanged"
     # non-waypoint leaf on a capacity-1 edge is the removal rule's job
     nonwp = wrp(3, [(0, 1, 1, 2), (1, 2, 1, 1)], {0, 1}, 9)
-    assert rr_leaf_cap1(nonwp).verdict == "unchanged"
+    assert rr_leaf_cap1(WorkGraph(nonwp)).verdict == "unchanged"
 
 
 def test_nonterminal_leaf_removed():
     inst = wrp(3, [(0, 1, 2, 2), (1, 2, 3, 2)], {0, 1}, 9)
-    out = rr_nonterminal_leaf(inst).instance
+    out = rr_nonterminal_leaf(WorkGraph(inst)).instance.freeze()
     assert out.n == 2 and len(out.edges) == 1
     assert out.budget == 9
 
 
 def test_terminal_leaf_folded():
     inst = wrp(2, [(0, 1, 3, 2)], {0, 1}, 10)
-    out = rr_terminal_leaf(inst).instance
+    out = rr_terminal_leaf(WorkGraph(inst)).instance.freeze()
     assert out.n == 1 and out.budget == 4
     assert out.waypoints == frozenset({0})
 
 
 def test_terminal_leaf_zero_weight():
     inst = wrp(2, [(0, 1, 0, 2)], {0, 1}, 10)
-    out = rr_terminal_leaf(inst).instance
+    out = rr_terminal_leaf(WorkGraph(inst)).instance.freeze()
     assert out.budget == 10 and out.n == 1
 
 
@@ -55,7 +55,7 @@ def test_contract_nonterminal_path():
     # p0 - x - p2, weights (2,3), caps (2,1); x a degree-2 non-waypoint
     inst = wrp(5, [(0, 1, 2, 2), (1, 2, 3, 1), (0, 3, 1, 2), (2, 4, 1, 2)],
                {0, 2, 3, 4}, 20)
-    out = rr_contract_nonterminal_path(inst).instance
+    out = rr_contract_nonterminal_path(WorkGraph(inst)).instance.freeze()
     merged = [e for e in out.edges if e.weight == 5]
     assert len(merged) == 1 and merged[0].capacity == 1
 
@@ -65,7 +65,7 @@ def test_replace_terminal_path_case_c():
     inst = wrp(6, [(0, 1, 1, 2), (1, 2, 2, 2), (2, 3, 1, 2),
                    (0, 4, 1, 2), (3, 4, 1, 2), (0, 5, 1, 2), (3, 5, 1, 2)],
                {0, 1, 2, 3, 4, 5}, 30)
-    out = rr_replace_terminal_path(inst).instance
+    out = rr_replace_terminal_path(WorkGraph(inst)).instance.freeze()
     new = sorted((e.weight, e.capacity) for e in out.edges if e.weight > 1)
     assert new == [(2, 1), (2, 2), (4, 1)]  # skip-heaviest, remainder, once-through
     assert out.n == 5
@@ -76,13 +76,13 @@ def test_replace_terminal_path_case_c_avoidable_endpoints_kept():
     # a loop hanging at one end only, which the original cannot mimic
     inst = wrp(6, [(0, 1, 1, 2), (1, 2, 2, 2), (2, 3, 1, 2),
                    (0, 4, 1, 2), (3, 5, 1, 2)], {1, 2, 4, 5}, 30)
-    assert rr_replace_terminal_path(inst).verdict == "unchanged"
+    assert rr_replace_terminal_path(WorkGraph(inst)).verdict == "unchanged"
 
 
 def test_replace_terminal_path_case_a():
     inst = wrp(6, [(0, 1, 1, 1), (1, 2, 2, 2), (2, 3, 1, 1),
                    (0, 4, 1, 2), (3, 5, 1, 2)], {1, 2, 4, 5}, 30)
-    out = rr_replace_terminal_path(inst).instance
+    out = rr_replace_terminal_path(WorkGraph(inst)).instance.freeze()
     new = sorted((e.weight, e.capacity) for e in out.edges if e.capacity == 1)
     assert (1, 1) in new and (3, 1) in new
     assert out.n == 5  # two inner vertices became one
@@ -91,7 +91,7 @@ def test_replace_terminal_path_case_a():
 def test_replace_terminal_path_case_b_end_edge():
     inst = wrp(6, [(0, 1, 5, 1), (1, 2, 1, 2), (2, 3, 1, 2),
                    (0, 4, 1, 2), (3, 5, 1, 2)], {1, 2, 4, 5}, 30)
-    out = rr_replace_terminal_path(inst).instance
+    out = rr_replace_terminal_path(WorkGraph(inst)).instance.freeze()
     new = {(e.weight, e.capacity) for e in out.edges}
     assert (5, 1) in new and (2, 2) in new
     assert out.n == 5
@@ -101,14 +101,14 @@ def test_replace_terminal_path_case_b_inner_edge():
     # capacity-1 edge strictly inside: one stand-in vertex per side
     inst = wrp(7, [(0, 1, 1, 2), (1, 2, 5, 1), (2, 3, 2, 2), (3, 4, 1, 2),
                    (0, 5, 1, 2), (4, 6, 1, 2)], {1, 2, 3, 5, 6}, 30)
-    out = rr_replace_terminal_path(inst).instance
+    out = rr_replace_terminal_path(WorkGraph(inst)).instance.freeze()
     new = {(e.weight, e.capacity) for e in out.edges}
     assert {(1, 2), (5, 1), (3, 2)} <= new
     assert out.n == 6
     # the three-edge form is its own stand-in: reapplying changes nothing
     short = wrp(6, [(0, 1, 1, 2), (1, 2, 5, 1), (2, 3, 1, 2),
                     (0, 4, 1, 2), (3, 5, 1, 2)], {1, 2, 4, 5}, 30)
-    assert rr_replace_terminal_path(short).verdict == "unchanged"
+    assert rr_replace_terminal_path(WorkGraph(short)).verdict == "unchanged"
 
 
 def test_tree_instances_decided():

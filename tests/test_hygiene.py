@@ -1,7 +1,9 @@
 """Source hygiene: every module-level import in the package is used,
 every module-level private function, class or constant is referenced
 somewhere in the package, every public function or method is referenced
-somewhere in the package or its tests, and no module uses `assert`.
+somewhere in the package or the benchmark harness (a reference from the
+tests alone does not count: code only the tests use belongs in the tests),
+and no module uses `assert`.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library.  `__init__.py` is skipped by the import check:
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tspkern"
-TESTS = Path(__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -105,12 +107,12 @@ def public_functions(tree: ast.Module) -> list[tuple[str, str, int]]:
     return out
 
 
-def unreferenced(package: dict[str, str], tests: dict[str, str]) -> list[str]:
+def unreferenced(package: dict[str, str], users: dict[str, str]) -> list[str]:
     """Public functions and methods of `package` that no source in `package`
-    or `tests` reads, calls or imports, other than by defining them."""
+    or `users` reads, calls or imports, other than by defining them."""
     trees = {name: ast.parse(src) for name, src in package.items()}
     used = set().union(*(references(tree) for tree in trees.values()),
-                       *(references(ast.parse(src)) for src in tests.values()))
+                       *(references(ast.parse(src)) for src in users.values()))
     return [f"{name} line {line}: {qual}" for name, tree in sorted(trees.items())
             for fn, qual, line in public_functions(tree) if fn not in used]
 
@@ -120,14 +122,14 @@ def test_unreferenced_detector():
                        "class K:\n    def used(self):\n        pass\n"
                        "    def idle(self):\n        pass\n"
                        "    def _private(self):\n        pass\n"}
-    tests = {"test_a.py": "from a import kept, K\nK().used()\n"}
-    assert unreferenced(package, tests) == ["a.py line 3: gone", "a.py line 8: K.idle"]
+    users = {"run.py": "from a import kept, K\nK().used()\n"}
+    assert unreferenced(package, users) == ["a.py line 3: gone", "a.py line 8: K.idle"]
 
 
 def test_no_unreferenced_public_functions():
     package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    tests = {p.name: p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")}
-    assert unreferenced(package, tests) == []
+    perfbench = {p.name: p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py")}
+    assert unreferenced(package, perfbench) == []
 
 
 def asserts(source: str) -> list[int]:

@@ -6,17 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemmas import blend_behavior, pieces
 from tspkern.instance import Edge, Instance, InstanceError, ScaleError
 from tspkern.marking import Behavior
 from tspkern.modulator import (
     BEHAVIOR_GUARD,
-    blend_behavior,
     component_graph,
     component_impact,
     component_unit,
     enumerate_component_behaviors,
     is_component_behavior,
-    pieces,
     rule_components_tsp,
     rule_paths_subtsp,
     saturate_path_nonterminals,

@@ -10,6 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lemmas import (
+    euler_walk,
+    find_component_preserving_cycle,
+    make_nice,
+    solution_component_behavior,
+    split_into_segments,
+)
 from tspkern import oracle
 from tspkern.cli import main
 from tspkern.instance import Edge, Instance, InvariantError, ScaleError, render_instance
@@ -17,16 +24,11 @@ from tspkern.oracle import (
     OracleCaps,
     check_certificate,
     equivalent,
-    euler_walk,
-    find_component_preserving_cycle,
-    make_nice,
     make_solution,
     solve_auto,
     solve_exact_multiplicity,
     solve_heldkarp,
     solve_treewidth,
-    split_into_segments,
-    solution_component_behavior,
 )
 
 

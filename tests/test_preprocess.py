@@ -6,13 +6,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tspkern.instance import Edge, Instance, InstanceError
+from lemmas import ensure_positive_weights
+from tspkern.instance import Edge, Instance, InstanceError, WorkGraph
 from tspkern.oracle import equivalent, solve_exact_multiplicity
 from tspkern.preprocess import (
     _sum_profile,
     compress_weights,
     ensure_connected,
-    ensure_positive_weights,
     rr_short_circuit,
     rr_stop,
     total_bitsize,
@@ -31,7 +31,7 @@ def test_rr_stop():
 def test_short_circuit_path():
     # u - v - w, weights 2, 3; v is a non-waypoint
     inst = Instance("stsp", 3, (Edge(0, 1, 2), Edge(1, 2, 3)), frozenset({0, 2}), 9)
-    out = rr_short_circuit(inst, 1).instance
+    out = rr_short_circuit(WorkGraph(inst), 1).instance.freeze()
     assert out.n == 2
     assert out.edges == (Edge(0, 1, 5),)
     assert out.budget == 9 and out.waypoints == frozenset({0, 1})
@@ -41,26 +41,26 @@ def test_short_circuit_keeps_cheaper_parallel():
     inst = Instance("stsp", 3,
                     (Edge(0, 1, 2), Edge(1, 2, 3), Edge(0, 2, 4)),
                     frozenset({0, 2}), 9)
-    out = rr_short_circuit(inst, 1).instance
+    out = rr_short_circuit(WorkGraph(inst), 1).instance.freeze()
     assert out.edges == (Edge(0, 1, 4),)  # existing 4 beats candidate 5
 
     cheap = Instance("stsp", 3,
                      (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 4)),
                      frozenset({0, 2}), 9)
-    out2 = rr_short_circuit(cheap, 1).instance
+    out2 = rr_short_circuit(WorkGraph(cheap), 1).instance.freeze()
     assert out2.edges == (Edge(0, 1, 2),)  # candidate 2 beats existing 4
 
 
 def test_short_circuit_isolated():
     inst = Instance("stsp", 3, (Edge(0, 2, 1),), frozenset({0, 2}), 9)
-    out = rr_short_circuit(inst, 1).instance
+    out = rr_short_circuit(WorkGraph(inst), 1).instance.freeze()
     assert out.n == 2 and out.edges == (Edge(0, 1, 1),)
 
 
 def test_short_circuit_rejects_waypoint():
     inst = Instance("stsp", 2, (Edge(0, 1, 1),), frozenset({0, 1}), 9)
     with pytest.raises(InstanceError):
-        rr_short_circuit(inst, 0)
+        rr_short_circuit(WorkGraph(inst), 0)
 
 
 @given(st.integers(0, 10**6))
@@ -78,7 +78,7 @@ def test_short_circuit_safe(seed):
     victims = [v for v in range(n) if v not in wps]
     if not victims:
         return
-    out = rr_short_circuit(inst, rng.choice(victims)).instance
+    out = rr_short_circuit(WorkGraph(inst), rng.choice(victims)).instance.freeze()
     if len(out.edges) <= 14:
         assert equivalent(inst, out)
 

@@ -13,8 +13,6 @@ from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_vc_tsp, kernelize_vc_wrp
 from tspkern.report import KernelReport
 from tspkern.vc import (
-    REGIME_TSP,
-    REGIME_WRP,
     VertexImpact,
     enumerate_vertex_behaviors,
     rule_vc_tsp,
@@ -32,7 +30,7 @@ def two_neighbor_tsp(w1=2, w2=5):
 
 def test_enumerate_tsp_three_behaviors():
     inst = two_neighbor_tsp()
-    got = enumerate_vertex_behaviors(inst, {0, 1}, 2, REGIME_TSP)
+    got = enumerate_vertex_behaviors(inst, {0, 1}, 2)
     sets = {b.edges for b in got}
     assert sets == {(1, 1), (2, 2), (1, 2)}
 
@@ -40,13 +38,20 @@ def test_enumerate_tsp_three_behaviors():
 def test_enumerate_rejects_non_cover():
     # edge 3 joins vertex 2 to vertex 1, which is outside M = {0}
     with pytest.raises(InstanceError, match="not a vertex cover: edge 3-2"):
-        enumerate_vertex_behaviors(two_neighbor_tsp(), {0}, 2, REGIME_TSP)
+        enumerate_vertex_behaviors(two_neighbor_tsp(), {0}, 2)
+
+
+def test_enumerate_rejects_subset_kind():
+    # the behavior family follows the instance's kind, and stsp has none
+    inst = Instance("stsp", 2, (Edge(0, 1, 1),), frozenset({0, 1}), 9)
+    with pytest.raises(InstanceError, match="tsp or wrp kind, got stsp"):
+        enumerate_vertex_behaviors(inst, {0}, 1)
 
 
 def test_enumerate_wrp_capacity_parity():
     # a waypoint with a single capacity-1 edge has no behavior at all
     inst = Instance("wrp", 2, (Edge(0, 1, 1, 1),), frozenset({0, 1}), 9)
-    assert enumerate_vertex_behaviors(inst, {0}, 1, REGIME_WRP) == []
+    assert enumerate_vertex_behaviors(inst, {0}, 1) == []
 
 
 def _brute_wrp_behaviors(inst, r):
@@ -72,45 +77,45 @@ def test_enumerate_wrp_matches_bruteforce(seed):
         edges.append(Edge(rng.randrange(k), k, rng.randint(1, 9), rng.choice([1, 2])))
     wps = frozenset({k}) if rng.random() < 0.5 else frozenset()
     inst = Instance("wrp", k + 1, tuple(edges), wps, 99)
-    got = {b.edges for b in enumerate_vertex_behaviors(inst, set(range(k)), k, REGIME_WRP)}
+    got = {b.edges for b in enumerate_vertex_behaviors(inst, set(range(k)), k)}
     assert got == _brute_wrp_behaviors(inst, k)
 
 
 def test_natural_tsp_doubled_cheapest():
     inst = two_neighbor_tsp()
-    nat = vertex_unit(inst, {0, 1}, 2, REGIME_TSP).natural
+    nat = vertex_unit(inst, {0, 1}, 2).natural
     assert nat.edges == (1, 1) and nat.weight == 4
 
 
 def test_natural_tsp_tie_lowest_index():
     inst = two_neighbor_tsp(2, 2)
-    nat = vertex_unit(inst, {0, 1}, 2, REGIME_TSP).natural
+    nat = vertex_unit(inst, {0, 1}, 2).natural
     assert nat.edges == (1, 1)
     assert nat == Behavior.of(inst, (1, 1))
 
 
 def test_natural_wrp_nonwaypoint_empty():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0}), 9)
-    nat = vertex_unit(inst, {0}, 1, REGIME_WRP).natural
+    nat = vertex_unit(inst, {0}, 1).natural
     assert nat.edges == () and nat.weight == 0
 
 
 def test_impacts():
     inst = two_neighbor_tsp()
-    behaviors = {b.edges: b for b in enumerate_vertex_behaviors(inst, {0, 1}, 2, REGIME_TSP)}
-    assert vertex_impact(inst, 2, behaviors[(1, 1)], REGIME_TSP).touched == frozenset({0})
-    assert vertex_impact(inst, 2, behaviors[(1, 2)], REGIME_TSP).touched == frozenset({0, 1})
+    behaviors = {b.edges: b for b in enumerate_vertex_behaviors(inst, {0, 1}, 2)}
+    assert vertex_impact(inst, 2, behaviors[(1, 1)]).touched == frozenset({0})
+    assert vertex_impact(inst, 2, behaviors[(1, 2)]).touched == frozenset({0, 1})
     wrp = Instance("wrp", 4, (Edge(0, 3, 1, 2), Edge(1, 3, 1, 2), Edge(2, 3, 1, 2)),
                    frozenset({3}), 9)
-    beh = [b for b in enumerate_vertex_behaviors(wrp, {0, 1, 2}, 3, REGIME_WRP)
+    beh = [b for b in enumerate_vertex_behaviors(wrp, {0, 1, 2}, 3)
            if b.edges == (0, 0, 1, 2)][0]
-    imp = vertex_impact(wrp, 3, beh, REGIME_WRP)
+    imp = vertex_impact(wrp, 3, beh)
     assert imp.degrees == ((0, 2), (1, 1), (2, 1))
 
 
 def test_prices_tsp():
     inst = two_neighbor_tsp()  # weights 2, 5 -> b_nat weight 4
-    u = vertex_unit(inst, {0, 1}, 2, REGIME_TSP)
+    u = vertex_unit(inst, {0, 1}, 2)
     assert u.price(VertexImpact(frozenset({1}))) == 6
     assert u.price(VertexImpact(frozenset({0, 1}))) == 3
     assert u.price(VertexImpact(frozenset({0, 1, 2}))) == float("inf")
@@ -120,7 +125,7 @@ def test_price_wrp_mismatch_infinite():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0, 1}), 9)
     nat_imp = VertexImpact(frozenset({0}), ((0, 2),))
     wrong = VertexImpact(frozenset(), ())
-    u = vertex_unit(inst, {0}, 1, REGIME_WRP)
+    u = vertex_unit(inst, {0}, 1)
     # a unit is priced from its own natural impact only
     assert u.impact != wrong and u.price(wrong) == float("inf")
     assert u.impact == nat_imp and u.price(nat_imp) == 0
@@ -155,7 +160,7 @@ def test_rule_tsp_small_untouched():
 def test_impact_bound_is_checked(monkeypatch):
     # an impact function that tells every behavior apart breaks the k^2 bound
     monkeypatch.setattr(vc, "vertex_impact",
-                        lambda inst, r, b, regime: VertexImpact(frozenset(b.edges)))
+                        lambda inst, r, b: VertexImpact(frozenset(b.edges)))
     inst = _cover_instance(random.Random(0), "tsp", 2, 8)
     with pytest.raises(InvariantError, match="k\\^2 bound"):
         rule_vc_tsp(inst, {0, 1})
@@ -163,8 +168,8 @@ def test_impact_bound_is_checked(monkeypatch):
 
 def test_close_round_checks_parity():
     inst = two_neighbor_tsp()
-    nat = vertex_unit(inst, {0, 1}, 2, REGIME_TSP).natural
-    lone = Unit((2,), nat, vertex_impact(inst, 2, nat, REGIME_TSP), {})
+    nat = vertex_unit(inst, {0, 1}, 2).natural
+    lone = Unit((2,), nat, vertex_impact(inst, 2, nat), {})
     with pytest.raises(InvariantError, match="odd number"):
         close_round(inst, KernelReport(pipeline="vc-wrp"), "rule_vc_wrp", [lone], set(),
                     "vertices")

@@ -3,9 +3,9 @@
 The rules edit one mutable `WorkGraph` across a whole kernelization.  These
 tests pin that engine to the rules' meaning on frozen instances: the FES
 driver must give the kernel and report of a loop that applies each rule to a
-frozen instance, and saturation must give what repeated short-circuits of
-frozen instances give.  A rebuild count guards against a return to one new
-instance per firing.
+fresh work graph of a frozen instance and freezes the result, and
+saturation must give what repeated short-circuits of frozen instances give.
+A rebuild count guards against a return to one new instance per firing.
 """
 
 import random
@@ -23,7 +23,8 @@ from tspkern.report import KernelReport
 
 
 def reference_fes(inst: Instance):
-    """The FES pipeline with every rule applied to a frozen instance."""
+    """The FES pipeline with every rule applied to a fresh work graph of a
+    frozen instance, frozen again after each firing."""
     report = KernelReport(pipeline="fes")
     if inst.kind != "wrp":
         report.log.append(f"reinterpreted {inst.kind} input as wrp with capacities 2")
@@ -47,7 +48,7 @@ def reference_fes(inst: Instance):
             inst = outcome.instance
         while True:
             for name, rule in FES_RULES:
-                outcome = rule(inst)
+                outcome = rule(WorkGraph(inst))
                 if outcome.verdict != "unchanged":
                     break
             else:
@@ -56,7 +57,7 @@ def reference_fes(inst: Instance):
             if outcome.decided:
                 report.decided = outcome.verdict
                 return inst
-            inst = outcome.instance
+            inst = outcome.instance.freeze()
             if settles(rr_stop(inst), "rr_stop"):
                 return inst
 
@@ -113,14 +114,14 @@ def test_fes_driver_matches_frozen_rules_on_multigraphs(seed):
 
 
 def reference_saturate(inst: Instance) -> Instance:
-    """Short-circuit the lowest non-waypoint outside the hint, one frozen
-    instance at a time."""
+    """Short-circuit the lowest non-waypoint outside the hint, on a fresh
+    work graph of one frozen instance at a time."""
     while True:
         victim = next((v for v in range(inst.n) if v not in inst.waypoints
                        and v not in inst.modulator_hint), None)
         if victim is None:
             return inst
-        inst = rr_short_circuit(inst, victim).instance
+        inst = rr_short_circuit(WorkGraph(inst), victim).instance.freeze()
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(6, 80), st.integers(0, 10**6))
