@@ -13,7 +13,19 @@ Three exact engines, all desk-scale and guarded by explicit caps:
                                covering vectors are decoded, weighed and
                                tested for connectivity.
   * solve_heldkarp           - subset DP on the waypoint metric closure
-                               (uncapacitated kinds only).
+                               (uncapacitated kinds only).  The closure
+                               comes from one Dijkstra per waypoint, so
+                               it costs the waypoints' searches, not a
+                               cubic pass over every vertex.  Waypoint 0
+                               starts the tour; a cost array and an int8
+                               parent array of shape (2^(l-1), l-1) hold
+                               the cheapest path through each subset of
+                               the other waypoints, by its last one.
+                               Each popcount layer is filled by one numpy
+                               gather over its (subset, last) cells and
+                               an argmin, in int64, or in exact Python
+                               ints (object arrays) when the sums could
+                               pass int64.
   * solve_treewidth          - connectivity/parity DP over a tree
                                decomposition; exact, handles all kinds,
                                reaches instances the other engines cannot.
@@ -34,6 +46,7 @@ Three exact engines, all desk-scale and guarded by explicit caps:
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -69,6 +82,11 @@ DEFAULT_CAPS = OracleCaps()
 # rows of the largest multiplicity grid: every grid the default caps allow
 # (three multiplicities per edge), and not one row more
 MULTIPLICITY_MAX_ROWS = 3**DEFAULT_CAPS.multiplicity_edges
+
+# cells of the largest Held-Karp table, 2^(l-1) subsets by l-1 last
+# waypoints for l waypoints: every table the default caps allow, and not
+# one cell more
+HELDKARP_MAX_CELLS = (DEFAULT_CAPS.heldkarp_waypoints - 1) << (DEFAULT_CAPS.heldkarp_waypoints - 1)
 
 
 def make_solution(inst: Instance, multiplicity) -> SolutionMultigraph:
@@ -209,41 +227,69 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
 
 # -- engine 2: Held-Karp on the waypoint metric closure ----------------------
 
-def _apsp_with_paths(inst: Instance):
-    """Floyd-Warshall; returns dist and a path expander yielding edge indices."""
-    INF = float("inf")
-    n = inst.n
-    direct = [[None] * n for _ in range(n)]  # cheapest direct edge index
-    dist = [[INF] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = 0
-    for i, e in enumerate(inst.edges):
-        if e.weight < dist[e.u][e.v]:
-            dist[e.u][e.v] = dist[e.v][e.u] = e.weight
-            direct[e.u][e.v] = direct[e.v][e.u] = i
-    via = [[None] * n for _ in range(n)]
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == INF:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
-                    via[i][j] = k
+def _apsp_with_paths(inst: Instance, wps):
+    """Shortest paths between the waypoints `wps`, by Dijkstra from each.
+    Distances are symmetric, so the search from wps[a] stops once every
+    later waypoint is settled.  Returns d and expand: d[a][b] is the
+    distance between wps[a] and wps[b], None when unreachable, and
+    expand(a, b) lists the edge ids of one shortest path between them.  Of
+    parallel edges the cheapest, then the lowest id, is taken."""
+    adj, edges = inst.adjacency(), inst.edges
+    index = {w: a for a, w in enumerate(wps)}
+    d = [[0 if a == b else None for b in range(len(wps))] for a in range(len(wps))]
+    preds = []
+    for a, s in enumerate(wps):
+        dist, pred, left = {s: 0}, {}, len(wps) - 1 - a
+        heap = [(0, s)]
+        while heap and left:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue  # a stale entry: u was reached more cheaply since
+            b = index.get(u, -1)
+            if b > a:
+                d[a][b] = d[b][a] = du
+                left -= 1
+            for i in adj[u]:
+                e = edges[i]
+                v, dv = e.v if e.u == u else e.u, du + e.weight
+                if v not in dist or dv < dist[v]:
+                    dist[v], pred[v] = dv, i
+                    heapq.heappush(heap, (dv, v))
+        preds.append(pred)
 
-    def expand(i, j):
-        if i == j:
-            return []
-        k = via[i][j]
-        if k is None:
-            return [direct[i][j]]
-        return expand(i, k) + expand(k, j)
+    def expand(a, b):
+        a, b = min(a, b), max(a, b)
+        pred, v, path = preds[a], wps[b], []
+        while v != wps[a]:
+            path.append(pred[v])
+            v = edges[pred[v]].other(v)
+        return path
 
-    return dist, expand
+    return d, expand
+
+
+# subsets per slice of a Held-Karp layer: a layer's cells are independent,
+# so slicing bounds the working arrays without changing the result
+HELDKARP_SLICE = 1 << 12
+
+
+def _heldkarp_layers(k):
+    """The cells (S, j) with j in S of a table over subsets S of k
+    waypoints, layer by layer in the popcount of S from 2 to k, each layer
+    in slices of at most HELDKARP_SLICE subsets.  A slice is three int
+    arrays: the subsets S, the last waypoints j and the predecessor
+    subsets S ^ 1 << j."""
+    count = np.zeros(1, dtype=np.int8)
+    for _ in range(k):  # popcount of every subset, doubling the range
+        count = np.concatenate([count, count + 1])
+    by_count = np.argsort(count, kind="stable")
+    start = np.cumsum([0] + [math.comb(k, p) for p in range(k + 1)])
+    for p in range(2, k + 1):
+        for lo in range(start[p], start[p + 1], HELDKARP_SLICE):
+            subsets = by_count[lo:min(lo + HELDKARP_SLICE, start[p + 1])]
+            row, j = np.nonzero(subsets[:, None] >> np.arange(k) & 1)
+            S = subsets[row]
+            yield S, j, S ^ (1 << j)
 
 
 def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
@@ -255,60 +301,53 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
         raise ScaleError(f"oracle scale exceeded: {ell} waypoints > cap {caps.heldkarp_waypoints}")
     if ell <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
+    k = ell - 1  # waypoint 0 starts the tour; the table is over the other k
+    if k << k > HELDKARP_MAX_CELLS:
+        raise ScaleError(f"oracle scale exceeded: Held-Karp table of {k << k} cells"
+                         f" > {HELDKARP_MAX_CELLS}")
 
-    dist, expand = _apsp_with_paths(inst)
-    INF = float("inf")
-    d = [[dist[a][b] for b in wps] for a in wps]
-    if any(d[0][j] == INF for j in range(ell)):
+    d, expand = _apsp_with_paths(inst, wps)
+    if None in d[0]:
         return OptResult(False, None, None)
+    top = max(map(max, d))
+    # every sum the DP forms, the sentinel `inf` plus a distance included,
+    # is at most (ell + 1) * top + 1; past int64, object arrays hold exact
+    # Python ints instead
+    dtype = np.int64 if (ell + 1) * top < 2**62 else object
+    inf = ell * top + 1  # above every tour
+    # dp[S, j]: the cheapest path from waypoint 0 through the waypoints of
+    # subset S, ending at j in S; bit j stands for waypoint j + 1
+    start = np.array(d[0][1:], dtype=dtype)
+    dist = np.array([row[1:] for row in d[1:]], dtype=dtype)  # symmetric: dist[j] = d(., j)
+    dp = np.full((1 << k, k), inf, dtype=dtype)
+    parent = np.zeros((1 << k, k), dtype=np.int8)
+    dp[1 << np.arange(k), np.arange(k)] = start
+    for S, j, prev in _heldkarp_layers(k):
+        vals = dp[prev]  # vals[c, i] = dp[S ^ 1 << j, i] + d(i, j), past inf where i not in S
+        vals += dist[j]
+        best = vals.argmin(axis=1)
+        parent[S, j] = best
+        dp[S, j] = np.take_along_axis(vals, best[:, None], axis=1)[:, 0]
 
-    full = (1 << ell) - 1
-    dp = {(1, 0): (0, None)}
-    for mask in range(1, full + 1):
-        if not mask & 1:
-            continue
-        for last in range(ell):
-            if not mask >> last & 1:
-                continue
-            cur = dp.get((mask, last))
-            if cur is None:
-                continue
-            base = cur[0]
-            for nxt in range(ell):
-                if mask >> nxt & 1:
-                    continue
-                cand = base + d[last][nxt]
-                key = (mask | 1 << nxt, nxt)
-                if key not in dp or cand < dp[key][0]:
-                    dp[key] = (cand, last)
+    full = (1 << k) - 1
+    last = int(np.argmin(dp[full] + start))
+    opt = int(dp[full, last]) + d[0][last + 1]
 
-    best, best_last = None, None
-    for last in range(ell):
-        entry = dp.get((full, last))
-        if entry is None:
-            continue
-        cand = entry[0] + d[last][0]
-        if best is None or cand < best:
-            best, best_last = cand, last
-    if best is None:
-        return OptResult(False, None, None)
-
-    # walk the DP parents back into a waypoint tour, then expand to edges
-    tour = [best_last]
-    mask = full
-    while tour[-1] != 0 or mask != 1:
-        prev = dp[(mask, tour[-1])][1]
-        mask ^= 1 << tour[-1]
-        tour.append(prev)
-    tour.reverse()  # starts at waypoint 0
+    # walk the parents back into a waypoint tour, then expand each leg to edges
+    tour, S, j = [last], full, last
+    while S & S - 1:
+        S, j = S ^ 1 << j, int(parent[S, j])
+        tour.append(j)
+    tour = [0] + [j + 1 for j in reversed(tour)]
     mult = Counter()
-    for a, b in zip(tour, tour[1:] + [tour[0]]):
-        for ei in expand(wps[a], wps[b]):
-            mult[ei] += 1
+    for a, b in zip(tour, tour[1:] + [0]):
+        mult.update(expand(a, b))
     sol = make_solution(inst, (mult.get(i, 0) for i in range(len(inst.edges))))
-    if sol.total_weight != best:
-        raise InvariantError(f"Held-Karp witness weighs {sol.total_weight}, optimum {best}")
-    return OptResult(best <= inst.budget, int(best), sol)
+    if sol.total_weight != opt:
+        raise InvariantError(f"Held-Karp witness weighs {sol.total_weight}, optimum {opt}")
+    if opt <= inst.budget and not check_certificate(inst, sol):
+        raise InvariantError("Held-Karp witness is not a certificate")
+    return OptResult(opt <= inst.budget, opt, sol)
 
 
 # -- engine 3: tree-decomposition DP -----------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,25 @@ def test_multiplicity_grid_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
     assert main(["solve", str(path), "--engine", "multiplicity"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("scale exceeded:") and f"{3**30} rows" in err
+
+
+def test_heldkarp_table_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
+    """A cap raised to 30 admits 24 waypoints, whose table would have
+    23 * 2^23 cells, past the 17 * 2^17 of the default cap: the run stops
+    at once with one line, before any shortest-path search, not after
+    hours or an allocation of gigabytes."""
+    edges = "".join(f"e {i} {i % 30 + 1} 1\n" for i in range(1, 31))
+    path = tmp_path / "x.grw"
+    path.write_text(f"p stsp 30 30\nb 99\nw {' '.join(map(str, range(1, 25)))}\n{edges}")
+    monkeypatch.setenv("TSPKERN_CAP_HK_WAYPOINTS", "30")
+    monkeypatch.setattr(oracle, "_apsp_with_paths", None)  # calling it would raise TypeError
+    assert oracle.HELDKARP_MAX_CELLS == 17 << 17
+    start = time.perf_counter()
+    assert main(["solve", str(path)]) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err == (f"scale exceeded: oracle scale exceeded: Held-Karp table of {23 << 23} cells"
+                   f" > {17 << 17}\n")
 
 
 def test_out_of_memory_is_scale_exit(tmp_path, triangle):

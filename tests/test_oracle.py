@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -139,11 +140,111 @@ def _random_routing(rng: random.Random, max_m=12, kinds=("tsp", "stsp")):
 @given(st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_engines_agree(seed):
-    inst = _random_routing(random.Random(seed), max_m=8)
+    inst = _random_routing(random.Random(seed), max_m=12)
     a = solve_exact_multiplicity(inst)
     b = solve_heldkarp(inst)
     assert a.opt_weight == b.opt_weight
     assert a.feasible == b.feasible
+    if b.feasible:
+        assert check_certificate(inst, b.witness)
+
+
+def _closure_tour_reference(inst):
+    """Held-Karp's optimum by brute force: the cheapest closed order of the
+    waypoints on the metric closure (Floyd-Warshall), None when some
+    waypoint is unreachable."""
+    dist = [[0 if u == v else None for v in range(inst.n)] for u in range(inst.n)]
+    for e in inst.edges:
+        if e.u != e.v and (dist[e.u][e.v] is None or e.weight < dist[e.u][e.v]):
+            dist[e.u][e.v] = dist[e.v][e.u] = e.weight
+    for k, i, j in itertools.product(range(inst.n), repeat=3):
+        if dist[i][k] is not None and dist[k][j] is not None:
+            if dist[i][j] is None or dist[i][k] + dist[k][j] < dist[i][j]:
+                dist[i][j] = dist[i][k] + dist[k][j]
+    first, *rest = sorted(inst.waypoints)
+    if any(dist[first][w] is None for w in rest):
+        return None
+    return min(sum(dist[a][b] for a, b in zip((first, *order), (*order, first)))
+               for order in itertools.permutations(rest))
+
+
+def _waypoint_multigraph(rng: random.Random, big: bool):
+    """A random tsp or stsp multigraph with 2-7 waypoints, mostly built on a
+    spanning tree, with parallel edges and zero weights.  With `big`,
+    every weight is at least 2^61."""
+    kind = rng.choice(["tsp", "stsp"])
+    n = rng.randint(2, 7 if kind == "tsp" else 9)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)] if rng.random() < 0.75 else []
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+    pairs += rng.sample(pairs, len(pairs) // 3)  # parallel copies
+    lo, hi = (2**61, 2**61 + 2**40) if big else (0, 9)
+    edges = tuple(Edge(u, v, rng.randint(lo, hi)) for u, v in pairs)
+    wps = frozenset(range(n)) if kind == "tsp" else frozenset(rng.sample(range(n), rng.randint(2, min(n, 7))))
+    total = sum(e.weight for e in edges)
+    return Instance(kind, n, edges, wps, rng.randint(0, 2 * total))
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([1, 2, oracle.HELDKARP_SLICE]))
+@example(seed=0, big=True, slice_=oracle.HELDKARP_SLICE)
+@settings(max_examples=120, deadline=None)
+def test_heldkarp_matches_brute_force(seed, big, slice_):
+    """Optimum and verdict equal the brute force over waypoint orders, the
+    witness weighs the optimum and is a certificate at that budget, and
+    slicing the layers changes nothing.  Big weights put the DP's sums past
+    int64, so the engine runs on exact Python ints: a tour of four or more
+    legs then weighs at least 2^63."""
+    inst = _waypoint_multigraph(random.Random(seed), big)
+    want = _closure_tour_reference(inst)
+    with mock.patch.object(oracle, "HELDKARP_SLICE", slice_):
+        res = solve_heldkarp(inst)
+    assert (res.opt_weight, res.feasible) == (want, want is not None and want <= inst.budget)
+    if want is not None:
+        assert res.witness.total_weight == want
+        at_opt = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, want)
+        assert check_certificate(at_opt, res.witness)
+        if big and len(inst.waypoints) >= 4:
+            assert want >= 2**63
+
+
+def test_heldkarp_long_cycle():
+    """A 2000-vertex cycle with 3 waypoints: the shortest paths are searched
+    from the waypoints only, not over all vertex pairs.  The optimum is the
+    whole cycle, or twice the cycle minus its longest waypoint-free arc."""
+    n = 2000
+    rng = random.Random(5)
+    edges = tuple(Edge(i, (i + 1) % n, rng.randint(1, 100)) for i in range(n))
+    wps = (0, 700, 1500)
+    total = sum(e.weight for e in edges)
+    arcs = [sum(e.weight for e in edges[a:b]) for a, b in zip(wps, wps[1:] + (n,))]
+    want = min(total, 2 * (total - max(arcs)))
+    inst = Instance("stsp", n, edges, frozenset(wps), want)
+    start = time.perf_counter()
+    res = solve_auto(inst)
+    elapsed = time.perf_counter() - start
+    assert res.feasible and res.opt_weight == want
+    assert check_certificate(inst, res.witness)
+    assert elapsed < 2, f"{elapsed:.2f} s"
+
+
+def test_heldkarp_memory_at_cap():
+    """18 waypoints, the default cap: the tables hold 2^17 x 17 cells,
+    about 18 MB of int64 costs and 2 MB of int8 parents.  Sliced layers
+    keep the working arrays to a few MB beside them."""
+    rng = random.Random(9)
+    n = 28
+    pairs = [(i, rng.randrange(i)) for i in range(1, n)] + [tuple(rng.sample(range(n), 2))
+                                                          for _ in range(2 * n)]
+    edges = tuple(Edge(u, v, rng.randint(1, 50)) for u, v in pairs)
+    inst = Instance("stsp", n, edges, frozenset(rng.sample(range(n), 18)), 10**6)
+    tracemalloc.start()
+    try:
+        res = solve_heldkarp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.feasible and check_certificate(inst, res.witness)
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @given(st.integers(0, 10**6))
