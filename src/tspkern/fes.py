@@ -205,18 +205,17 @@ FES_RULES = (
 )
 
 
-def rule_fes(g: WorkGraph) -> tuple[WorkGraph, KernelReport]:
+def rule_fes(g: WorkGraph, report: KernelReport) -> WorkGraph:
     """One round: fire the first rule of FES_RULES that applies, editing `g`
-    in place."""
-    part = KernelReport(pipeline="fes")
+    in place and recording the firing in `report`."""
     for name, rule in FES_RULES:
         outcome = rule(g)
         if outcome.verdict != VERDICT_UNCHANGED:
-            part.fire(name, outcome.log_entry)
+            report.fire(name, outcome.log_entry)
             if outcome.decided:
-                part.decided = outcome.verdict
+                report.decided = outcome.verdict
             break
-    return g, part
+    return g
 
 
 def kernelize_fes(inst: Instance) -> tuple[Instance, KernelReport]:

@@ -147,7 +147,7 @@ def close_round(inst: Instance, report: KernelReport, rule: str, units, marked: 
     each natural impact must be even in number, as green marking leaves them."""
     if promotions:
         new_w = promotions - inst.waypoints
-        report.promoted_waypoints = sorted(new_w)
+        report.promoted_waypoints.extend(sorted(new_w))
         report.fire(rule, f"promoted {len(new_w)} waypoint(s)")
         report.stats["removed"] = 0
         return replace(inst, waypoints=inst.waypoints | new_w)

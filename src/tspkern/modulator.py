@@ -182,16 +182,16 @@ def _mark_blue(inst: Instance, M, comps) -> set[int]:
     return {ci for _, ci in best.values()}
 
 
-def _modulator_round(inst: Instance, M, r: int, pipeline: str, rule: str,
-                     yellow_cap=None) -> tuple[Instance, KernelReport]:
-    """One marking round over the components of G minus M.  `yellow_cap`,
-    given for the subset kind only, maps (k, impact count) to the yellow cap."""
-    report = KernelReport(pipeline=pipeline)
+def _modulator_round(inst: Instance, M, r: int, rule: str, report: KernelReport,
+                     yellow_cap=None) -> Instance:
+    """One marking round over the components of G minus M, recorded in
+    `report`.  `yellow_cap`, given for the subset kind only, maps
+    (k, impact count) to the yellow cap."""
     comps = inst.components(without=M)
     units = collect_units(report, comps, lambda C: component_unit(
         inst, M, C, enumerate_component_behaviors(inst, M, C, r)))
     if units is None:
-        return inst, report
+        return inst
     k = len(M)
     ni = len(table_impacts(units))
     red = mark_red(units, 2 * ni**2 + 2 * k)
@@ -211,14 +211,14 @@ def _modulator_round(inst: Instance, M, r: int, pipeline: str, rule: str,
     out = close_round(inst, report, rule, units, red | blue | green | yellow,
                       "component(s)", promotions)
     report.stats["components_left"] = len(comps) - report.stats["removed"]
-    return out, report
+    return out
 
 
-def rule_components_tsp(inst: Instance, M, r: int) -> tuple[Instance, KernelReport]:
+def rule_components_tsp(inst: Instance, M, r: int, report: KernelReport) -> Instance:
     if inst.kind != KIND_TSP:
         raise InstanceError("component rule applies to the all-waypoint kind")
     # every vertex is a waypoint, so no group is yellow
-    return _modulator_round(inst, frozenset(M), r, "components-tsp", "rule_components_tsp")
+    return _modulator_round(inst, frozenset(M), r, "rule_components_tsp", report)
 
 
 # -- subset kind: saturation and Rule 10 -------------------------------------
@@ -239,12 +239,12 @@ def saturate_path_nonterminals(inst: Instance) -> Instance:
     return g.freeze()
 
 
-def rule_paths_subtsp(inst: Instance, M, r: int) -> tuple[Instance, KernelReport]:
+def rule_paths_subtsp(inst: Instance, M, r: int, report: KernelReport) -> Instance:
     if inst.kind != KIND_SUBTSP:
         raise InstanceError("path rule applies to the subset kind")
     M = frozenset(M)
     if any(v not in inst.waypoints for v in range(inst.n) if v not in M):
         raise InstanceError("saturation required: every path vertex must be a waypoint")
     return _modulator_round(
-        inst, M, r, "paths-subtsp", "rule_paths_subtsp",
+        inst, M, r, "rule_paths_subtsp", report,
         yellow_cap=lambda k, ni: ((r + 1) ** (4 * r) * 2 ** (4 * r + 1) + k) * ni)

@@ -139,19 +139,18 @@ def _check_grid_rows(bases) -> None:
                          f" > {MULTIPLICITY_MAX_ROWS}")
 
 
-def multiplicity_grid(bases, values=None, op=np.add) -> np.ndarray:
+def multiplicity_grid(bases, values, op=np.add) -> np.ndarray:
     """Fold one value per edge over every vector x with 0 <= x[i] < bases[i].
 
-    values[i][k] is edge i's value at x[i] = k (k itself by default).  Entry
-    j of the flat result combines values[i][x[i]] over all edges with the
-    ufunc `op`, for the x of mixed-radix index j = x[0] + bases[0] * (x[1] +
-    bases[1] * (...)), so x[0] varies fastest.  Each edge costs one
-    broadcast, out = op(table[:, None], out[None, :]).ravel(); no vector is
-    stored.  ScaleError, before anything is allocated, past
-    MULTIPLICITY_MAX_ROWS entries."""
+    values[i][k] is edge i's value at x[i] = k.  Entry j of the flat result
+    combines values[i][x[i]] over all edges with the ufunc `op`, for the x
+    of mixed-radix index j = x[0] + bases[0] * (x[1] + bases[1] * (...)), so
+    x[0] varies fastest.  Each edge costs one broadcast, out =
+    op(table[:, None], out[None, :]).ravel(); no vector is stored.
+    ScaleError, before anything is allocated, past MULTIPLICITY_MAX_ROWS
+    entries."""
     _check_grid_rows(bases)
-    tables = [np.arange(base) if values is None else np.asarray(values[i][:base])
-              for i, base in enumerate(bases)]
+    tables = [np.asarray(values[i][:base]) for i, base in enumerate(bases)]
     out = tables[0]
     for table in tables[1:]:
         out = op(table[:, None], out[None, :]).ravel()
@@ -164,8 +163,6 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         raise ScaleError(f"oracle scale exceeded: {m} edges > cap {caps.multiplicity_edges}")
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
-    if m == 0:
-        return OptResult(False, None, None)
 
     touched = sorted({v for e in inst.edges for v in e.ends()})
     if not inst.waypoints <= set(touched):
@@ -202,13 +199,11 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         counts[:, i] = cand // stride % base
         stride *= base
 
-    if 2 * inst.total_weight() >= 2**62:
-        ws = [e.weight for e in inst.edges]
-        weights = [sum(int(c) * w for c, w in zip(row, ws)) for row in counts]
-        order = sorted(range(len(cand)), key=lambda j: (weights[j], int(cand[j])))
-    else:
-        weights = counts @ np.array([e.weight for e in inst.edges], dtype=np.int64)
-        order = np.lexsort((cand, weights))
+    # weights whose sums could pass int64 are exact Python ints; `cand` is
+    # ascending, so a stable sort breaks weight ties by vector index
+    dtype = object if 2 * inst.total_weight() >= 2**62 else np.int64
+    weights = counts @ np.array([e.weight for e in inst.edges], dtype=dtype)
+    order = np.argsort(weights, kind="stable")
 
     powers = np.int64(1) << np.arange(m, dtype=np.int64)
     conn_cache: dict[int, bool] = {}

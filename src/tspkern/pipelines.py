@@ -10,11 +10,15 @@ path vertices.  A round applies the regime's marking rule once, or for FES
 the first applicable local rule of `FES_RULES`.  The FES rounds edit one
 `WorkGraph`, which the driver freezes once at the end.
 
+A run has one `KernelReport`, which `kernelize` creates.  The structure
+step and every round record into it: a round is called as
+`rule(inst, r, report)` and returns only the next instance or work graph.
+
 `kernelize` runs the stop rules and connectivity once, then the structure
-step, then rounds until one fires nothing, rechecking the stop rules after
-each change, and finishes with verified weight compression.  A Decided
-verdict at any point ends the run.  The report's budget delta is the
-kernel's budget minus the input's.
+step, then rounds until one leaves the report's firing count unchanged,
+rechecking the stop rules after each change, and finishes with verified
+weight compression.  A Decided verdict at any point ends the run.  The
+report's budget delta is the kernel's budget minus the input's.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ class Regime:
     # (instance, r, k_max, report) -> instance carrying the modulator as
     # hint, or for FES the work graph its rounds edit
     structure: Callable[[Instance, int, int | None, KernelReport], Instance | WorkGraph]
-    # (instance or graph, r) -> (instance or graph, report of one round)
-    rule: Callable[[Instance | WorkGraph, int], tuple[Instance | WorkGraph, KernelReport]]
+    # (instance or graph, r, report) -> the next instance or graph; records
+    # what fired in the report
+    rule: Callable[[Instance | WorkGraph, int, KernelReport], Instance | WorkGraph]
     # public entry point, called as entry(inst, r=..., k_max=...)
     entry: Callable[..., tuple[Instance, KernelReport]]
     # (input, kernel or None when decided) -> stats closing the report
@@ -96,41 +101,30 @@ REGIMES = {
     "fes": Regime(
         "fes", None, "any",
         structure=lambda inst, r, k_max, report: WorkGraph(inst),
-        rule=lambda g, r: rule_fes(g),
+        rule=lambda g, r, report: rule_fes(g, report),
         entry=lambda inst, r=None, k_max=None: kernelize_fes(inst),
         stats=_fes_stats),
     "vc-tsp": Regime(
         "vc-tsp", KIND_TSP, "all-waypoint",
         structure=lambda inst, r, k_max, report: _structure(inst, None, r, k_max),
-        rule=lambda inst, r: rule_vc_tsp(inst, inst.modulator_hint),
+        rule=lambda inst, r, report: rule_vc_tsp(inst, inst.modulator_hint, report),
         entry=lambda inst, r=None, k_max=None: kernelize_vc_tsp(inst, k_max)),
     "vc-wrp": Regime(
         "vc-wrp", KIND_WRP, "capacitated",
         structure=lambda inst, r, k_max, report: _structure(inst, None, r, k_max),
-        rule=lambda inst, r: rule_vc_wrp(inst, inst.modulator_hint),
+        rule=lambda inst, r, report: rule_vc_wrp(inst, inst.modulator_hint, report),
         entry=lambda inst, r=None, k_max=None: kernelize_vc_wrp(inst, k_max)),
     "components": Regime(
         "components-tsp", KIND_TSP, "all-waypoint",
         structure=lambda inst, r, k_max, report: _structure(inst, REGIME_COMPONENTS, r, k_max),
-        rule=lambda inst, r: rule_components_tsp(inst, inst.modulator_hint, r),
+        rule=lambda inst, r, report: rule_components_tsp(inst, inst.modulator_hint, r, report),
         entry=lambda inst, r=1, k_max=None: kernelize_components_tsp(inst, r, k_max)),
     "paths": Regime(
         "paths-subtsp", KIND_SUBTSP, "subset",
         structure=_saturated_path_modulator,
-        rule=lambda inst, r: rule_paths_subtsp(inst, inst.modulator_hint, r),
+        rule=lambda inst, r, report: rule_paths_subtsp(inst, inst.modulator_hint, r, report),
         entry=lambda inst, r=1, k_max=None: kernelize_paths_subtsp(inst, r, k_max)),
 }
-
-
-def _merge(into: KernelReport, part: KernelReport):
-    for rule, cnt in part.rule_firings.items():
-        into.rule_firings[rule] = into.rule_firings.get(rule, 0) + cnt
-    for color, cnt in part.marks.items():
-        into.add_marks(color, cnt)
-    into.promoted_waypoints.extend(part.promoted_waypoints)
-    into.stats.update(part.stats)
-    into.log.extend(part.log)
-    into.decided = part.decided
 
 
 def _settles(outcome: RuleOutcome, rule: str, report: KernelReport) -> bool:
@@ -159,11 +153,10 @@ def _reduce(spec: Regime, inst: Instance, r: int, k_max: int | None,
         inst = outcome.instance
     inst = spec.structure(inst, r, k_max, report)
     while True:
-        out, part = spec.rule(inst, r)
-        _merge(report, part)
-        if report.decided or not part.rule_firings:
+        fired = sum(report.rule_firings.values())
+        inst = spec.rule(inst, r, report)
+        if report.decided or sum(report.rule_firings.values()) == fired:
             return inst
-        inst = out
         if _settles(rr_stop(inst), "rr_stop", report):
             return inst
 

@@ -159,11 +159,9 @@ def compress_weights(inst: Instance) -> RuleOutcome:
         return unchanged("compress_weights: scale guard" if m else "")
     weights = [e.weight for e in inst.edges]
     sums = _sum_profile(weights)
-    if sums.dtype == object or abs(inst.budget) >= 2**62:
-        b0 = inst.budget
-        signs = np.array([(int(s) > b0) - (int(s) < b0) for s in sums], dtype=np.int8)
-    else:
-        signs = np.sign(sums - inst.budget).astype(np.int8)
+    if abs(inst.budget) >= 2**62:  # the difference could pass int64
+        sums = sums.astype(object)
+    signs = np.sign(sums - inst.budget).astype(np.int8)
 
     best = None  # (bitsize, weights, budget)
     base = total_bitsize(weights, inst.budget)

@@ -85,16 +85,15 @@ def vertex_unit(inst: Instance, M, r: int) -> Unit:
                 lambda b: vertex_impact(inst, r, b))
 
 
-def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
+def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:
     """Marking rule for the all-waypoint kind: per impact keep the 3k
     cheapest realizers, delete the rest, charge their natural cost."""
-    report = KernelReport(pipeline="vc-tsp")
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
     units = collect_units(report, R, lambda r: vertex_unit(inst, M, r))
     if units is None:
-        return inst, report
+        return inst
     impacts = table_impacts(units)
     if len(impacts) > k * k:
         raise InvariantError(f"{len(impacts)} impacts exceed the k^2 bound for k={k}")
@@ -104,19 +103,18 @@ def rule_vc_tsp(inst: Instance, M) -> tuple[Instance, KernelReport]:
     # a deleted vertex is charged its doubled cheapest edge, so parity is moot
     out = close_round(inst, report, "rule_vc_tsp", units, kept, "vertices", parity=False)
     report.stats["r_size"] = len(R) - report.stats["removed"]
-    return out, report
+    return out
 
 
-def rule_vc_wrp(inst: Instance, M) -> tuple[Instance, KernelReport]:
+def rule_vc_wrp(inst: Instance, M, report: KernelReport) -> Instance:
     """Red/yellow/green marking with waypoint promotion for the capacitated
     kind; see `marking`."""
-    report = KernelReport(pipeline="vc-wrp")
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
     units = collect_units(report, R, lambda r: vertex_unit(inst, M, r))
     if units is None:
-        return inst, report
+        return inst
     ni = len(table_impacts(units))
     n2 = len({u.impact for u in units})
     red = mark_red(units, 2 * n2 + k)
@@ -130,6 +128,5 @@ def rule_vc_wrp(inst: Instance, M) -> tuple[Instance, KernelReport]:
         k=k,
         mark_bound=(2 * n2 + k) * n2 * ni + 4 * n2,
     )
-    out = close_round(inst, report, "rule_vc_wrp", units, red | yellow | green, "vertices",
-                      promotions)
-    return out, report
+    return close_round(inst, report, "rule_vc_wrp", units, red | yellow | green, "vertices",
+                       promotions)

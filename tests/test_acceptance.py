@@ -45,6 +45,7 @@ from tspkern.pipelines import (
     kernelize_vc_wrp,
 )
 from tspkern.preprocess import compress_weights, total_bitsize
+from tspkern.report import KernelReport
 from tspkern.vc import rule_vc_tsp, rule_vc_wrp
 
 SUITE_SIZE = 500
@@ -194,7 +195,8 @@ def test_03_vc_tsp_bound(suite):
     for inst, _, _ in records["vc-tsp"]:
         if not _rule_ready(inst):
             continue
-        _, report = rule_vc_tsp(inst, set(inst.modulator_hint))
+        report = KernelReport(pipeline="vc-tsp")
+        rule_vc_tsp(inst, set(inst.modulator_hint), report)
         if report.decided is not None:
             continue
         k = report.stats["k"]
@@ -207,7 +209,8 @@ def test_04_vc_wrp_bookkeeping(suite):
     for inst, _, _ in records["vc-wrp"]:
         if not _rule_ready(inst):
             continue
-        _, report = rule_vc_wrp(inst, set(inst.modulator_hint))
+        report = KernelReport(pipeline="vc-wrp")
+        rule_vc_wrp(inst, set(inst.modulator_hint), report)
         if report.decided is not None:
             continue
         assert report.stats["removed"] % 2 == 0
@@ -225,7 +228,8 @@ def test_05_component_and_path_bounds(suite):
         for inst, _, _ in records[name]:
             if not _rule_ready(inst):
                 continue
-            _, report = rule_components_tsp(inst, set(inst.modulator_hint), r)
+            report = KernelReport(pipeline="components-tsp")
+            rule_components_tsp(inst, set(inst.modulator_hint), r, report)
             if report.decided is not None:
                 continue
             ni, k = report.stats["impact_count"], report.stats["k"]
@@ -239,7 +243,8 @@ def test_05_component_and_path_bounds(suite):
             sat = saturate_path_nonterminals(inst)
             if not _rule_ready(sat):
                 continue
-            _, report = rule_paths_subtsp(sat, sat.modulator_hint, r)
+            report = KernelReport(pipeline="paths-subtsp")
+            rule_paths_subtsp(sat, sat.modulator_hint, r, report)
             if report.decided is not None:
                 continue
             ni, k = report.stats["impact_count"], report.stats["k"]

@@ -145,3 +145,23 @@ def test_assert_detector():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_asserts(path):
     assert asserts(path.read_text(encoding="utf-8")) == []
+
+
+def report_constructions(source: str) -> list[int]:
+    """Lines that call `KernelReport(...)`: a kernel run has one report,
+    which `pipelines.kernelize` creates and hands to every step."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "KernelReport"
+                 or getattr(node.func, "attr", None) == "KernelReport")]
+
+
+def test_report_construction_detector():
+    src = "r = KernelReport(pipeline='x')\nf(r)\ns = report.KernelReport('y')\nKernelReport\n"
+    assert report_constructions(src) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "pipelines.py"],
+                         ids=lambda p: p.name)
+def test_only_the_driver_creates_reports(path):
+    assert report_constructions(path.read_text(encoding="utf-8")) == []

@@ -22,6 +22,7 @@ from tspkern.modulator import (
 )
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_components_tsp, kernelize_paths_subtsp
+from tspkern.report import KernelReport
 
 
 def singleton_component(w1=2, w2=5, kind="tsp"):
@@ -136,6 +137,10 @@ def test_parity_law(seed):
                 edges.append(Edge(m, c, rng.randint(1, 5)))
     inst = Instance("stsp", n, tuple(edges), frozenset(range(n)), 99)
     M = set(range(k))
+    if 3 ** len(edges) > BEHAVIOR_GUARD:  # k=4 and csize=3 can draw up to 15 edges
+        with pytest.raises(ScaleError):
+            enumerate_component_behaviors(inst, M, set(range(k, n)), csize)
+        return
     for beh in enumerate_component_behaviors(inst, M, set(range(k, n)), csize):
         component_impact(inst, M, beh)  # asserts the parity law internally
 
@@ -181,7 +186,8 @@ def test_rule_components_safe(seed):
     inst = _components_instance(rng, "tsp", k, r, rng.randint(1, 4))
     if len(inst.edges) > 12 or len(inst.waypoints) <= 1:
         return
-    out, report = rule_components_tsp(inst, set(range(k)), r)
+    report = KernelReport(pipeline="components-tsp")
+    out = rule_components_tsp(inst, set(range(k)), r, report)
     if report.decided is not None:
         assert solve_exact_multiplicity(inst).feasible == (report.decided == "yes")
         return
@@ -198,7 +204,8 @@ def test_rule_components_bound_with_many_twins():
         edges.append(Edge(0, v, 1))
         edges.append(Edge(1, v, 1))
     inst = Instance("tsp", 2 + t, tuple(edges), frozenset(range(2 + t)), 10**9)
-    out, report = rule_components_tsp(inst, {0, 1}, 1)
+    report = KernelReport(pipeline="components-tsp")
+    out = rule_components_tsp(inst, {0, 1}, 1, report)
     assert report.stats["removed"] > 0
     assert report.stats["components_left"] <= report.stats["component_bound"]
     assert out.budget < inst.budget
@@ -324,7 +331,8 @@ def test_rule_paths_safe(seed):
     sat = saturate_path_nonterminals(inst)
     if len(sat.waypoints) <= 1 or len(sat.edges) > 12:
         return
-    out, report = rule_paths_subtsp(sat, sat.modulator_hint, r)
+    report = KernelReport(pipeline="paths-subtsp")
+    out = rule_paths_subtsp(sat, sat.modulator_hint, r, report)
     if report.decided is not None:
         assert solve_exact_multiplicity(sat).feasible == (report.decided == "yes")
         return

@@ -314,14 +314,15 @@ def test_treewidth_grid_5x5():
 
 def test_multiplicity_grid_row_bound():
     with pytest.raises(ScaleError, match="rows"):
-        oracle.multiplicity_grid([3] * 14 + [2])
+        oracle.multiplicity_grid([3] * 14 + [2], [range(3)] * 14 + [range(2)])
 
 
 def test_multiplicity_grid_folds_in_mixed_radix_order():
     bases = [2, 3, 1, 3]
     # x[0] varies fastest: product varies its last factor fastest, so reverse
     vectors = [x[::-1] for x in itertools.product(*(range(b) for b in reversed(bases)))]
-    assert list(oracle.multiplicity_grid(bases)) == [sum(x) for x in vectors]
+    counts = [np.arange(base) for base in bases]
+    assert list(oracle.multiplicity_grid(bases, counts)) == [sum(x) for x in vectors]
     values = np.array([[0, 5, 0], [0, 6, 3], [9, 9, 9], [0, 12, 12]])
     expect = [values[0, x[0]] ^ values[1, x[1]] ^ values[2, x[2]] ^ values[3, x[3]]
               for x in vectors]

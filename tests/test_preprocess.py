@@ -183,6 +183,22 @@ def test_sum_profile_matches_product(weights):
     assert (sums.dtype == object) == (2 * sum(weights) >= 2**62)
 
 
+
+@given(st.lists(st.integers(2**61 - 2**20, 2**61), min_size=1, max_size=6),
+       st.integers(2**62, 2**64))
+@example([2**61, 2**61], 2**62)
+@example([2**61 - 1, 2**61], 2**63 + 5)
+@settings(max_examples=60, deadline=None)
+def test_compress_with_budget_past_int64_keeps_signs(weights, budget):
+    """Weights near 2^61 and a budget of at least 2^62: sum minus budget can
+    pass int64, so the signs are taken over exact Python ints."""
+    inst = Instance("stsp", 2, tuple(Edge(0, 1, w) for w in weights), frozenset({0, 1}), budget)
+    outcome = compress_weights(inst)
+    if weights == [2**61, 2**61]:
+        assert outcome.verdict == "reduced"
+    if outcome.verdict == "reduced":
+        assert _sign_profiles_match(inst, outcome.instance)
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=120, deadline=None)
 def test_compress_verified_and_never_larger(seed):

@@ -152,7 +152,8 @@ def _cover_instance(rng, kind, k, extra):
 def test_rule_tsp_small_untouched():
     rng = random.Random(0)
     inst = _cover_instance(rng, "tsp", 2, 3)
-    out, report = rule_vc_tsp(inst, {0, 1})
+    report = KernelReport(pipeline="vc-tsp")
+    out = rule_vc_tsp(inst, {0, 1}, report)
     # |R| = 3 <= 3k = 6: everything marked
     assert report.stats["removed"] == 0 and out.n == inst.n
 
@@ -163,7 +164,7 @@ def test_impact_bound_is_checked(monkeypatch):
                         lambda inst, r, b: VertexImpact(frozenset(b.edges)))
     inst = _cover_instance(random.Random(0), "tsp", 2, 8)
     with pytest.raises(InvariantError, match="k\\^2 bound"):
-        rule_vc_tsp(inst, {0, 1})
+        rule_vc_tsp(inst, {0, 1}, KernelReport(pipeline="vc-tsp"))
 
 
 def test_close_round_checks_parity():
@@ -175,6 +176,17 @@ def test_close_round_checks_parity():
                     "vertices")
 
 
+
+def test_close_round_extends_promotions():
+    # a run's rounds share one report, so each promotion adds to the last
+    inst = Instance("wrp", 3, (Edge(0, 2, 1, 2), Edge(1, 2, 1, 2)), frozenset({2}), 10)
+    report = KernelReport(pipeline="vc-wrp")
+    out = close_round(inst, report, "rule_vc_wrp", [], set(), "vertices", frozenset({1}))
+    out = close_round(out, report, "rule_vc_wrp", [], set(), "vertices", frozenset({0, 1}))
+    assert report.promoted_waypoints == [1, 0]
+    assert report.rule_firings == {"rule_vc_wrp": 2}
+    assert out.waypoints == {0, 1, 2}
+
 def test_rule_tsp_shared_impact_keeps_3k():
     k = 2
     edges = [Edge(0, 1, 1)]
@@ -183,7 +195,8 @@ def test_rule_tsp_shared_impact_keeps_3k():
         edges.append(Edge(0, v, 1))
         edges.append(Edge(1, v, 1))
     inst = Instance("tsp", n, tuple(edges), frozenset(range(n)), 10**6)
-    out, report = rule_vc_tsp(inst, {0, 1})
+    report = KernelReport(pipeline="vc-tsp")
+    out = rule_vc_tsp(inst, {0, 1}, report)
     per_impact_cap = 3 * k
     # every r has identical behaviors: impacts {0},{1},{0,1} -> <= 3 * 3k survive
     assert out.n - 2 <= 3 * per_impact_cap
@@ -199,7 +212,8 @@ def test_rule_tsp_safe_and_bounded(seed):
     inst = _cover_instance(rng, "tsp", k, rng.randint(1, 5))
     if len(inst.edges) > 12:
         return
-    out, report = rule_vc_tsp(inst, set(range(k)))
+    report = KernelReport(pipeline="vc-tsp")
+    out = rule_vc_tsp(inst, set(range(k)), report)
     if report.decided is not None:
         assert solve_exact_multiplicity(inst).feasible == (report.decided == "yes")
         return
@@ -215,7 +229,8 @@ def test_rule_wrp_safe_even_removals(seed):
     inst = _cover_instance(rng, "wrp", k, rng.randint(1, 6))
     if len(inst.edges) > 12 or len(inst.waypoints) <= 1:
         return  # the rule presumes the stop rule already ran
-    out, report = rule_vc_wrp(inst, set(range(k)))
+    report = KernelReport(pipeline="vc-wrp")
+    out = rule_vc_wrp(inst, set(range(k)), report)
     if report.decided is not None:
         assert solve_exact_multiplicity(inst).feasible == (report.decided == "yes")
         return
@@ -238,7 +253,8 @@ def test_promotion_hub():
         edges.append(Edge(1, v, 9, 2))
     wps = frozenset(range(2, n))  # both cover vertices are non-waypoints
     inst = Instance("wrp", n, tuple(edges), wps, 10**6)
-    out, report = rule_vc_wrp(inst, {0, 1})
+    report = KernelReport(pipeline="vc-wrp")
+    out = rule_vc_wrp(inst, {0, 1}, report)
     if report.promoted_waypoints:
         assert 0 in report.promoted_waypoints
         assert out.n == inst.n
