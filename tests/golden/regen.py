@@ -10,8 +10,9 @@ regenerates the file and says which digests moved and why.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tests/golden/regen.py          # rewrite kernelize.json
-    PYTHONPATH=src python3 tests/golden/regen.py --check  # compare, exit 1 on a diff
+    PYTHONPATH=src python3 tests/golden/regen.py
+
+and compare with `pytest tests/test_golden.py`.
 """
 
 from __future__ import annotations
@@ -87,16 +88,8 @@ def digests() -> dict[str, str]:
     return out
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def main() -> int:
     got = digests()
-    if "--check" in argv:
-        want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-        for key in moved:
-            print(f"differs: {key}")
-        print(f"{len(got) - len(moved)} of {len(got)} digests match")
-        return 1 if moved else 0
     GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(got)} digests to {GOLDEN.name}")
     return 0

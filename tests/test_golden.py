@@ -1,14 +1,9 @@
 """Kernelize outputs match the committed golden digests (tests/golden)."""
 
-import importlib.util
 import json
 import time
-from pathlib import Path
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "regen.py")
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
+from golden import regen
 
 
 def test_kernelize_outputs_match_golden_digests():

@@ -183,7 +183,6 @@ def test_sum_profile_matches_product(weights):
     assert (sums.dtype == object) == (2 * sum(weights) >= 2**62)
 
 
-
 @given(st.lists(st.integers(2**61 - 2**20, 2**61), min_size=1, max_size=6),
        st.integers(2**62, 2**64))
 @example([2**61, 2**61], 2**62)
@@ -198,6 +197,7 @@ def test_compress_with_budget_past_int64_keeps_signs(weights, budget):
         assert outcome.verdict == "reduced"
     if outcome.verdict == "reduced":
         assert _sign_profiles_match(inst, outcome.instance)
+
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=120, deadline=None)

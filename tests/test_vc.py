@@ -176,7 +176,6 @@ def test_close_round_checks_parity():
                     "vertices")
 
 
-
 def test_close_round_extends_promotions():
     # a run's rounds share one report, so each promotion adds to the last
     inst = Instance("wrp", 3, (Edge(0, 2, 1, 2), Edge(1, 2, 1, 2)), frozenset({2}), 10)
@@ -186,6 +185,7 @@ def test_close_round_extends_promotions():
     assert report.promoted_waypoints == [1, 0]
     assert report.rule_firings == {"rule_vc_wrp": 2}
     assert out.waypoints == {0, 1, 2}
+
 
 def test_rule_tsp_shared_impact_keeps_3k():
     k = 2
