@@ -29,6 +29,14 @@ Three exact engines, all desk-scale and guarded by explicit caps:
   * solve_treewidth          - connectivity/parity DP over a tree
                                decomposition; exact, handles all kinds,
                                reaches instances the other engines cannot.
+                               The decomposition peels vertices of degree
+                               at most 1, and of degree 2 when none of
+                               degree at most 1 is left, in linear time;
+                               only the core left, where every degree is
+                               at least 3, goes to networkx's min-fill-in
+                               heuristic, and networkx is imported only
+                               when there is such a core.  The DP runs
+                               with the cyclic garbage collector paused.
                                Each table is grouped by partition: the
                                connected blocks of the used bag vertices,
                                as position bitmasks, plus a sealed flag
@@ -46,12 +54,12 @@ Three exact engines, all desk-scale and guarded by explicit caps:
 from __future__ import annotations
 
 import bisect
+import gc
 import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .instance import KIND_WRP, Instance, InstanceError, InvariantError, ScaleError, component_walk
@@ -357,27 +365,14 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
 
-    G = nx.Graph()
-    G.add_nodes_from(range(inst.n))
-    G.add_edges_from((e.u, e.v) for e in inst.edges)
-    width, tree = nx.algorithms.approximation.treewidth_min_fill_in(G)
+    width, bags, parent = _decompose(inst)
     if width > caps.treewidth_width:
         raise ScaleError(f"oracle scale exceeded: decomposition width {width} > cap {caps.treewidth_width}")
+    children = [[] for _ in bags]
+    for b in range(1, len(bags)):
+        children[parent[b]].append(b)
 
-    # bags in DFS preorder from the first bag; children in neighbour order
-    root = next(iter(tree.nodes))
-    bags, children = [], []
-    walk = [(root, None, -1)]  # (bag, parent bag, parent's preorder index)
-    while walk:
-        bag, parent, up = walk.pop()
-        if up >= 0:
-            children[up].append(len(bags))
-        kids = [b for b in tree.neighbors(bag) if b != parent]
-        walk.extend((b, bag, len(bags)) for b in reversed(kids))
-        bags.append(bag)
-        children.append([])
-
-    # home each edge in the first bag, in preorder, holding both endpoints:
+    # home each edge in the first bag, by index, holding both endpoints:
     # the first bag in the shorter of the two endpoints' bag lists that
     # holds the other endpoint
     bags_of = [[] for _ in range(inst.n)]
@@ -412,9 +407,92 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
             todo += [(b, done + 1), (children[b][done], 0)]
         else:
             ops.extend(("edge", i) for i in homed[b])
-    ops.extend(("forget", v) for v in sorted(root))
+    ops.extend(("forget", v) for v in sorted(bags[0]))
 
     return _run_tw_dp(inst, ops)
+
+
+def _decompose(inst: Instance):
+    """A tree decomposition of the instance's simple graph, as (width,
+    bags, parent): bags[0] is the root, and every other bag b hangs below
+    bags[parent[b]], with parent[b] < b.
+
+    Vertices of degree at most 1 are eliminated first, and one of degree 2
+    only when none of degree at most 1 is left; a degree-2 vertex joins its
+    two neighbours by a fill edge.  Eliminating such vertices never raises
+    the treewidth, so forests get width at most 1 and every graph of
+    treewidth at most 2 is decomposed exactly.  Each eliminated vertex v
+    gets the bag {v} and its neighbours at that time, below the bag of its
+    earliest-eliminated neighbour.  Only the core left over, where every
+    degree is at least 3, goes to networkx's min-fill-in heuristic, and a
+    peeled bag whose neighbours all lie in the core hangs below a core bag
+    that holds them all.  Outside the core's decomposition the work is
+    linear in the size of the graph.
+    """
+    nbrs = [set() for _ in range(inst.n)]
+    for e in inst.edges:
+        nbrs[e.u].add(e.v)
+        nbrs[e.v].add(e.u)
+    # degrees never grow, so a vertex queued at degree <= 1 stays there, and
+    # one popped from `two` while `low` is empty still has degree 2
+    low = [v for v in range(inst.n) if len(nbrs[v]) <= 1]
+    two = [v for v in range(inst.n) if len(nbrs[v]) == 2]
+    peeled = {}  # eliminated vertex -> its bag, in elimination order
+    while low or two:
+        v = (low or two).pop()
+        if v in peeled:
+            continue
+        near = nbrs[v]
+        peeled[v] = frozenset(near | {v})
+        if len(near) == 2:
+            a, b = near
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for u in near:
+            nbrs[u].discard(v)
+            if len(nbrs[u]) <= 1:
+                low.append(u)
+            elif len(nbrs[u]) == 2:
+                two.append(u)
+
+    bags, parent = [], []
+    core_bags_of = {}  # core vertex -> the core bags holding it
+    core = [v for v in range(inst.n) if v not in peeled]
+    if core:
+        import networkx as nx  # only a graph with a core needs it
+
+        G = nx.Graph()
+        G.add_nodes_from(core)
+        G.add_edges_from((u, v) for u in core for v in nbrs[u] if u < v)
+        _, tree = nx.algorithms.approximation.treewidth_min_fill_in(G)
+        walk = [(next(iter(tree.nodes)), None, -1)]  # (bag, parent bag, parent's index)
+        while walk:
+            bag, up_bag, up = walk.pop()
+            for v in bag:
+                core_bags_of.setdefault(v, []).append(len(bags))
+            walk.extend((b, bag, len(bags)) for b in tree.neighbors(bag) if b != up_bag)
+            bags.append(bag)
+            parent.append(up)
+
+    # peeled bags in reverse elimination order, so a vertex's
+    # earliest-eliminated neighbour has the highest index so far
+    index = {}
+    for v, bag in reversed(peeled.items()):
+        near = bag - {v}
+        later = [index[u] for u in near if u in index]
+        if later:
+            up = max(later)
+        elif near:  # a clique of the core, so some core bag holds it
+            u = min(near, key=lambda u: len(core_bags_of[u]))
+            up = next((c for c in core_bags_of[u] if near <= bags[c]), None)
+            if up is None:
+                raise InvariantError("core decomposition misses a clique")
+        else:  # the last vertex of its component; the first such is the root
+            up = 0 if bags else -1
+        index[v] = len(bags)
+        bags.append(bag)
+        parent.append(up)
+    return max(map(len, bags)) - 1, bags, parent
 
 
 def _merge_blocks(blocks1, blocks2):
@@ -455,86 +533,99 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
     """
     W = inst.waypoints
     stack: list[tuple[tuple, dict]] = []
-    for op, arg in ops:
-        if op == "leaf":
-            bag = ()
-            table = {((), False): {0: (0, None)}}
-        elif op == "intro":
-            bag0, t0 = stack.pop()
-            p = bisect.bisect_left(bag0, arg)
-            bag = bag0[:p] + (arg,) + bag0[p:]
-            low = (1 << p) - 1
-            # a clear bit inserted at p keeps masks in ascending order
-            table = {(tuple([(m & low) | (m >> p << p + 1) for m in blocks]), done):
-                     {(mask & low) | (mask >> p << p + 1): entry for mask, entry in group.items()}
-                     for (blocks, done), group in t0.items()}
-        elif op == "forget":
-            bag0, t0 = stack.pop()
-            p = bag0.index(arg)
-            bag = bag0[:p] + bag0[p + 1:]
-            low, bit = (1 << p) - 1, 1 << p
-            table = {}
-            for (blocks, done), group in t0.items():
-                if bit in blocks:  # the vertex's block ends here: seal it
-                    if done or len(blocks) > 1:
-                        continue
-                    state = ((), True)
-                elif arg in W and not any(m & bit for m in blocks):
-                    continue  # a waypoint left unused
-                else:
-                    state = (tuple(sorted([(m & low) | (m >> p + 1 << p) for m in blocks])), done)
-                out = table.setdefault(state, {})
-                for mask, entry in group.items():
-                    if mask & bit:
-                        continue
-                    key = (mask & low) | (mask >> p + 1 << p)
-                    old = out.get(key)
-                    if old is None or entry[0] < old[0]:
-                        out[key] = entry
-            table = {state: group for state, group in table.items() if group}
-        elif op == "edge":
-            bag0, t0 = stack.pop()
-            bag = bag0
-            e = inst.edges[arg]
-            bu, bv = 1 << bag.index(e.u), 1 << bag.index(e.v)
-            flip = bu ^ bv
-            cap = inst.effective_capacity(e)
-            table = {state: dict(group) for state, group in t0.items()}  # multiplicity 0
-            for (blocks, done), group in t0.items():
-                if done or cap == 0:
-                    continue
-                out = table.setdefault((_merge_blocks(blocks, (bu | bv,)), False), {})
-                for mult in range(1, cap + 1):
-                    add, odd = mult * e.weight, flip if mult % 2 else 0
-                    for mask, (cost, trail) in group.items():
-                        key, ncost = mask ^ odd, cost + add
+    # the tables hold only tuples and dicts, no reference cycles, so the
+    # cyclic collector would only rescan them as they grow
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for op, arg in ops:
+            if op == "leaf":
+                bag = ()
+                table = {((), False): {0: (0, None)}}
+            elif op == "intro":
+                bag0, t0 = stack.pop()
+                p = bisect.bisect_left(bag0, arg)
+                bag = bag0[:p] + (arg,) + bag0[p:]
+                low = (1 << p) - 1
+                # a clear bit inserted at p keeps masks in ascending order
+                table = {(tuple([(m & low) | (m >> p << p + 1) for m in blocks]), done):
+                         {(mask & low) | (mask >> p << p + 1): entry
+                          for mask, entry in group.items()}
+                         for (blocks, done), group in t0.items()}
+            elif op == "forget":
+                bag0, t0 = stack.pop()
+                p = bag0.index(arg)
+                bag = bag0[:p] + bag0[p + 1:]
+                low, bit = (1 << p) - 1, 1 << p
+                table = {}
+                for (blocks, done), group in t0.items():
+                    if bit in blocks:  # the vertex's block ends here: seal it
+                        if done or len(blocks) > 1:
+                            continue
+                        state = ((), True)
+                    elif arg in W and not any(m & bit for m in blocks):
+                        continue  # a waypoint left unused
+                    else:
+                        kept = sorted([(m & low) | (m >> p + 1 << p) for m in blocks])
+                        state = (tuple(kept), done)
+                    out = table.setdefault(state, {})
+                    for mask, entry in group.items():
+                        if mask & bit:
+                            continue
+                        key = (mask & low) | (mask >> p + 1 << p)
                         old = out.get(key)
-                        if old is None or ncost < old[0]:
-                            out[key] = (ncost, (arg, mult, trail))
-        elif op == "join":
-            bag_r, t_r = stack.pop()
-            bag_l, t_l = stack.pop()
-            if bag_l != bag_r:
-                raise InvariantError(f"join of unequal bags {bag_l} and {bag_r}")
-            bag = bag_l
-            rights = [(blocks, done, list(group.items())) for (blocks, done), group in t_r.items()]
-            table = {}
-            for (blocks1, done1), group in t_l.items():
-                lefts = list(group.items())
-                for blocks2, done2, items2 in rights:
-                    # a sealed side must have used nothing the other side uses
-                    if done1 and (done2 or blocks2) or done2 and blocks1:
+                        if old is None or entry[0] < old[0]:
+                            out[key] = entry
+                table = {state: group for state, group in table.items() if group}
+            elif op == "edge":
+                bag0, t0 = stack.pop()
+                bag = bag0
+                e = inst.edges[arg]
+                bu, bv = 1 << bag.index(e.u), 1 << bag.index(e.v)
+                flip = bu ^ bv
+                cap = inst.effective_capacity(e)
+                table = {state: dict(group) for state, group in t0.items()}  # multiplicity 0
+                for (blocks, done), group in t0.items():
+                    if done or cap == 0:
                         continue
-                    out = table.setdefault((_merge_blocks(blocks1, blocks2), done1 or done2), {})
-                    for m1, (c1, trail1) in lefts:
-                        for m2, (c2, trail2) in items2:
-                            key, ncost = m1 ^ m2, c1 + c2
+                    out = table.setdefault((_merge_blocks(blocks, (bu | bv,)), False), {})
+                    for mult in range(1, cap + 1):
+                        add, odd = mult * e.weight, flip if mult % 2 else 0
+                        for mask, (cost, trail) in group.items():
+                            key, ncost = mask ^ odd, cost + add
                             old = out.get(key)
                             if old is None or ncost < old[0]:
-                                out[key] = (ncost, (trail1, trail2))
-        else:
-            raise InvariantError(f"unknown tree-decomposition op {op!r}")
-        stack.append((bag, table))
+                                out[key] = (ncost, (arg, mult, trail))
+            elif op == "join":
+                bag_r, t_r = stack.pop()
+                bag_l, t_l = stack.pop()
+                if bag_l != bag_r:
+                    raise InvariantError(f"join of unequal bags {bag_l} and {bag_r}")
+                bag = bag_l
+                rights = [(blocks, done, list(group.items()))
+                          for (blocks, done), group in t_r.items()]
+                table = {}
+                for (blocks1, done1), group in t_l.items():
+                    lefts = list(group.items())
+                    for blocks2, done2, items2 in rights:
+                        # a sealed side must have used nothing the other side uses
+                        if done1 and (done2 or blocks2) or done2 and blocks1:
+                            continue
+                        state = (_merge_blocks(blocks1, blocks2), done1 or done2)
+                        out = table.setdefault(state, {})
+                        for m1, (c1, trail1) in lefts:
+                            for m2, (c2, trail2) in items2:
+                                key, ncost = m1 ^ m2, c1 + c2
+                                old = out.get(key)
+                                if old is None or ncost < old[0]:
+                                    out[key] = (ncost, (trail1, trail2))
+            else:
+                raise InvariantError(f"unknown tree-decomposition op {op!r}")
+            stack.append((bag, table))
+
+    finally:
+        if collecting:
+            gc.enable()
 
     if len(stack) != 1 or stack[0][0] != ():
         raise InvariantError("tree-decomposition ops do not end in one empty bag")

@@ -113,6 +113,13 @@ def test_heldkarp_table_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
                    f" > {17 << 17}\n")
 
 
+def _child_env():
+    """The environment of a child Python that imports this checkout's tspkern."""
+    src = str(Path(tspkern.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_out_of_memory_is_scale_exit(tmp_path, triangle):
     """A run that exhausts the memory the process may use exits 3 with a
     one-line message, not a traceback."""
@@ -122,9 +129,7 @@ def test_out_of_memory_is_scale_exit(tmp_path, triangle):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (gib, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
-    src = str(Path(tspkern.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _child_env()
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "tspkern.cli", *argv], env=env,
@@ -140,6 +145,20 @@ def test_out_of_memory_is_scale_exit(tmp_path, triangle):
         assert done.returncode == 3, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr == "scale exceeded: out of memory\n"
+
+
+def test_solve_does_not_import_networkx(triangle):
+    """networkx is imported only to decompose a core of degree >= 3, and a
+    triangle has none, whichever engine solves it."""
+    code = ("import sys\n"
+            "from tspkern.cli import main\n"
+            f"main(['solve', {triangle!r}])\n"
+            f"main(['solve', {triangle!r}, '--engine', 'treewidth'])\n"
+            "print('networkx' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_malformed_input(tmp_path, capsys):

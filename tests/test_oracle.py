@@ -7,9 +7,11 @@ import time
 import tracemalloc
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from networkx.algorithms import approximation as nx_approx
 
 from lemmas import (
     euler_walk,
@@ -20,7 +22,8 @@ from lemmas import (
 )
 from tspkern import oracle
 from tspkern.cli import main
-from tspkern.instance import Edge, Instance, InvariantError, ScaleError, render_instance
+from tspkern.gadgets import REGIMES, gen_planted
+from tspkern.instance import KINDS, Edge, Instance, InvariantError, ScaleError, render_instance
 from tspkern.oracle import (
     OracleCaps,
     check_certificate,
@@ -298,14 +301,19 @@ def test_treewidth_engine_agrees_through_joins(seed):
         assert check_certificate(at_opt, c.witness)
 
 
+def _grid_pairs(rows, cols):
+    """The edges of a rows x cols grid, vertex r * cols + c at row r, column c."""
+    pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    return pairs + [(r * cols + c, r * cols + c + cols) for r in range(rows - 1)
+                    for c in range(cols)]
+
+
 def test_treewidth_grid_5x5():
     """Unit 5x5 grid, capacity 2, every vertex a waypoint.  The grid is
     bipartite, so a closed walk has even length, and 25 cells need at least
     26 traversals; a Hamiltonian cycle on 24 cells plus one corner edge
     taken twice has exactly that."""
-    pairs = [(r * 5 + c, r * 5 + c + 1) for r in range(5) for c in range(4)]
-    pairs += [(r * 5 + c, r * 5 + c + 5) for r in range(4) for c in range(5)]
-    inst = Instance("wrp", 25, tuple(Edge(u, v, 1, 2) for u, v in pairs),
+    inst = Instance("wrp", 25, tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(5, 5)),
                     frozenset(range(25)), 26)
     res = solve_treewidth(inst)
     assert res.feasible and res.opt_weight == 26
@@ -458,10 +466,98 @@ def test_treewidth_deep_decomposition_without_recursion(monkeypatch):
     edges += (Edge(0, n - 1, rng.randint(1, 100)),)
     total, top = sum(e.weight for e in edges), max(e.weight for e in edges)
     inst = Instance("tsp", n, edges, frozenset(range(n)), 2 * total)
-    res = solve_treewidth(inst)
+    with _watch_networkx() as min_fill:
+        res = solve_treewidth(inst)
+    assert not min_fill.called  # a cycle peels down to nothing
     # all edges once, or every edge but the heaviest twice
     assert res.opt_weight == min(total, 2 * (total - top))
     assert check_certificate(inst, res.witness)
+
+
+def _watch_networkx():
+    return mock.patch.object(nx_approx, "treewidth_min_fill_in",
+                             wraps=nx_approx.treewidth_min_fill_in)
+
+
+def _graph(n, pairs):
+    """An all-waypoint instance on the edges `pairs`; only its graph matters here."""
+    return Instance("tsp", n, tuple(Edge(u, v, 1) for u, v in pairs), frozenset(range(n)), 0)
+
+
+def _checked_width(inst):
+    """The width `_decompose` reports, once its bags are checked to form a
+    tree decomposition of the instance's graph of exactly that width."""
+    width, bags, parent = oracle._decompose(inst)
+    assert parent[0] == -1 and all(0 <= parent[b] < b for b in range(1, len(bags)))
+    for e in inst.edges:
+        assert any(e.u in bag and e.v in bag for bag in bags), e
+    for v in range(inst.n):
+        # v's bags form a connected subtree: exactly one has no parent holding v
+        tops = [b for b, bag in enumerate(bags)
+                if v in bag and (b == 0 or v not in bags[parent[b]])]
+        assert len(tops) == 1, (v, tops)
+    assert width == max(map(len, bags)) - 1
+    return width
+
+
+def _several_components(rng: random.Random, shape: str):
+    """(n, pairs): a multigraph of a few components, with isolated vertices
+    and parallel edges.  Each component is a spanning tree minus a few
+    edges; for "cycle" the first is a cycle of at least three vertices
+    instead, and for "any" every component gets random extra edges."""
+    n = rng.randint(3, 16)
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(3, n), min(n - 3, rng.randint(0, 3))))
+    pairs = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        comp = order[lo:hi]
+        if shape == "cycle" and lo == 0:
+            pairs += list(zip(comp, comp[1:] + comp[:1]))
+            continue
+        pairs += [(comp[i], comp[rng.randrange(i)]) for i in range(1, len(comp))
+                  if rng.random() < 0.85]
+        if shape == "any" and len(comp) > 1:
+            pairs += [tuple(rng.sample(comp, 2)) for _ in range(rng.randint(0, 2 * len(comp)))]
+    if pairs:
+        pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3))]
+    return n, pairs
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["any", "forest", "cycle"]))
+@settings(max_examples=300, deadline=None)
+def test_decomposition_is_valid(seed, shape):
+    n, pairs = _several_components(random.Random(seed), shape)
+    width = _checked_width(_graph(n, pairs))
+    if shape == "forest":
+        assert width == (1 if pairs else 0)
+    elif shape == "cycle":
+        assert width == 2
+
+
+def test_networkx_sees_only_the_core():
+    with _watch_networkx() as min_fill:
+        gen_planted("tsp", "vc", 3, 1, 800, seed=1)
+    assert not min_fill.called
+    with _watch_networkx() as min_fill:
+        _checked_width(_graph(16, _grid_pairs(4, 4)))
+    # the four corners peel; the twelve other vertices keep degree 3 or 4
+    assert min_fill.call_count == 1
+    assert min_fill.call_args.args[0].number_of_nodes() == 12
+
+
+def test_decomposition_never_wider_than_networkx():
+    """On planted inputs of every kind and regime, and two grids, the width
+    is at most that of networkx's min-fill-in on the whole graph."""
+    graphs = [_graph(rows * cols, _grid_pairs(rows, cols)) for rows, cols in ((4, 4), (5, 5))]
+    for seed in range(50):
+        n = 10 + 7 * seed % 71
+        graphs += [gen_planted(kind, regime, 1 + seed % 3, 1 + seed % 2, n, seed=seed)
+                   for kind in KINDS for regime in REGIMES]
+    for inst in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(inst.n))
+        G.add_edges_from(e.ends() for e in inst.edges)
+        assert _checked_width(inst) <= nx_approx.treewidth_min_fill_in(G)[0], inst
 
 
 @pytest.mark.parametrize("ops, message", [
