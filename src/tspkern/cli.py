@@ -40,8 +40,8 @@ class UsageError(ValueError):
 
 
 def _caps_from_env() -> oracle.OracleCaps:
-    """oracle.DEFAULT_CAPS, overridden by the TSPKERN_CAP_* variables set."""
-    caps = {}
+    """oracle.DEFAULT_CAPS, lowered by the TSPKERN_CAP_* variables set."""
+    caps = oracle.DEFAULT_CAPS
     for name, var in (("multiplicity_edges", "TSPKERN_CAP_MULT_EDGES"),
                       ("heldkarp_waypoints", "TSPKERN_CAP_HK_WAYPOINTS"),
                       ("treewidth_width", "TSPKERN_CAP_TW_WIDTH")):
@@ -49,10 +49,14 @@ def _caps_from_env() -> oracle.OracleCaps:
         if raw is None:
             continue
         try:
-            caps[name] = int(raw)
+            value = int(raw)
         except ValueError:
             raise UsageError(f"{var} must be an integer, got {raw!r}") from None
-    return dataclasses.replace(oracle.DEFAULT_CAPS, **caps)
+        try:
+            caps = dataclasses.replace(caps, **{name: value})
+        except ValueError as exc:
+            raise UsageError(f"{var}={raw}: {exc}") from None
+    return caps
 
 
 def _read(path: str) -> Instance:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .instance import Edge, Instance, InstanceError, InvariantError, KIND_SUBTSP, KIND_TSP, KIND_WRP, KINDS
-from .oracle import DEFAULT_CAPS, ScaleError, solve_auto
+from .oracle import ScaleError, solve_auto
 
 
 @dataclass(frozen=True)
@@ -344,8 +344,7 @@ def gen_planted(kind: str, regime: str, k: int, r: int, n: int,
     probe = Instance(kind, n, tuple(edges), waypoints, 0, hint)
     total = probe.total_weight()
     try:
-        res = solve_auto(Instance(kind, n, tuple(edges), waypoints,
-                                  2 * total + 1, hint), DEFAULT_CAPS)
+        res = solve_auto(Instance(kind, n, tuple(edges), waypoints, 2 * total + 1, hint))
         if res.feasible:
             budget = res.opt_weight + rng.randint(-2, 2)
         else:

@@ -5,7 +5,8 @@ such that every degree is even, the support is connected and covers all
 waypoints, capacities are respected, and the weight fits the budget.  With
 at most one waypoint the empty multigraph is the (unique) solution.
 
-Three exact engines, all desk-scale and guarded by explicit caps:
+Three exact engines, all desk-scale, each guarded by one cap of
+`OracleCaps`, whose defaults are the ceilings:
   * solve_exact_multiplicity - enumerate multiplicity vectors in {0,1,2}^m
                                as two flat vertex-bitmask arrays, degree
                                parity and waypoint coverage, folded in one
@@ -58,7 +59,7 @@ import gc
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,21 +81,22 @@ class OptResult:
 
 @dataclass(frozen=True)
 class OracleCaps:
+    """The largest input each engine takes.  The defaults are the
+    ceilings: a cap may be lowered, and ValueError is raised for one
+    above its default."""
     multiplicity_edges: int = 14
     heldkarp_waypoints: int = 18
     treewidth_width: int = 8
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value > f.default:
+                raise ValueError(f"{f.name} cap {value} is above its default {f.default};"
+                                 " a cap may only be lowered")
+
 
 DEFAULT_CAPS = OracleCaps()
-
-# rows of the largest multiplicity grid: every grid the default caps allow
-# (three multiplicities per edge), and not one row more
-MULTIPLICITY_MAX_ROWS = 3**DEFAULT_CAPS.multiplicity_edges
-
-# cells of the largest Held-Karp table, 2^(l-1) subsets by l-1 last
-# waypoints for l waypoints: every table the default caps allow, and not
-# one cell more
-HELDKARP_MAX_CELLS = (DEFAULT_CAPS.heldkarp_waypoints - 1) << (DEFAULT_CAPS.heldkarp_waypoints - 1)
 
 
 def make_solution(inst: Instance, multiplicity) -> SolutionMultigraph:
@@ -138,15 +140,6 @@ def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
 
 # -- engine 1: multiplicity enumeration -------------------------------------
 
-def _check_grid_rows(bases) -> None:
-    """ScaleError when more than MULTIPLICITY_MAX_ROWS vectors x have
-    0 <= x[i] < bases[i]."""
-    total = math.prod(bases)
-    if total > MULTIPLICITY_MAX_ROWS:
-        raise ScaleError(f"oracle scale exceeded: multiplicity grid of {total} rows"
-                         f" > {MULTIPLICITY_MAX_ROWS}")
-
-
 def multiplicity_grid(bases, values, op=np.add) -> np.ndarray:
     """Fold one value per edge over every vector x with 0 <= x[i] < bases[i].
 
@@ -154,10 +147,7 @@ def multiplicity_grid(bases, values, op=np.add) -> np.ndarray:
     combines values[i][x[i]] over all edges with the ufunc `op`, for the x
     of mixed-radix index j = x[0] + bases[0] * (x[1] + bases[1] * (...)), so
     x[0] varies fastest.  Each edge costs one broadcast, out =
-    op(table[:, None], out[None, :]).ravel(); no vector is stored.
-    ScaleError, before anything is allocated, past MULTIPLICITY_MAX_ROWS
-    entries."""
-    _check_grid_rows(bases)
+    op(table[:, None], out[None, :]).ravel(); no vector is stored."""
     tables = [np.asarray(values[i][:base]) for i, base in enumerate(bases)]
     out = tables[0]
     for table in tables[1:]:
@@ -177,23 +167,19 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         return OptResult(False, None, None)
     bases = [inst.effective_capacity(e) + 1 for e in inst.edges]
 
-    # one bit per touched vertex.  Within the row bound at most 22 edges
-    # (2^22 <= 3^14), so 44 vertices, fit; the row guard runs first so that
-    # an oversized input still fails as a scale error
-    _check_grid_rows(bases)
-    if len(touched) > 62:
-        raise InvariantError(f"{len(touched)} touched vertices exceed a 62-bit mask")
-    dtype = np.int32 if len(touched) < 31 else np.int64
+    # one bit per touched vertex: the edge cap's 14 edges touch at most 28
+    if len(touched) > 30:
+        raise InvariantError(f"{len(touched)} touched vertices exceed a 30-bit mask")
     bit = {v: 1 << i for i, v in enumerate(touched)}
     wmask = sum(bit[w] for w in inst.waypoints)
     ends = [bit[e.u] | bit[e.v] for e in inst.edges]
     # an edge flips its ends' degree parity when taken once, covers them when taken at all
-    parity = multiplicity_grid(bases, np.array([[0, b, 0] for b in ends], dtype=dtype),
+    parity = multiplicity_grid(bases, np.array([[0, b, 0] for b in ends], dtype=np.int32),
                                np.bitwise_xor)
     ok = parity == 0
     del parity  # one mask array alive at a time
     cover = multiplicity_grid(bases, np.array([[0, b & wmask, b & wmask] for b in ends],
-                                              dtype=dtype), np.bitwise_or)
+                                              dtype=np.int32), np.bitwise_or)
     ok &= cover == wmask
     del cover
     cand = np.flatnonzero(ok)
@@ -305,9 +291,6 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
     if ell <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
     k = ell - 1  # waypoint 0 starts the tour; the table is over the other k
-    if k << k > HELDKARP_MAX_CELLS:
-        raise ScaleError(f"oracle scale exceeded: Held-Karp table of {k << k} cells"
-                         f" > {HELDKARP_MAX_CELLS}")
 
     d, expand = _apsp_with_paths(inst, wps)
     if None in d[0]:

@@ -1,12 +1,16 @@
-"""Golden digests of `tspkern kernelize` output.
+"""Golden digests of `tspkern kernelize` and `tspkern solve` output.
 
-Each case writes a planted instance, runs `kernelize` in process once with
-`--report json` and once with `--report text`, and hashes the exit code,
-stdout, stderr and kernel file of each call into one sha256.  The digests
-live in `kernelize.json` beside this script; `tests/test_golden.py`
-recomputes them.  A change that is meant to keep every output the same
-must leave them unchanged; a change that is meant to alter an output
-regenerates the file and says which digests moved and why.
+Each input is a planted instance.  `kernelize` runs on it in process once
+with `--report json` and once with `--report text`; each call's exit code,
+stdout, stderr and kernel file are hashed into one sha256.  `solve` (engine
+auto) runs on it once; its exit code, stdout without the `witness
+multiplicities:` line, and stderr are hashed, and the witness is checked
+with `check_certificate` instead, so an engine change that breaks ties
+differently keeps the digest.  The digests live in `kernelize.json` and
+`solve.json` beside this script; `tests/test_golden.py` recomputes them.
+A change that is meant to keep every output the same must leave them
+unchanged; a change that is meant to alter an output regenerates the files
+and says which digests moved and why.
 
 Run from the repository root:
 
@@ -28,11 +32,13 @@ from pathlib import Path
 from tspkern import cli
 from tspkern.gadgets import gen_planted
 from tspkern.instance import as_wrp, render_instance
+from tspkern.oracle import check_certificate, make_solution
 
-GOLDEN = Path(__file__).resolve().parent / "kernelize.json"
+HERE = Path(__file__).resolve().parent
 SIZES = range(7, 13)
 SEEDS = range(3)
 FORMATS = ("json", "text")
+WITNESS = "witness multiplicities:"
 
 # name -> (kind, gen_planted regime, k, r, reinterpret as wrp, kernelize regime)
 CASES = {
@@ -62,36 +68,64 @@ def inputs():
         yield f"{name} n={n} seed={seed}", as_wrp(inst) if wrp else inst, regime, r
 
 
-def digest(argv, kernel: Path, work: str) -> str:
-    """sha256 over one in-process CLI call's exit code, stdout, stderr and
-    kernel file, with the work directory masked out of the streams."""
+def call(argv, work: str):
+    """One in-process CLI call: its exit code, stdout and stderr, with the
+    work directory masked out of the streams."""
     out, err = io.StringIO(), io.StringIO()
-    kernel.unlink(missing_ok=True)
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
-    text = kernel.read_text(encoding="utf-8") if kernel.exists() else None
-    record = [code, out.getvalue().replace(work, "<work>"),
-              err.getvalue().replace(work, "<work>"), text]
+    return code, out.getvalue().replace(work, "<work>"), err.getvalue().replace(work, "<work>")
+
+
+def sha256(record) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
-def digests() -> dict[str, str]:
+def kernelize_digests(work: str, src: Path) -> dict[str, str]:
+    kernel = Path(work) / "kernel.grw"
     out = {}
-    with tempfile.TemporaryDirectory() as work:
-        src, kernel = Path(work) / "input.grw", Path(work) / "kernel.grw"
-        for label, inst, regime, r in inputs():
-            src.write_text(render_instance(inst), encoding="utf-8")
-            for fmt in FORMATS:
-                argv = ["kernelize", str(src), str(kernel), "--regime", regime,
-                        "--r", str(r), "--report", fmt]
-                out[f"{label} {fmt}"] = digest(argv, kernel, work)
+    for label, inst, regime, r in inputs():
+        src.write_text(render_instance(inst), encoding="utf-8")
+        for fmt in FORMATS:
+            kernel.unlink(missing_ok=True)
+            code, stdout, stderr = call(["kernelize", str(src), str(kernel), "--regime", regime,
+                                         "--r", str(r), "--report", fmt], work)
+            text = kernel.read_text(encoding="utf-8") if kernel.exists() else None
+            out[f"{label} {fmt}"] = sha256([code, stdout, stderr, text])
     return out
 
 
+def solve_digests(work: str, src: Path) -> dict[str, str]:
+    """ValueError when a witness is not a certificate at its optimum."""
+    out = {}
+    for label, inst, _, _ in inputs():
+        src.write_text(render_instance(inst), encoding="utf-8")
+        code, stdout, stderr = call(["solve", str(src)], work)
+        lines = stdout.splitlines(keepends=True)
+        for line in lines:
+            if line.startswith(WITNESS):
+                sol = make_solution(inst, map(int, line[len(WITNESS):].split()))
+                if f"yes {sol.total_weight}\n" not in lines or not check_certificate(inst, sol):
+                    raise ValueError(f"{label}: the witness is not a certificate at the optimum")
+        kept = "".join(line for line in lines if not line.startswith(WITNESS))
+        out[label] = sha256([code, kept, stderr])
+    return out
+
+
+FILES = {"kernelize.json": kernelize_digests, "solve.json": solve_digests}
+
+
+def digests() -> dict[str, dict[str, str]]:
+    """Golden file name -> its digests, recomputed."""
+    with tempfile.TemporaryDirectory() as work:
+        src = Path(work) / "input.grw"
+        return {name: compute(work, src) for name, compute in FILES.items()}
+
+
 def main() -> int:
-    got = digests()
-    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(got)} digests to {GOLDEN.name}")
+    for name, got in digests().items():
+        (HERE / name).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(got)} digests to {name}")
     return 0
 
 

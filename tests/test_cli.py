@@ -83,34 +83,30 @@ def test_solve_scale_exit(monkeypatch, triangle):
     assert main(["solve", triangle]) == 3
 
 
-def test_multiplicity_grid_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
-    # a 30-cycle of capacity-2 edges: the grid would have 3^30 rows
+def test_multiplicity_grid_guard_is_scale_exit(tmp_path, capsys):
+    """A 30-cycle of capacity-2 edges, whose grid would have 3^30 rows,
+    stops at the edge cap before any grid is built."""
     edges = "".join(f"e {i} {i % 30 + 1} 1 2\n" for i in range(1, 31))
     path = tmp_path / "x.grw"
     path.write_text(f"p wrp 30 30\nb 99\nw 1 2\n{edges}")
-    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "30")
     assert main(["solve", str(path), "--engine", "multiplicity"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("scale exceeded:") and f"{3**30} rows" in err
+    assert err == "scale exceeded: oracle scale exceeded: 30 edges > cap 14\n"
 
 
 def test_heldkarp_table_guard_is_scale_exit(monkeypatch, tmp_path, capsys):
-    """A cap raised to 30 admits 24 waypoints, whose table would have
-    23 * 2^23 cells, past the 17 * 2^17 of the default cap: the run stops
-    at once with one line, before any shortest-path search, not after
-    hours or an allocation of gigabytes."""
+    """24 waypoints, whose table would have 23 * 2^23 cells, stop at the
+    waypoint cap at once with one line, before any shortest-path search,
+    not after hours or an allocation of gigabytes."""
     edges = "".join(f"e {i} {i % 30 + 1} 1\n" for i in range(1, 31))
     path = tmp_path / "x.grw"
     path.write_text(f"p stsp 30 30\nb 99\nw {' '.join(map(str, range(1, 25)))}\n{edges}")
-    monkeypatch.setenv("TSPKERN_CAP_HK_WAYPOINTS", "30")
     monkeypatch.setattr(oracle, "_apsp_with_paths", None)  # calling it would raise TypeError
-    assert oracle.HELDKARP_MAX_CELLS == 17 << 17
     start = time.perf_counter()
-    assert main(["solve", str(path)]) == 3
+    assert main(["solve", str(path), "--engine", "heldkarp"]) == 3
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
-    assert err == (f"scale exceeded: oracle scale exceeded: Held-Karp table of {23 << 23} cells"
-                   f" > {17 << 17}\n")
+    assert err == "scale exceeded: oracle scale exceeded: 24 waypoints > cap 18\n"
 
 
 def _child_env():
@@ -176,10 +172,26 @@ def test_directory_input_is_usage_error(tmp_path, capsys):
 
 
 def test_non_integer_cap_is_usage_error(monkeypatch, triangle, capsys):
-    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "abc")
-    assert main(["solve", triangle]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: TSPKERN_CAP_MULT_EDGES") and err.count("\n") == 1
+    """A TSPKERN_CAP_* value that is not an integer, or that is above its
+    default, exits 2 with one line naming the variable; a cap may only be
+    lowered, so a value equal to the default changes nothing."""
+    assert main(["solve", triangle]) == 0
+    unset = capsys.readouterr()
+    for var, name in (("TSPKERN_CAP_MULT_EDGES", "multiplicity_edges"),
+                      ("TSPKERN_CAP_HK_WAYPOINTS", "heldkarp_waypoints"),
+                      ("TSPKERN_CAP_TW_WIDTH", "treewidth_width")):
+        default = getattr(oracle.DEFAULT_CAPS, name)
+        for raw in ("abc", str(default + 1)):
+            monkeypatch.setenv(var, raw)
+            assert main(["solve", triangle]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {var}") and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
+        monkeypatch.setenv(var, str(default))
+        assert main(["solve", triangle]) == 0
+        assert capsys.readouterr() == unset
+        monkeypatch.delenv(var)
 
 
 def test_kernelize_fes_report_text(tmp_path, capsys):

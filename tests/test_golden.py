@@ -1,15 +1,33 @@
-"""Kernelize outputs match the committed golden digests (tests/golden)."""
+"""Kernelize and solve outputs match the committed golden digests
+(tests/golden)."""
 
 import json
 import time
 
+import pytest
+
 from golden import regen
 
 
-def test_kernelize_outputs_match_golden_digests():
-    want = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))
+@pytest.fixture(scope="module")
+def recomputed():
+    """Both golden files' digests, recomputed within 15 s together."""
     t0 = time.perf_counter()
     got = regen.digests()
     assert time.perf_counter() - t0 < 15
+    return got
+
+
+def check(recomputed, name):
+    want = json.loads((regen.HERE / name).read_text(encoding="utf-8"))
+    got = recomputed[name]
     assert got.keys() == want.keys()
     assert [key for key in sorted(want) if got[key] != want[key]] == []
+
+
+def test_kernelize_outputs_match_golden_digests(recomputed):
+    check(recomputed, "kernelize.json")
+
+
+def test_solve_outputs_match_golden_digests(recomputed):
+    check(recomputed, "solve.json")

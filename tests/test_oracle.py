@@ -21,9 +21,8 @@ from lemmas import (
     split_into_segments,
 )
 from tspkern import oracle
-from tspkern.cli import main
 from tspkern.gadgets import REGIMES, gen_planted
-from tspkern.instance import KINDS, Edge, Instance, InvariantError, ScaleError, render_instance
+from tspkern.instance import KINDS, Edge, Instance, InvariantError, ScaleError
 from tspkern.oracle import (
     OracleCaps,
     check_certificate,
@@ -100,6 +99,24 @@ def test_mult_respects_cap():
     big = Instance("tsp", 3, inst.edges, inst.waypoints, 3)
     with pytest.raises(ScaleError):
         solve_exact_multiplicity(big, OracleCaps(multiplicity_edges=2))
+
+
+def test_caps_above_default_are_refused():
+    with pytest.raises(ValueError, match="heldkarp_waypoints"):
+        OracleCaps(heldkarp_waypoints=19)
+    assert OracleCaps(heldkarp_waypoints=18) == OracleCaps()
+
+
+def test_solve_auto_past_the_small_engines():
+    """30-cycles past the multiplicity and Held-Karp caps are solved by the
+    treewidth engine: 24 waypoints of a unit stsp cycle need the whole
+    cycle, and two adjacent waypoints of a capacity-2 wrp cycle need their
+    edge twice."""
+    cycle = [(i, (i + 1) % 30) for i in range(30)]
+    stsp = Instance("stsp", 30, tuple(Edge(u, v, 1) for u, v in cycle), frozenset(range(24)), 99)
+    wrp = Instance("wrp", 30, tuple(Edge(u, v, 1, 2) for u, v in cycle), frozenset({0, 1}), 99)
+    assert solve_auto(stsp).opt_weight == 30
+    assert solve_auto(wrp).opt_weight == 2
 
 
 def test_heldkarp_examples():
@@ -320,11 +337,6 @@ def test_treewidth_grid_5x5():
     assert check_certificate(inst, res.witness)
 
 
-def test_multiplicity_grid_row_bound():
-    with pytest.raises(ScaleError, match="rows"):
-        oracle.multiplicity_grid([3] * 14 + [2], [range(3)] * 14 + [range(2)])
-
-
 def test_multiplicity_grid_folds_in_mixed_radix_order():
     bases = [2, 3, 1, 3]
     # x[0] varies fastest: product varies its last factor fastest, so reverse
@@ -408,34 +420,9 @@ def test_multiplicity_engine_matches_brute_force(seed, big):
     assert (res.witness.multiplicity if res.witness else None) == witness, inst
 
 
-def test_multiplicity_engine_wide_masks(monkeypatch, tmp_path, capsys):
-    """32 touched vertices need 64-bit vertex masks: an 8-cycle with a chord
-    holds the waypoints, and 12 disjoint edges touch 24 more vertices.  21
-    capacity-1 edges make 2^21 vectors, inside the row bound, so a raised
-    edge cap lets the multiplicity engine run."""
-    rng = random.Random(3)
-    pairs = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
-    pairs += [(8 + 2 * i, 9 + 2 * i) for i in range(12)]
-    edges = tuple(Edge(u, v, rng.randint(1, 20), 1) for u, v in pairs)
-    inst = Instance("wrp", 32, edges, frozenset({0, 2, 5}), 10**6)
-    with mock.patch.object(oracle, "multiplicity_grid", wraps=oracle.multiplicity_grid) as grid:
-        res = solve_exact_multiplicity(inst, OracleCaps(multiplicity_edges=21))
-    assert {c.args[1].dtype for c in grid.call_args_list} == {np.dtype(np.int64)}
-    ref = solve_treewidth(inst)
-    assert (res.opt_weight, res.feasible) == (ref.opt_weight, ref.feasible) and res.feasible
-    assert check_certificate(inst, res.witness)
-
-    path = tmp_path / "wide.grw"
-    path.write_text(render_instance(inst))
-    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "21")
-    assert main(["solve", str(path), "--engine", "multiplicity"]) == 0
-    mult = " ".join(map(str, res.witness.multiplicity))
-    assert capsys.readouterr().out == f"yes {ref.opt_weight}\nwitness multiplicities: {mult}\n"
-
-
 def test_multiplicity_engine_memory():
     """14 capacity-2 edges on 8 vertices, every vertex a waypoint: 3^14
-    vectors, the most the row bound allows.  Two flat 4-byte masks per
+    vectors, the most the default edge cap allows.  Two flat 4-byte masks per
     vector stay well under what a materialized vector grid needs."""
     rng = random.Random(7)
     order = rng.sample(range(8), 8)
