@@ -1,14 +1,22 @@
-"""Golden digests of `tspkern kernelize` and `tspkern solve` output.
+"""Golden digests of `tspkern kernelize`, `solve` and `verify` output.
 
-Each input is a planted instance.  `kernelize` runs on it in process once
-with `--report json` and once with `--report text`; each call's exit code,
-stdout, stderr and kernel file are hashed into one sha256.  `solve` (engine
-auto) runs on it once; its exit code, stdout without the `witness
-multiplicities:` line, and stderr are hashed, and the witness is checked
-with `check_certificate` instead, so an engine change that breaks ties
-differently keeps the digest.  The digests live in `kernelize.json` and
-`solve.json` beside this script; `tests/test_golden.py` recomputes them.
-A change that is meant to keep every output the same must leave them
+Each input of `kernelize.json` and `solve.json` is a planted instance.
+`kernelize` runs on it in process once with `--report json` and once with
+`--report text`; each call's exit code, stdout, stderr and kernel file are
+hashed into one sha256.  `solve` (engine auto) runs on it once; its exit
+code, stdout without the `witness multiplicities:` line, and stderr are
+hashed, and the witness is checked with `check_certificate` instead, so an
+engine change that breaks ties differently keeps the digest.
+
+`corpora.json` covers the seed-1 corpora of the three benchmark workloads
+(`perfbench/corpus.py`).  Each operation runs through `perfbench/run.py`'s
+`run_op`, so the argv are the benchmark's own, and each of its calls gets
+one sha256 over the exit code, stdout, stderr and (for `kernelize`) the
+kernel file, with the work directory masked.  Solve witnesses are checked
+and dropped as above.
+
+The digests live beside this script; `tests/test_golden.py` recomputes
+them.  A change that is meant to keep every output the same must leave them
 unchanged; a change that is meant to alter an output regenerates the files
 and says which digests moved and why.
 
@@ -31,13 +39,18 @@ from pathlib import Path
 
 from tspkern import cli
 from tspkern.gadgets import gen_planted
-from tspkern.instance import as_wrp, render_instance
+from tspkern.instance import as_wrp, parse_instance, render_instance
 from tspkern.oracle import check_certificate, make_solution
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent.parent / "perfbench"))
+import corpus  # noqa: E402  (perfbench/corpus.py)
+import run as bench  # noqa: E402  (perfbench/run.py)
+
 SIZES = range(7, 13)
 SEEDS = range(3)
 FORMATS = ("json", "text")
+CORPUS_SEED = 1
 WITNESS = "witness multiplicities:"
 
 # name -> (kind, gen_planted regime, k, r, reinterpret as wrp, kernelize regime)
@@ -81,8 +94,20 @@ def sha256(record) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
-def kernelize_digests(work: str, src: Path) -> dict[str, str]:
-    kernel = Path(work) / "kernel.grw"
+def without_witness(label: str, inst, stdout: str) -> str:
+    """`stdout` without its witness line; ValueError when the witness is
+    not a certificate at the printed optimum."""
+    lines = stdout.splitlines(keepends=True)
+    for line in lines:
+        if line.startswith(WITNESS):
+            sol = make_solution(inst, map(int, line[len(WITNESS):].split()))
+            if f"yes {sol.total_weight}\n" not in lines or not check_certificate(inst, sol):
+                raise ValueError(f"{label}: the witness is not a certificate at the optimum")
+    return "".join(line for line in lines if not line.startswith(WITNESS))
+
+
+def kernelize_digests(work: str) -> dict[str, str]:
+    src, kernel = Path(work) / "input.grw", Path(work) / "kernel.grw"
     out = {}
     for label, inst, regime, r in inputs():
         src.write_text(render_instance(inst), encoding="utf-8")
@@ -95,31 +120,47 @@ def kernelize_digests(work: str, src: Path) -> dict[str, str]:
     return out
 
 
-def solve_digests(work: str, src: Path) -> dict[str, str]:
-    """ValueError when a witness is not a certificate at its optimum."""
+def solve_digests(work: str) -> dict[str, str]:
+    src = Path(work) / "input.grw"
     out = {}
     for label, inst, _, _ in inputs():
         src.write_text(render_instance(inst), encoding="utf-8")
         code, stdout, stderr = call(["solve", str(src)], work)
-        lines = stdout.splitlines(keepends=True)
-        for line in lines:
-            if line.startswith(WITNESS):
-                sol = make_solution(inst, map(int, line[len(WITNESS):].split()))
-                if f"yes {sol.total_weight}\n" not in lines or not check_certificate(inst, sol):
-                    raise ValueError(f"{label}: the witness is not a certificate at the optimum")
-        kept = "".join(line for line in lines if not line.startswith(WITNESS))
-        out[label] = sha256([code, kept, stderr])
+        out[label] = sha256([code, without_witness(label, inst, stdout), stderr])
     return out
 
 
-FILES = {"kernelize.json": kernelize_digests, "solve.json": solve_digests}
+def corpora_digests(work: str) -> dict[str, str]:
+    out = {}
+    for workload, build in corpus.BUILDERS.items():
+        root = Path(work) / workload
+        inputs_dir, kernels = root / "corpus", root / "kernels"
+        inputs_dir.mkdir(parents=True)
+        kernels.mkdir()
+        files, ops = build(CORPUS_SEED)
+        for name, text in files.items():
+            (inputs_dir / name).write_text(text, encoding="utf-8")
+        for op in ops:
+            kernel = kernels / op["input"]
+            for c in bench.run_op(cli, op, inputs_dir, kernels):
+                label = f"{workload} {op['name']} {c.command}"
+                stdout, stderr = (s.replace(work, "<work>") for s in (c.stdout, c.stderr))
+                if c.command == "solve":
+                    stdout = without_witness(label, parse_instance(files[op["input"]]), stdout)
+                text = (kernel.read_text(encoding="utf-8")
+                        if c.command == "kernelize" and kernel.exists() else None)
+                out[label] = sha256([c.code, stdout, stderr, text])
+    return out
+
+
+FILES = {"kernelize.json": kernelize_digests, "solve.json": solve_digests,
+         "corpora.json": corpora_digests}
 
 
 def digests() -> dict[str, dict[str, str]]:
     """Golden file name -> its digests, recomputed."""
     with tempfile.TemporaryDirectory() as work:
-        src = Path(work) / "input.grw"
-        return {name: compute(work, src) for name, compute in FILES.items()}
+        return {name: compute(work) for name, compute in FILES.items()}
 
 
 def main() -> int:

@@ -1,4 +1,4 @@
-"""Kernelize and solve outputs match the committed golden digests
+"""Kernelize, solve and verify outputs match the committed golden digests
 (tests/golden)."""
 
 import json
@@ -11,7 +11,7 @@ from golden import regen
 
 @pytest.fixture(scope="module")
 def recomputed():
-    """Both golden files' digests, recomputed within 15 s together."""
+    """Every golden file's digests, recomputed within 15 s together."""
     t0 = time.perf_counter()
     got = regen.digests()
     assert time.perf_counter() - t0 < 15
@@ -31,3 +31,7 @@ def test_kernelize_outputs_match_golden_digests(recomputed):
 
 def test_solve_outputs_match_golden_digests(recomputed):
     check(recomputed, "solve.json")
+
+
+def test_corpora_outputs_match_golden_digests(recomputed):
+    check(recomputed, "corpora.json")
