@@ -4,18 +4,23 @@ Given a modulator M whose removal leaves small components (or short paths),
 each component C interacts with a solution through a "behavior": an edge
 multiset of G_C = G[C u M] minus modulator-internal edges, giving every
 C-vertex nonzero even degree, anchoring every piece at M, and crossing into
-M at most 2r times.  Components are fingerprinted by the impact (touched
-modulator vertices plus connectivity/parity representative edges) and pruned
-by the marking scheme in `marking`: each component is one unit.  Blue
-marking, which keeps shortest modulator-to-modulator paths, lives here.
+M at most 2r times.  Behaviors come from `oracle`'s multiplicity folds:
+`even_covering`, one bit per C-vertex, keeps the vectors of even nonzero
+C-degrees, an `np.add` fold bounds the crossings, and only the survivors
+are decoded and walked for M-anchoring.  Components are fingerprinted by
+the impact (touched modulator vertices plus connectivity/parity
+representative edges) and pruned by the marking scheme in `marking`: each
+component is one unit.  Blue marking, which keeps shortest
+modulator-to-modulator paths, lives here.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .instance import (
     Instance,
@@ -38,6 +43,7 @@ from .marking import (
     table_impacts,
     unit,
 )
+from .oracle import decode, even_covering, multiplicity_grid
 from .preprocess import rr_short_circuit
 from .report import KernelReport
 
@@ -57,50 +63,32 @@ def component_graph(inst: Instance, M, C) -> list[int]:
     return sorted({i for v in C for i in adj[v] if inst.edges[i].other(v) in inside})
 
 
-def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, int]) -> bool:
-    """The defining predicate: nonzero even C-degrees, M-anchored components,
-    at most 2r modulator-incident edge occurrences."""
-    M, Cset = set(M), set(C)
-    deg: dict[int, int] = {}
-    m_occ = 0
-    for i, c in edge_counts.items():
-        if c == 0:
-            continue
-        e = inst.edges[i]
-        if c > inst.effective_capacity(e):
-            return False
-        if not ({e.u, e.v} <= Cset | M) or {e.u, e.v} <= M:
-            return False
-        deg[e.u] = deg.get(e.u, 0) + c
-        deg[e.v] = deg.get(e.v, 0) + c
-        if e.u in M or e.v in M:
-            m_occ += c
-    if m_occ > 2 * r:
-        return False
-    for v in Cset:
-        d = deg.get(v, 0)
-        if d == 0 or d % 2:
-            return False
-    # no edge joins two modulator vertices, so every support component holds
-    # a C-vertex and must reach M
-    return all(not M.isdisjoint(comp) for comp in
-               component_walk(inst, [i for i, c in edge_counts.items() if c]))
-
-
 def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior]:
-    eids = component_graph(inst, M, C)
-    ranges = [range(inst.effective_capacity(inst.edges[i]) + 1) for i in eids]
-    space = 1
-    for rg in ranges:
-        space *= len(rg)
+    """Every behavior of C, in lexicographic order of its multiplicity
+    vector over `component_graph`'s edges."""
+    # the folds vary their first edge fastest, so they run over the edges reversed
+    eids = component_graph(inst, M, C)[::-1]
+    bases = [inst.effective_capacity(inst.edges[i]) + 1 for i in eids]
+    space = math.prod(bases)
     if space > BEHAVIOR_GUARD:
         raise ScaleError(f"behavior enumeration space {space} exceeds guard {BEHAVIOR_GUARD}")
+    if not eids:
+        return []
+    # one bit per C-vertex, which must get nonzero even degree, and at most
+    # 2r edge occurrences into M
+    M = set(M)
+    bit = {v: 1 << i for i, v in enumerate(sorted(C))}
+    ends = [bit.get(inst.edges[i].u, 0) | bit.get(inst.edges[i].v, 0) for i in eids]
+    index = even_covering(bases, ends, ends, sum(bit.values()))
+    into_m = [[0, 1, 2] if {inst.edges[i].u, inst.edges[i].v} & M else [0, 0, 0] for i in eids]
+    index = index[multiplicity_grid(bases, np.array(into_m, dtype=np.int32))[index] <= 2 * r]
     out = []
-    for counts in itertools.product(*ranges):
-        table = dict(zip(eids, counts))
-        if is_component_behavior(inst, M, C, r, table):
-            out.append(Behavior.of(inst, itertools.chain.from_iterable(
-                [i] * c for i, c in table.items())))
+    for row in decode(bases, index).tolist():
+        # no edge joins two modulator vertices, so every piece of the
+        # support holds a C-vertex and must reach M
+        if all(not M.isdisjoint(piece) for piece in
+               component_walk(inst, [i for i, c in zip(eids, row) if c])):
+            out.append(Behavior.of(inst, [i for i, c in zip(eids, row) for _ in range(c)]))
     return out
 
 

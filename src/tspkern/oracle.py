@@ -6,13 +6,16 @@ waypoints, capacities are respected, and the weight fits the budget.  With
 at most one waypoint the empty multigraph is the (unique) solution.
 
 Three exact engines, all desk-scale, each guarded by one cap of
-`OracleCaps`, whose defaults are the ceilings:
+`OracleCaps`, whose defaults are the ceilings; each checks its witness
+the same way (`_witnessed`):
   * solve_exact_multiplicity - enumerate multiplicity vectors in {0,1,2}^m
                                as two flat vertex-bitmask arrays, degree
                                parity and waypoint coverage, folded in one
-                               edge at a time; only the parity-even,
-                               covering vectors are decoded, weighed and
-                               tested for connectivity.
+                               edge at a time (`even_covering`, which also
+                               enumerates component behaviors in
+                               `modulator`); only the parity-even, covering
+                               vectors are decoded, weighed and tested for
+                               connectivity.
   * solve_heldkarp           - subset DP on the waypoint metric closure
                                (uncapacitated kinds only).  The closure
                                comes from one Dijkstra per waypoint, so
@@ -57,7 +60,6 @@ from __future__ import annotations
 import bisect
 import gc
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -155,6 +157,35 @@ def multiplicity_grid(bases, values, op=np.add) -> np.ndarray:
     return out
 
 
+def even_covering(bases, flips, covers, target) -> np.ndarray:
+    """The ascending mixed-radix indices, as in `multiplicity_grid`, of the
+    vectors x whose odd entries' `flips` masks XOR to 0 and whose nonzero
+    entries' `covers` masks OR to `target`.  Two int32 folds, one alive at a
+    time, so every mask must fit in 30 bits."""
+    if max([target, *flips, *covers]) >> 30:
+        raise InvariantError("vertex masks exceed 30 bits")
+    ok = multiplicity_grid(bases, np.array([[0, f, 0] for f in flips], dtype=np.int32),
+                           np.bitwise_xor) == 0
+    ok &= multiplicity_grid(bases, np.array([[0, c, c] for c in covers], dtype=np.int32),
+                            np.bitwise_or) == target
+    return np.flatnonzero(ok)
+
+
+def decode(bases, index) -> np.ndarray:
+    """The vectors of the mixed-radix indices `index`, one row each."""
+    return np.stack(np.unravel_index(index, bases, order="F"), axis=1)
+
+
+def _witnessed(inst: Instance, opt, sol: SolutionMultigraph, engine: str) -> OptResult:
+    """The result of optimum `opt` with witness `sol`; InvariantError unless
+    the witness weighs `opt` and, within budget, is a certificate."""
+    if sol.total_weight != opt:
+        raise InvariantError(f"{engine} witness weighs {sol.total_weight}, optimum {opt}")
+    if opt <= inst.budget and not check_certificate(inst, sol):
+        raise InvariantError(f"{engine} witness is not a certificate")
+    return OptResult(opt <= inst.budget, int(opt), sol)
+
+
 def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     m = len(inst.edges)
     if m > caps.multiplicity_edges:
@@ -167,31 +198,16 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         return OptResult(False, None, None)
     bases = [inst.effective_capacity(e) + 1 for e in inst.edges]
 
-    # one bit per touched vertex: the edge cap's 14 edges touch at most 28
-    if len(touched) > 30:
-        raise InvariantError(f"{len(touched)} touched vertices exceed a 30-bit mask")
+    # one bit per touched vertex: the edge cap's 14 edges touch at most 28;
+    # an edge flips its ends' degree parity when taken once, covers them
+    # when taken at all
     bit = {v: 1 << i for i, v in enumerate(touched)}
     wmask = sum(bit[w] for w in inst.waypoints)
     ends = [bit[e.u] | bit[e.v] for e in inst.edges]
-    # an edge flips its ends' degree parity when taken once, covers them when taken at all
-    parity = multiplicity_grid(bases, np.array([[0, b, 0] for b in ends], dtype=np.int32),
-                               np.bitwise_xor)
-    ok = parity == 0
-    del parity  # one mask array alive at a time
-    cover = multiplicity_grid(bases, np.array([[0, b & wmask, b & wmask] for b in ends],
-                                              dtype=np.int32), np.bitwise_or)
-    ok &= cover == wmask
-    del cover
-    cand = np.flatnonzero(ok)
+    cand = even_covering(bases, ends, [b & wmask for b in ends], wmask)
     if cand.size == 0:
         return OptResult(False, None, None)
-
-    # decode the candidates' vectors from their mixed-radix indices
-    counts = np.empty((cand.size, m), dtype=np.int64)
-    stride = 1
-    for i, base in enumerate(bases):
-        counts[:, i] = cand // stride % base
-        stride *= base
+    counts = decode(bases, cand)
 
     # weights whose sums could pass int64 are exact Python ints; `cand` is
     # ascending, so a stable sort breaks weight ties by vector index
@@ -210,7 +226,7 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
             conn_cache[key] = hit
         if hit:
             sol = make_solution(inst, (int(x) for x in row))
-            return OptResult(sol.total_weight <= inst.budget, sol.total_weight, sol)
+            return _witnessed(inst, sol.total_weight, sol, "multiplicity")
     return OptResult(False, None, None)
 
 
@@ -265,17 +281,16 @@ HELDKARP_SLICE = 1 << 12
 def _heldkarp_layers(k):
     """The cells (S, j) with j in S of a table over subsets S of k
     waypoints, layer by layer in the popcount of S from 2 to k, each layer
-    in slices of at most HELDKARP_SLICE subsets.  A slice is three int
-    arrays: the subsets S, the last waypoints j and the predecessor
-    subsets S ^ 1 << j."""
+    in ascending slices of at most HELDKARP_SLICE subsets.  A slice is
+    three int arrays: the subsets S, the last waypoints j and the
+    predecessor subsets S ^ 1 << j."""
     count = np.zeros(1, dtype=np.int8)
     for _ in range(k):  # popcount of every subset, doubling the range
         count = np.concatenate([count, count + 1])
-    by_count = np.argsort(count, kind="stable")
-    start = np.cumsum([0] + [math.comb(k, p) for p in range(k + 1)])
     for p in range(2, k + 1):
-        for lo in range(start[p], start[p + 1], HELDKARP_SLICE):
-            subsets = by_count[lo:min(lo + HELDKARP_SLICE, start[p + 1])]
+        layer = np.flatnonzero(count == p)
+        for lo in range(0, layer.size, HELDKARP_SLICE):
+            subsets = layer[lo:lo + HELDKARP_SLICE]
             row, j = np.nonzero(subsets[:, None] >> np.arange(k) & 1)
             S = subsets[row]
             yield S, j, S ^ (1 << j)
@@ -329,11 +344,7 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
     for a, b in zip(tour, tour[1:] + [0]):
         mult.update(expand(a, b))
     sol = make_solution(inst, (mult.get(i, 0) for i in range(len(inst.edges))))
-    if sol.total_weight != opt:
-        raise InvariantError(f"Held-Karp witness weighs {sol.total_weight}, optimum {opt}")
-    if opt <= inst.budget and not check_certificate(inst, sol):
-        raise InvariantError("Held-Karp witness is not a certificate")
-    return OptResult(opt <= inst.budget, opt, sol)
+    return _witnessed(inst, opt, sol, "Held-Karp")
 
 
 # -- engine 3: tree-decomposition DP -----------------------------------------
@@ -628,12 +639,7 @@ def _run_tw_dp(inst: Instance, ops) -> OptResult:
             trails.append(t[2])
         else:
             trails.extend(t)
-    sol = make_solution(inst, mult)
-    if sol.total_weight != opt:
-        raise InvariantError(f"treewidth witness weighs {sol.total_weight}, optimum {opt}")
-    if sol.total_weight <= inst.budget and not check_certificate(inst, sol):
-        raise InvariantError("treewidth witness is not a certificate")
-    return OptResult(opt <= inst.budget, int(opt), sol)
+    return _witnessed(inst, opt, make_solution(inst, mult), "treewidth")
 
 
 ENGINES = {

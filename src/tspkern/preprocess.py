@@ -126,10 +126,9 @@ def _fit_budget(new_sums, signs):
     lo = int(neg.max()) if neg.size else None  # b' must be > lo
     hi = int(pos.min()) if pos.size else None  # b' must be < hi
     if zero.size:
-        vals = set(int(z) for z in zero)
-        if len(vals) != 1:
+        b = int(zero[0])
+        if (zero != b).any():
             return None
-        b = vals.pop()
         if (lo is not None and b <= lo) or (hi is not None and b >= hi):
             return None
         return b

@@ -1,8 +1,10 @@
 """Empirical checkers for the lemmas that prove the kernels safe, run by
 the tests and not shipped with the package: nice solutions (`make_nice`),
 the behavior that a solution's Euler walk induces on a component
-(`solution_component_behavior`), blending for Subset TSP
-(`blend_behavior`), and positive weights (`ensure_positive_weights`).
+(`solution_component_behavior`), the defining predicate of a component
+behavior (`is_component_behavior`, the reference the enumerator is
+checked against), blending for Subset TSP (`blend_behavior`), and
+positive weights (`ensure_positive_weights`).
 """
 
 from __future__ import annotations
@@ -198,6 +200,36 @@ def solution_component_behavior(inst: Instance, walk: Walk, M, C) -> Behavior:
             edges.update(seg.edge_ids)
         visited |= here
     return Behavior.of(inst, edges.elements())
+
+
+def is_component_behavior(inst: Instance, M, C, r: int, edge_counts: dict[int, int]) -> bool:
+    """The defining predicate: nonzero even C-degrees, M-anchored components,
+    at most 2r modulator-incident edge occurrences."""
+    M, Cset = set(M), set(C)
+    deg: dict[int, int] = {}
+    m_occ = 0
+    for i, c in edge_counts.items():
+        if c == 0:
+            continue
+        e = inst.edges[i]
+        if c > inst.effective_capacity(e):
+            return False
+        if not ({e.u, e.v} <= Cset | M) or {e.u, e.v} <= M:
+            return False
+        deg[e.u] = deg.get(e.u, 0) + c
+        deg[e.v] = deg.get(e.v, 0) + c
+        if e.u in M or e.v in M:
+            m_occ += c
+    if m_occ > 2 * r:
+        return False
+    for v in Cset:
+        d = deg.get(v, 0)
+        if d == 0 or d % 2:
+            return False
+    # no edge joins two modulator vertices, so every support component holds
+    # a C-vertex and must reach M
+    return all(not M.isdisjoint(comp) for comp in
+               component_walk(inst, [i for i, c in edge_counts.items() if c]))
 
 
 # -- pieces and blending (subset kind) ---------------------------------------

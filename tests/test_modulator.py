@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import blend_behavior, pieces
+from lemmas import blend_behavior, is_component_behavior, pieces
 from tspkern.instance import Edge, Instance, InstanceError, ScaleError
 from tspkern.marking import Behavior
 from tspkern.modulator import (
@@ -15,7 +16,6 @@ from tspkern.modulator import (
     component_impact,
     component_unit,
     enumerate_component_behaviors,
-    is_component_behavior,
     rule_components_tsp,
     rule_paths_subtsp,
     saturate_path_nonterminals,
@@ -61,32 +61,49 @@ def test_enumerate_empty_for_isolated():
     assert enumerate_component_behaviors(inst, {0, 1}, {2}, 1) == []
 
 
-def test_naive_filter_crosscheck():
-    rng = random.Random(3)
-    for _ in range(25):
-        k = rng.randint(1, 3)
-        r = rng.randint(1, 3)
-        csize = rng.randint(1, r)
-        n = k + csize
-        edges = []
-        for a, b in itertools.combinations(range(k, n), 2):
-            if rng.random() < 0.6:
-                edges.append(Edge(a, b, rng.randint(1, 5)))
-        for c in range(k, n):
-            for m in range(k):
-                if rng.random() < 0.6:
-                    edges.append(Edge(m, c, rng.randint(1, 5)))
-        inst = Instance("stsp", n, tuple(edges), frozenset(range(n)), 99)
-        C = set(range(k, n))
-        got = {b.edges for b in enumerate_component_behaviors(inst, set(range(k)), C, r)}
-        eids = component_graph(inst, set(range(k)), C)
-        naive = set()
-        for counts in itertools.product((0, 1, 2), repeat=len(eids)):
-            table = dict(zip(eids, counts))
-            if is_component_behavior(inst, set(range(k)), C, r, table):
-                naive.add(tuple(sorted(itertools.chain.from_iterable(
-                    [i] * c for i, c in table.items()))))
-        assert got == naive
+@st.composite
+def component_cases(draw):
+    """(inst, M, C, r): a wrp instance on modulator M = {0..k-1} and
+    component C = {k..n-1}, with at most 8 capacity-1 or capacity-2 edges,
+    parallel and modulator-internal ones included, so some C-vertices may
+    have no edge in G_C."""
+    k, csize, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = k + csize
+    pairs = list(itertools.combinations(range(n), 2))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 5),
+                                    st.sampled_from((1, 2))), max_size=8))
+    edges = tuple(Edge(u, v, w, cap) for (u, v), w, cap in drawn)
+    return Instance("wrp", n, edges, frozenset(range(n)), 99), set(range(k)), set(range(k, n)), r
+
+
+@given(component_cases())
+@settings(max_examples=150, deadline=None)
+def test_naive_filter_crosscheck(case):
+    """The enumerator lists exactly the vectors over G_C's edges that the
+    defining predicate accepts, in lexicographic order."""
+    inst, M, C, r = case
+    eids = component_graph(inst, M, C)
+    naive = []
+    for counts in itertools.product(*(range(inst.effective_capacity(inst.edges[i]) + 1)
+                                      for i in eids)):
+        table = dict(zip(eids, counts))
+        if is_component_behavior(inst, M, C, r, table):
+            naive.append(Behavior.of(inst, [i for i, c in table.items() for _ in range(c)]))
+    assert enumerate_component_behaviors(inst, M, C, r) == naive
+
+
+def test_enumerate_at_the_guard():
+    """A 3-vertex path component with 4, 3 and 3 edges into a 10-vertex
+    modulator: 12 edges of G_C, 3^12 vectors, 6691 behaviors at r = 3."""
+    C = (10, 11, 12)
+    edges = (Edge(10, 11, 1), Edge(11, 12, 1)) + tuple(
+        Edge(m, C[(m >= 4) + (m >= 7)], 1 + m % 3) for m in range(10))
+    inst = Instance("tsp", 13, edges, frozenset(range(13)), 99)
+    assert 3 ** len(component_graph(inst, set(range(10)), set(C))) == BEHAVIOR_GUARD
+    t0 = time.perf_counter()
+    behaviors = enumerate_component_behaviors(inst, set(range(10)), set(C), 3)
+    assert time.perf_counter() - t0 < 2
+    assert len(behaviors) == 6691
 
 
 def test_natural_component():

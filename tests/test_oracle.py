@@ -16,6 +16,7 @@ from networkx.algorithms import approximation as nx_approx
 from lemmas import (
     euler_walk,
     find_component_preserving_cycle,
+    is_component_behavior,
     make_nice,
     solution_component_behavior,
     split_into_segments,
@@ -717,7 +718,6 @@ def test_segments_reconcatenate():
 
 
 def test_solution_component_behavior_predicate():
-    from tspkern.modulator import is_component_behavior
     rng = random.Random(11)
     checked = 0
     while checked < 40:
