@@ -9,6 +9,16 @@ fingerprint a behavior leaves on the cover or modulator.  The unit's
 *impact table* maps each impact of its behaviors to the least weight among
 them; the price of an impact is that weight minus the natural weight.
 
+A round builds its units once per *shape* (`shaped_unit`).  Behaviors and
+their impacts never read edge weights: they follow from the unit's shape,
+the weight-free key that `vc.vertex_unit` and `modulator.component_unit`
+compute from its edges into the cover or modulator, their effective
+capacities and, for a vertex, whether it is a waypoint.  The first unit of
+a shape enumerates its behaviors and their impacts, stored by edge
+position; every unit then maps them onto its own edge ids and weighs them
+with its own weights, which gives its natural behavior and its impact
+table.  The memo is a dict of the round: no shape outlives it.
+
 A round marks units in colors and deletes the rest:
 
 - red: for every pair (natural impact, impact in the table), the `cap`
@@ -57,14 +67,6 @@ class Behavior:
         return cls(edges, sum(inst.edges[i].weight for i in edges))
 
 
-def natural(behaviors, label: str) -> Behavior:
-    """The least behavior by (weight, edges); `label` names the unit in the
-    error raised when there is none."""
-    if not behaviors:
-        raise NoBehavior(f"{label} admits no behavior")
-    return min(behaviors, key=lambda b: (b.weight, b.edges))
-
-
 @dataclass(frozen=True)
 class Unit:
     deletes: tuple[int, ...]  # the vertices deleted with the unit
@@ -78,14 +80,35 @@ class Unit:
         return self.table[impact] - self.natural.weight
 
 
-def unit(label: str, deletes, behaviors, impact_of: Callable) -> Unit:
-    nat = natural(behaviors, label)
+def shaped_unit(shapes: dict, key: Hashable, label: str, deletes, inst: Instance, eids,
+                behaviors: Callable, impact_of: Callable) -> Unit:
+    """The unit on the edges `eids`, in ascending order, priced by `inst`'s
+    weights.  `key` is its shape: it must fix `behaviors()`, the unit's
+    behaviors, and `impact_of` on each of them, up to the map from position
+    in `eids` to edge id.  The first unit of a shape enumerates and stores
+    them in `shapes` as (edge positions, impact); later units of the shape
+    only weigh them.  `label` names the unit in the `NoBehavior` raised when
+    it has no behavior."""
+    shape = shapes.get(key)
+    if shape is None:
+        position = {i: p for p, i in enumerate(eids)}
+        shape = shapes[key] = [(tuple(position[i] for i in b.edges), impact_of(b))
+                               for b in behaviors()]
+    if not shape:
+        raise NoBehavior(f"{label} admits no behavior")
+    w = [inst.edges[i].weight for i in eids]
     table: dict = {}
-    for b in behaviors:
-        imp = impact_of(b)
-        if imp not in table or b.weight < table[imp]:
-            table[imp] = b.weight
-    return Unit(tuple(deletes), nat, impact_of(nat), table)
+    best = nat_imp = None
+    for at, imp in shape:
+        weight = sum(map(w.__getitem__, at))
+        if weight < table.get(imp, INF):
+            table[imp] = weight
+        # ids ascend with positions, so (weight, positions) orders the
+        # behaviors as (weight, edges) does
+        if best is None or (weight, at) < best:
+            best, nat_imp = (weight, at), imp
+    weight, at = best
+    return Unit(tuple(deletes), Behavior(tuple(eids[p] for p in at), weight), nat_imp, table)
 
 
 def collect_units(report: KernelReport, keys, make: Callable) -> list[Unit] | None:

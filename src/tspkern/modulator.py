@@ -10,8 +10,11 @@ C-degrees, an `np.add` fold bounds the crossings, and only the survivors
 are decoded and walked for M-anchoring.  Components are fingerprinted by
 the impact (touched modulator vertices plus connectivity/parity
 representative edges) and pruned by the marking scheme in `marking`: each
-component is one unit.  Blue marking, which keeps shortest
-modulator-to-modulator paths, lives here.
+component is one unit.  A round enumerates behaviors and impacts once per
+component shape (r, and the ends and effective capacity of each edge of
+G_C, with C-vertices by position and modulator vertices by id), and each
+component weighs them with its own weights.  Blue marking, which keeps
+shortest modulator-to-modulator paths, lives here.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .marking import (
     mark_red,
     settle,
     table_impacts,
-    unit,
+    shaped_unit,
 )
 from .oracle import decode, even_covering, multiplicity_grid
 from .preprocess import rr_short_circuit
@@ -120,8 +123,19 @@ def component_impact(inst: Instance, M, behavior: Behavior) -> ComponentImpact:
     return ComponentImpact(touched, tuple(sorted(rep.items())))
 
 
-def component_unit(inst: Instance, M, C, behaviors) -> Unit:
-    return unit(_label(C), C, behaviors, lambda b: component_impact(inst, M, b))
+def component_unit(inst: Instance, M, C, r: int, shapes: dict) -> Unit:
+    """The unit of component C.  `shapes` is a round's memo of component
+    shapes: r and, for each edge of `component_graph` in ascending id order,
+    the roles of its ends and its effective capacity.  A C-vertex's role is
+    its position in sorted C, a modulator vertex m's is ~m."""
+    eids = component_graph(inst, M, C)
+    role = {v: p for p, v in enumerate(sorted(C))}
+    edges = [inst.edges[i] for i in eids]
+    key = (r, tuple((role.get(e.u, ~e.u), role.get(e.v, ~e.v), inst.effective_capacity(e))
+                    for e in edges))
+    return shaped_unit(shapes, key, _label(C), C, inst, eids,
+                       lambda: enumerate_component_behaviors(inst, M, C, r),
+                       lambda b: component_impact(inst, M, b))
 
 
 def _shortest_mm_paths(inst: Instance, M, C):
@@ -176,8 +190,8 @@ def _modulator_round(inst: Instance, M, r: int, rule: str, report: KernelReport,
     `report`.  `yellow_cap`, given for the subset kind only, maps
     (k, impact count) to the yellow cap."""
     comps = inst.components(without=M)
-    units = collect_units(report, comps, lambda C: component_unit(
-        inst, M, C, enumerate_component_behaviors(inst, M, C, r)))
+    shapes: dict = {}
+    units = collect_units(report, comps, lambda C: component_unit(inst, M, C, r, shapes))
     if units is None:
         return inst
     k = len(M)

@@ -464,7 +464,8 @@ def _decompose(inst: Instance):
             bag, up_bag, up = walk.pop()
             for v in bag:
                 core_bags_of.setdefault(v, []).append(len(bags))
-            walk.extend((b, bag, len(bags)) for b in tree.neighbors(bag) if b != up_bag)
+            children = [(b, bag, len(bags)) for b in tree.neighbors(bag) if b != up_bag]
+            walk.extend(reversed(children))  # so they are laid out in neighbour order
             bags.append(bag)
             parent.append(up)
 

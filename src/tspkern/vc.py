@@ -5,7 +5,10 @@ A solution restricted to r is a "behavior": a small multiset of r's edges
 (two occurrences for the all-waypoint kind; zero, two, or four for the
 capacitated kind).  The impact of a behavior is the set of cover vertices it
 touches, and for the capacitated kind also the parity of each touch.  Each
-vertex outside M is one unit of the marking scheme in `marking`.
+vertex outside M is one unit of the marking scheme in `marking`.  Neither
+depends on weights, so a round enumerates them once per vertex shape: the
+kind, whether the vertex is a waypoint, and the cover vertex and effective
+capacity of each of its edges.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .marking import (
     mark_red,
     settle,
     table_impacts,
-    unit,
+    shaped_unit,
 )
 from .report import KernelReport
 
@@ -80,9 +83,17 @@ def vertex_impact(inst: Instance, r: int, behavior: Behavior) -> VertexImpact:
     return VertexImpact(touched, classes)
 
 
-def vertex_unit(inst: Instance, M, r: int) -> Unit:
-    return unit(f"vertex {r + 1}", (r,), enumerate_vertex_behaviors(inst, M, r),
-                lambda b: vertex_impact(inst, r, b))
+def vertex_unit(inst: Instance, M, r: int, shapes: dict) -> Unit:
+    """The unit of vertex r.  `shapes` is a round's memo of vertex shapes:
+    the kind, whether r is a waypoint, and the cover vertex and effective
+    capacity of each edge at r, in `adjacency()` order."""
+    eids = inst.adjacency()[r]
+    edges = [inst.edges[i] for i in eids]
+    key = (inst.kind, r in inst.waypoints,
+           tuple((e.other(r), inst.effective_capacity(e)) for e in edges))
+    return shaped_unit(shapes, key, f"vertex {r + 1}", (r,), inst, eids,
+                       lambda: enumerate_vertex_behaviors(inst, M, r),
+                       lambda b: vertex_impact(inst, r, b))
 
 
 def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:
@@ -91,7 +102,8 @@ def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r))
+    shapes: dict = {}
+    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, shapes))
     if units is None:
         return inst
     impacts = table_impacts(units)
@@ -112,7 +124,8 @@ def rule_vc_wrp(inst: Instance, M, report: KernelReport) -> Instance:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r))
+    shapes: dict = {}
+    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, shapes))
     if units is None:
         return inst
     ni = len(table_impacts(units))

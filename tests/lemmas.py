@@ -3,8 +3,10 @@ the tests and not shipped with the package: nice solutions (`make_nice`),
 the behavior that a solution's Euler walk induces on a component
 (`solution_component_behavior`), the defining predicate of a component
 behavior (`is_component_behavior`, the reference the enumerator is
-checked against), blending for Subset TSP (`blend_behavior`), and
-positive weights (`ensure_positive_weights`).
+checked against), blending for Subset TSP (`blend_behavior`),
+positive weights (`ensure_positive_weights`), and the plain build of a
+marking unit from its own behaviors (`unit`, the reference a round's
+units, built once per shape, are checked against).
 """
 
 from __future__ import annotations
@@ -22,10 +24,32 @@ from tspkern.instance import (
     component_walk,
     non_forest,
 )
-from tspkern.marking import Behavior, natural
+from tspkern.marking import Behavior, NoBehavior, Unit
 from tspkern.modulator import _label, component_impact, enumerate_component_behaviors
 from tspkern.oracle import SolutionMultigraph, check_certificate, make_solution
 from tspkern.preprocess import RuleOutcome, reduced, unchanged
+
+
+# -- marking units -----------------------------------------------------------
+
+def natural(behaviors, label: str) -> Behavior:
+    """The least behavior by (weight, edges); `label` names the unit in the
+    error raised when there is none."""
+    if not behaviors:
+        raise NoBehavior(f"{label} admits no behavior")
+    return min(behaviors, key=lambda b: (b.weight, b.edges))
+
+
+def unit(label: str, deletes, behaviors, impact_of) -> Unit:
+    """The unit built from its own behaviors, each weighed and fingerprinted
+    where it stands."""
+    nat = natural(behaviors, label)
+    table: dict = {}
+    for b in behaviors:
+        imp = impact_of(b)
+        if imp not in table or b.weight < table[imp]:
+            table[imp] = b.weight
+    return Unit(tuple(deletes), nat, impact_of(nat), table)
 
 
 # -- nice solutions ----------------------------------------------------------

@@ -304,7 +304,7 @@ def test_06_blending():
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, behaviors).natural
+        nat = component_unit(inst, M, C, r, {}).natural
         nat_touch = component_impact(inst, M, nat).touched
         for A in rng.sample(behaviors, len(behaviors)):
             a_touch = component_impact(inst, M, A).touched

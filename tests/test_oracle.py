@@ -338,6 +338,20 @@ def test_treewidth_grid_5x5():
     assert check_certificate(inst, res.witness)
 
 
+def test_treewidth_grid_5x5_join_work(monkeypatch):
+    """The DP's work depends on how the decomposition is laid out, not only
+    on its width.  With the core's bags laid out in networkx's neighbour
+    order the unit 5x5 grid merges blocks 37 518 times (networkx 3.6); with
+    that order reversed it merged them 91 952 times and took 2-3x longer."""
+    merges = []
+    merge = oracle._merge_blocks
+    monkeypatch.setattr(oracle, "_merge_blocks", lambda *a: merges.append(1) or merge(*a))
+    inst = Instance("wrp", 25, tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(5, 5)),
+                    frozenset(range(25)), 26)
+    assert solve_treewidth(inst).opt_weight == 26
+    assert len(merges) <= 60_000
+
+
 def test_multiplicity_grid_folds_in_mixed_radix_order():
     bases = [2, 3, 1, 3]
     # x[0] varies fastest: product varies its last factor fastest, so reverse

@@ -83,20 +83,20 @@ def test_enumerate_wrp_matches_bruteforce(seed):
 
 def test_natural_tsp_doubled_cheapest():
     inst = two_neighbor_tsp()
-    nat = vertex_unit(inst, {0, 1}, 2).natural
+    nat = vertex_unit(inst, {0, 1}, 2, {}).natural
     assert nat.edges == (1, 1) and nat.weight == 4
 
 
 def test_natural_tsp_tie_lowest_index():
     inst = two_neighbor_tsp(2, 2)
-    nat = vertex_unit(inst, {0, 1}, 2).natural
+    nat = vertex_unit(inst, {0, 1}, 2, {}).natural
     assert nat.edges == (1, 1)
     assert nat == Behavior.of(inst, (1, 1))
 
 
 def test_natural_wrp_nonwaypoint_empty():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0}), 9)
-    nat = vertex_unit(inst, {0}, 1).natural
+    nat = vertex_unit(inst, {0}, 1, {}).natural
     assert nat.edges == () and nat.weight == 0
 
 
@@ -115,7 +115,7 @@ def test_impacts():
 
 def test_prices_tsp():
     inst = two_neighbor_tsp()  # weights 2, 5 -> b_nat weight 4
-    u = vertex_unit(inst, {0, 1}, 2)
+    u = vertex_unit(inst, {0, 1}, 2, {})
     assert u.price(VertexImpact(frozenset({1}))) == 6
     assert u.price(VertexImpact(frozenset({0, 1}))) == 3
     assert u.price(VertexImpact(frozenset({0, 1, 2}))) == float("inf")
@@ -125,7 +125,7 @@ def test_price_wrp_mismatch_infinite():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0, 1}), 9)
     nat_imp = VertexImpact(frozenset({0}), ((0, 2),))
     wrong = VertexImpact(frozenset(), ())
-    u = vertex_unit(inst, {0}, 1)
+    u = vertex_unit(inst, {0}, 1, {})
     # a unit is priced from its own natural impact only
     assert u.impact != wrong and u.price(wrong) == float("inf")
     assert u.impact == nat_imp and u.price(nat_imp) == 0
@@ -169,7 +169,7 @@ def test_impact_bound_is_checked(monkeypatch):
 
 def test_close_round_checks_parity():
     inst = two_neighbor_tsp()
-    nat = vertex_unit(inst, {0, 1}, 2).natural
+    nat = vertex_unit(inst, {0, 1}, 2, {}).natural
     lone = Unit((2,), nat, vertex_impact(inst, 2, nat), {})
     with pytest.raises(InvariantError, match="odd number"):
         close_round(inst, KernelReport(pipeline="vc-wrp"), "rule_vc_wrp", [lone], set(),
