@@ -98,7 +98,11 @@ def cmd_solve(args) -> int:
     engines = {"auto": oracle.solve_auto, **oracle.ENGINES}
     res = engines[args.engine](inst, caps)
     if args.cross_check:
-        name, check = (("treewidth", oracle.solve_treewidth) if args.engine != "treewidth"
+        # check with an engine other than the one that ran.  auto runs the
+        # treewidth engine only on inputs that no other engine's cap admits,
+        # so there the check raises ScaleError
+        ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
+        name, check = (("treewidth", oracle.solve_treewidth) if ran != "treewidth"
                        else ("multiplicity", oracle.solve_exact_multiplicity))
         other = check(inst, caps)
         print(f"cross-check optimum: {other.opt_weight}")

@@ -59,6 +59,13 @@ class ComponentImpact:
     touched: frozenset[int]
     rep_edges: tuple[tuple[tuple[int, int], int], ...]  # ((mi, mj), mult)
 
+    # hashed once, as `vc.VertexImpact` is
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.touched, self.rep_edges)))
+
+    def __hash__(self):
+        return self._hash
+
 
 def component_graph(inst: Instance, M, C) -> list[int]:
     """Edge indices of G_C: all edges inside C or between C and M."""
@@ -123,12 +130,12 @@ def component_impact(inst: Instance, M, behavior: Behavior) -> ComponentImpact:
     return ComponentImpact(touched, tuple(sorted(rep.items())))
 
 
-def component_unit(inst: Instance, M, C, r: int, shapes: dict) -> Unit:
-    """The unit of component C.  `shapes` is a round's memo of component
-    shapes: r and, for each edge of `component_graph` in ascending id order,
-    the roles of its ends and its effective capacity.  A C-vertex's role is
-    its position in sorted C, a modulator vertex m's is ~m."""
-    eids = component_graph(inst, M, C)
+def component_unit(inst: Instance, M, C, r: int, shapes: dict, eids) -> Unit:
+    """The unit of component C, whose `component_graph` is `eids`.  `shapes`
+    is a round's memo of component shapes: r and, for each edge of G_C in
+    ascending id order, the roles of its ends and its effective capacity.  A
+    C-vertex's role is its position in sorted C, a modulator vertex m's is
+    ~m."""
     role = {v: p for p, v in enumerate(sorted(C))}
     edges = [inst.edges[i] for i in eids]
     key = (r, tuple((role.get(e.u, ~e.u), role.get(e.v, ~e.v), inst.effective_capacity(e))
@@ -138,10 +145,9 @@ def component_unit(inst: Instance, M, C, r: int, shapes: dict) -> Unit:
                        lambda b: component_impact(inst, M, b))
 
 
-def _shortest_mm_paths(inst: Instance, M, C):
-    """dict (u,v) -> shortest u-v distance through G_C, for u < v in M."""
-    eids = component_graph(inst, M, C)
-    Cset = set(C)
+def _shortest_mm_paths(inst: Instance, M, eids):
+    """dict (u,v) -> shortest u-v distance through G_C, whose edges are
+    `eids`, for u < v in M."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for i in eids:
         e = inst.edges[i]
@@ -173,12 +179,13 @@ def _shortest_mm_paths(inst: Instance, M, C):
     return out
 
 
-def _mark_blue(inst: Instance, M, comps) -> set[int]:
+def _mark_blue(inst: Instance, M, graphs) -> set[int]:
     """Per pair of modulator vertices joined through some component, the
-    component of least (shortest path length, index)."""
+    component of least (shortest path length, index).  `graphs` holds each
+    component's G_C."""
     best: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci, comp in enumerate(comps):
-        for pair, dist in _shortest_mm_paths(inst, M, comp).items():
+    for ci, eids in enumerate(graphs):
+        for pair, dist in _shortest_mm_paths(inst, M, eids).items():
             if pair not in best or (dist, ci) < best[pair]:
                 best[pair] = (dist, ci)
     return {ci for _, ci in best.values()}
@@ -190,14 +197,18 @@ def _modulator_round(inst: Instance, M, r: int, rule: str, report: KernelReport,
     `report`.  `yellow_cap`, given for the subset kind only, maps
     (k, impact count) to the yellow cap."""
     comps = inst.components(without=M)
+    # each component's G_C, once; components are disjoint, so their least
+    # vertices tell them apart
+    graphs = {C[0]: component_graph(inst, M, C) for C in comps}
     shapes: dict = {}
-    units = collect_units(report, comps, lambda C: component_unit(inst, M, C, r, shapes))
+    units = collect_units(report, comps,
+                          lambda C: component_unit(inst, M, C, r, shapes, graphs[C[0]]))
     if units is None:
         return inst
     k = len(M)
     ni = len(table_impacts(units))
     red = mark_red(units, 2 * ni**2 + 2 * k)
-    blue = _mark_blue(inst, M, comps)
+    blue = _mark_blue(inst, M, graphs.values())
     cap = 0 if yellow_cap is None else yellow_cap(k, ni)
     yellow, green, promotions = settle(units, red | blue, inst.waypoints, cap)
     report.add_marks("red", len(red))

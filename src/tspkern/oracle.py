@@ -39,25 +39,30 @@ the same way (`_witnessed`):
                                only the core left, where every degree is
                                at least 3, goes to networkx's min-fill-in
                                heuristic, and networkx is imported only
-                               when there is such a core.  The DP runs
+                               when there is such a core.  The solve runs
                                with the cyclic garbage collector paused.
-                               Each table is grouped by partition: the
+                               Each vertex owns one bit for the whole run,
+                               the least bit free in the top bag that
+                               holds it, so no two vertices of a bag share
+                               one and at most width + 1 are used.  Each
+                               table is grouped by partition: the
                                connected blocks of the used bag vertices,
-                               as position bitmasks, plus a sealed flag
-                               key a group, and a group maps each degree
-                               parity bitmask to its best cost.  So the
-                               partition work is done once per group, and
-                               a join merges each pair of partitions once
-                               before an XOR pass over their parities.
-                               Each entry carries a trail, a shared tuple
-                               tree of the edge multiplicities it chose,
-                               so the witness is read off the final state
-                               without keeping earlier tables.
+                               as bit masks, plus a sealed flag key a
+                               group, and a group maps each degree parity
+                               mask to its best cost.  An intro leaves the
+                               table as it is, a forget clears one bit
+                               once per group, an edge copies only the
+                               groups it adds to, and a join merges each
+                               pair of partitions once before an XOR pass
+                               over their parities.  Each entry carries a
+                               trail, a shared tuple tree of the edge
+                               multiplicities it chose, so the witness is
+                               read off the final state without keeping
+                               earlier tables.
 """
 
 from __future__ import annotations
 
-import bisect
 import gc
 import heapq
 from collections import Counter
@@ -358,7 +363,21 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
     """
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
+    # the decomposition, the ops and the DP's tables hold no reference
+    # cycles, so the cyclic collector would only rescan them as they grow
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        ops, bit = _nice_ops(inst, caps)
+        return _run_tw_dp(inst, ops, bit)
+    finally:
+        if collecting:
+            gc.enable()
 
+
+def _nice_ops(inst: Instance, caps: OracleCaps):
+    """(ops, bit): the postfix ops of a nice tree decomposition of `inst`,
+    within the width cap, and the bit each vertex owns in the DP."""
     width, bags, parent = _decompose(inst)
     if width > caps.treewidth_width:
         raise ScaleError(f"oracle scale exceeded: decomposition width {width} > cap {caps.treewidth_width}")
@@ -366,18 +385,29 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
     for b in range(1, len(bags)):
         children[parent[b]].append(b)
 
-    # home each edge in the first bag, by index, holding both endpoints:
-    # the first bag in the shorter of the two endpoints' bag lists that
-    # holds the other endpoint
-    bags_of = [[] for _ in range(inst.n)]
+    # each vertex's top bag is its first bag by index, since parent[b] < b.
+    # There it takes, for the whole run, the least bit that no vertex of
+    # that bag holds.  A vertex's bags form a subtree, so two vertices that
+    # share any bag both lie in the top bag of the lower one, and the bits
+    # are distinct within every bag
+    top, bit = [-1] * inst.n, [-1] * inst.n
     for b, bag in enumerate(bags):
-        for v in bag:
-            bags_of[v].append(b)
+        new = [v for v in bag if top[v] < 0]
+        if new:
+            held = 0
+            for v in bag:
+                if top[v] >= 0:
+                    held |= 1 << bit[v]
+            for v in sorted(new):
+                top[v], bit[v] = b, (~held & held + 1).bit_length() - 1  # held's least clear bit
+                held |= 1 << bit[v]
+
+    # home each edge in the first bag, by index, holding both ends: the
+    # top bag of the lower of the two ends' tops
     homed = [[] for _ in bags]
     for i, e in enumerate(inst.edges):
-        u, v = (e.u, e.v) if len(bags_of[e.u]) <= len(bags_of[e.v]) else (e.v, e.u)
-        b = next((b for b in bags_of[u] if v in bags[b]), None)
-        if b is None:
+        b = max(top[e.u], top[e.v])
+        if e.u not in bags[b] or e.v not in bags[b]:
             raise InvariantError("tree decomposition misses an edge")
         homed[b].append(i)
 
@@ -402,8 +432,7 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
         else:
             ops.extend(("edge", i) for i in homed[b])
     ops.extend(("forget", v) for v in sorted(bags[0]))
-
-    return _run_tw_dp(inst, ops)
+    return ops, bit
 
 
 def _decompose(inst: Instance):
@@ -492,8 +521,12 @@ def _decompose(inst: Instance):
 
 def _merge_blocks(blocks1, blocks2):
     """The finest partition coarser than both: each block of `blocks2`
-    absorbs the blocks it meets.  Blocks are disjoint bag-position masks,
-    returned in ascending order."""
+    absorbs the blocks it meets.  Blocks are disjoint vertex-bit masks,
+    given and returned in ascending order."""
+    if not blocks2:
+        return blocks1
+    if not blocks1:
+        return blocks2
     blocks = list(blocks1)
     for b in blocks2:
         rest = []
@@ -507,124 +540,133 @@ def _merge_blocks(blocks1, blocks2):
     return tuple(sorted(blocks))
 
 
-def _run_tw_dp(inst: Instance, ops) -> OptResult:
-    """Run the postfix `ops` over a stack of (bag tuple, table) pairs.
+def _run_tw_dp(inst: Instance, ops, bit) -> OptResult:
+    """Run the postfix `ops` on the table of the current subtree, with a
+    stack of finished left subtrees waiting for their join.
 
-    Bag positions are bit positions.  A table is grouped by partition: it
-    maps (blocks, done) to a group, where `blocks` lists the connected
-    blocks of used bag vertices as disjoint position masks in ascending
-    order and `done` says a block was sealed (forgotten whole).  A group
-    maps a parity mask, whose bit i is the degree parity of bag position
-    i, to (cost, trail).  Intro, forget and edge do their partition work
-    (insert or drop a position, merge two blocks) once per group, and each
-    parity entry then costs a few bit operations.  A join merges each
+    Vertex v owns bit `bit[v]` for the whole run, and no two vertices of a
+    bag own the same bit.  A table is grouped by partition: it maps (blocks,
+    done) to a group, where `blocks` lists the connected blocks of used bag
+    vertices as disjoint bit masks in ascending order and `done` says a
+    block was sealed (forgotten whole).  A group maps a parity mask, whose
+    bit `bit[v]` is the degree parity of bag vertex v, to (cost, trail).
+
+    Every bit a mask holds belongs to a vertex of the bag, so an intro finds
+    its vertex's bit clear everywhere and leaves the table as it is.  A
+    forget drops the entries where its vertex's degree is odd and clears its
+    bit from its block, once per group; no other mask moves.  An edge adds
+    its multiplicities to the groups whose partition it reaches, copying
+    only those, and merges the partition once per group.  A join merges each
     compatible pair of groups' partitions once and takes the min-plus XOR
-    product of their parity entries.
+    product of their parity entries.  An op's input table is dropped once
+    the op is done, so an op may keep or change its groups in place.
 
     The trail is the witness of a cost: None, (edge, multiplicity, trail)
     for an edge taken a positive number of times, or (left trail, right
     trail) at a join.  Intro and forget pass it through, so only the final
     state's trail is read back.
     """
-    W = inst.waypoints
-    stack: list[tuple[tuple, dict]] = []
-    # the tables hold only tuples and dicts, no reference cycles, so the
-    # cyclic collector would only rescan them as they grow
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for op, arg in ops:
-            if op == "leaf":
-                bag = ()
-                table = {((), False): {0: (0, None)}}
-            elif op == "intro":
-                bag0, t0 = stack.pop()
-                p = bisect.bisect_left(bag0, arg)
-                bag = bag0[:p] + (arg,) + bag0[p:]
-                low = (1 << p) - 1
-                # a clear bit inserted at p keeps masks in ascending order
-                table = {(tuple([(m & low) | (m >> p << p + 1) for m in blocks]), done):
-                         {(mask & low) | (mask >> p << p + 1): entry
-                          for mask, entry in group.items()}
-                         for (blocks, done), group in t0.items()}
-            elif op == "forget":
-                bag0, t0 = stack.pop()
-                p = bag0.index(arg)
-                bag = bag0[:p] + bag0[p + 1:]
-                low, bit = (1 << p) - 1, 1 << p
-                table = {}
-                for (blocks, done), group in t0.items():
-                    if bit in blocks:  # the vertex's block ends here: seal it
+    if not ops or ops[0][0] != "leaf":
+        raise InvariantError("tree-decomposition ops do not start with a leaf")
+    W, edges = inst.waypoints, inst.edges
+    merge_blocks = _merge_blocks
+    stack: list[tuple[frozenset, int, dict]] = []  # (bag, held bits, table) of left subtrees
+    bag, held, table = frozenset(), 0, None  # the current subtree's
+    for op, arg in ops:
+        if op == "intro":
+            b = 1 << bit[arg]
+            if held & b:
+                raise InvariantError(f"intro of vertex {arg} onto a held bit")
+            bag, held = bag | {arg}, held | b
+        elif op == "edge":
+            e = edges[arg]
+            if e.u not in bag or e.v not in bag:
+                raise InvariantError(f"edge {arg} has an end outside the bag")
+            cap = inst.effective_capacity(e)
+            if not cap:
+                continue
+            bu, bv = 1 << bit[e.u], 1 << bit[e.v]
+            pair, flip = (bu | bv,), bu ^ bv
+            t0, table = table, dict(table)  # multiplicity 0
+            copied = {}  # the groups this edge adds to, copied on first use
+            for (blocks, done), group in t0.items():
+                if done:
+                    continue
+                state = (merge_blocks(blocks, pair), False)
+                out = copied.get(state)
+                if out is None:
+                    out = copied[state] = table[state] = dict(t0.get(state, ()))
+                for mult in range(1, cap + 1):
+                    add, odd = mult * e.weight, flip if mult % 2 else 0
+                    for mask, (cost, trail) in group.items():
+                        key, ncost = mask ^ odd, cost + add
+                        old = out.get(key)
+                        if old is None or ncost < old[0]:
+                            out[key] = (ncost, (arg, mult, trail))
+        elif op == "forget":
+            if arg not in bag:
+                raise InvariantError(f"forget of vertex {arg} outside the bag")
+            b = 1 << bit[arg]
+            bag, held = bag - {arg}, held ^ b
+            t0, table, emptied = table, {}, False
+            for state, group in t0.items():
+                blocks, done = state
+                if sum(blocks) & b:  # the blocks are disjoint: their sum is their union
+                    if b in blocks:  # the vertex's block ends here: seal it
                         if done or len(blocks) > 1:
                             continue
                         state = ((), True)
-                    elif arg in W and not any(m & bit for m in blocks):
-                        continue  # a waypoint left unused
                     else:
-                        kept = sorted([(m & low) | (m >> p + 1 << p) for m in blocks])
-                        state = (tuple(kept), done)
-                    out = table.setdefault(state, {})
-                    for mask, entry in group.items():
-                        if mask & bit:
-                            continue
-                        key = (mask & low) | (mask >> p + 1 << p)
-                        old = out.get(key)
-                        if old is None or entry[0] < old[0]:
-                            out[key] = entry
+                        state = (tuple(sorted([m & ~b for m in blocks])), done)
+                    # keep the entries where the vertex's degree is even
+                    group = {m: entry for m, entry in group.items() if not m & b}
+                elif arg in W:
+                    continue  # a waypoint left unused
+                # an unused vertex's parity bit is clear: the group passes as it is
+                out = table.get(state)
+                if out is None:
+                    table[state] = group
+                    emptied = emptied or not group
+                    continue
+                for m, entry in group.items():
+                    old = out.get(m)
+                    if old is None or entry[0] < old[0]:
+                        out[m] = entry
+            if emptied:
                 table = {state: group for state, group in table.items() if group}
-            elif op == "edge":
-                bag0, t0 = stack.pop()
-                bag = bag0
-                e = inst.edges[arg]
-                bu, bv = 1 << bag.index(e.u), 1 << bag.index(e.v)
-                flip = bu ^ bv
-                cap = inst.effective_capacity(e)
-                table = {state: dict(group) for state, group in t0.items()}  # multiplicity 0
-                for (blocks, done), group in t0.items():
-                    if done or cap == 0:
+        elif op == "leaf":
+            if table is not None:
+                stack.append((bag, held, table))
+            bag, held, table = frozenset(), 0, {((), False): {0: (0, None)}}
+        elif op == "join":
+            if not stack:
+                raise InvariantError("join without a left subtree")
+            bag_l, _, t_l = stack.pop()
+            if bag_l != bag:
+                raise InvariantError(f"join of unequal bags {sorted(bag_l)} and {sorted(bag)}")
+            rights = [(blocks, done, list(group.items()))
+                      for (blocks, done), group in table.items()]
+            table = {}
+            for (blocks1, done1), group in t_l.items():
+                lefts = list(group.items())
+                for blocks2, done2, items2 in rights:
+                    # a sealed side must have used nothing the other side uses
+                    if done1 and (done2 or blocks2) or done2 and blocks1:
                         continue
-                    out = table.setdefault((_merge_blocks(blocks, (bu | bv,)), False), {})
-                    for mult in range(1, cap + 1):
-                        add, odd = mult * e.weight, flip if mult % 2 else 0
-                        for mask, (cost, trail) in group.items():
-                            key, ncost = mask ^ odd, cost + add
+                    state = (merge_blocks(blocks1, blocks2), done1 or done2)
+                    out = table.setdefault(state, {})
+                    for m1, (c1, trail1) in lefts:
+                        for m2, (c2, trail2) in items2:
+                            key, ncost = m1 ^ m2, c1 + c2
                             old = out.get(key)
                             if old is None or ncost < old[0]:
-                                out[key] = (ncost, (arg, mult, trail))
-            elif op == "join":
-                bag_r, t_r = stack.pop()
-                bag_l, t_l = stack.pop()
-                if bag_l != bag_r:
-                    raise InvariantError(f"join of unequal bags {bag_l} and {bag_r}")
-                bag = bag_l
-                rights = [(blocks, done, list(group.items()))
-                          for (blocks, done), group in t_r.items()]
-                table = {}
-                for (blocks1, done1), group in t_l.items():
-                    lefts = list(group.items())
-                    for blocks2, done2, items2 in rights:
-                        # a sealed side must have used nothing the other side uses
-                        if done1 and (done2 or blocks2) or done2 and blocks1:
-                            continue
-                        state = (_merge_blocks(blocks1, blocks2), done1 or done2)
-                        out = table.setdefault(state, {})
-                        for m1, (c1, trail1) in lefts:
-                            for m2, (c2, trail2) in items2:
-                                key, ncost = m1 ^ m2, c1 + c2
-                                old = out.get(key)
-                                if old is None or ncost < old[0]:
-                                    out[key] = (ncost, (trail1, trail2))
-            else:
-                raise InvariantError(f"unknown tree-decomposition op {op!r}")
-            stack.append((bag, table))
+                                out[key] = (ncost, (trail1, trail2))
+        else:
+            raise InvariantError(f"unknown tree-decomposition op {op!r}")
 
-    finally:
-        if collecting:
-            gc.enable()
-
-    if len(stack) != 1 or stack[0][0] != ():
+    if stack or bag:
         raise InvariantError("tree-decomposition ops do not end in one empty bag")
-    final = stack[0][1].get(((), True), {}).get(0)
+    final = table.get(((), True), {}).get(0)
     if final is None:
         return OptResult(False, None, None)
     opt, trail = final
@@ -650,11 +692,23 @@ ENGINES = {
 }
 
 
+def auto_engine(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> str:
+    """The name, in ENGINES, of the engine `solve_auto` runs on `inst`: the
+    first of multiplicity and Held-Karp whose cap the input fits, else the
+    treewidth engine, whose cap is checked when it runs."""
+    if len(inst.edges) <= caps.multiplicity_edges:
+        return "multiplicity"
+    if inst.kind != KIND_WRP and len(inst.waypoints) <= caps.heldkarp_waypoints:
+        return "heldkarp"
+    return "treewidth"
+
+
 def solve_auto(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     """Solve with the widest applicable engine; ScaleError if none fits."""
-    if len(inst.edges) <= caps.multiplicity_edges:
+    engine = auto_engine(inst, caps)
+    if engine == "multiplicity":
         return solve_exact_multiplicity(inst, caps)
-    if inst.kind != KIND_WRP and len(inst.waypoints) <= caps.heldkarp_waypoints:
+    if engine == "heldkarp":
         return solve_heldkarp(inst, caps)
     return solve_treewidth(inst, caps)
 

@@ -35,6 +35,15 @@ class VertexImpact:
     touched: frozenset[int]
     degrees: tuple[tuple[int, int], ...] | None = None  # (m, parity class), wrp only
 
+    # impacts key the tables and red-marking buckets of a round, and a frozen
+    # dataclass rebuilds the tuple of its fields for every hash: take the
+    # same hash once
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.touched, self.degrees)))
+
+    def __hash__(self):
+        return self._hash
+
 
 def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
     if r in M:

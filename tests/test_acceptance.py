@@ -25,6 +25,7 @@ from tspkern.gadgets import (
 )
 from tspkern.instance import Edge, Instance, compute_fes, render_instance
 from tspkern.modulator import (
+    component_graph,
     component_impact,
     component_unit,
     enumerate_component_behaviors,
@@ -304,7 +305,7 @@ def test_06_blending():
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, r, {}).natural
+        nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
         nat_touch = component_impact(inst, M, nat).touched
         for A in rng.sample(behaviors, len(behaviors)):
             a_touch = component_impact(inst, M, A).touched

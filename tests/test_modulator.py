@@ -38,7 +38,7 @@ def test_component_graph_drops_modulator_edges():
 
 
 def _natural(inst, M, C, r):
-    return component_unit(inst, M, C, r, {}).natural
+    return component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
 
 
 def test_enumerate_singleton():
@@ -165,7 +165,7 @@ def test_parity_law(seed):
 def test_price_component_basics():
     inst = singleton_component()
     behaviors = enumerate_component_behaviors(inst, {0, 1}, {2}, 1)
-    u = component_unit(inst, {0, 1}, {2}, 1, {})
+    u = component_unit(inst, {0, 1}, {2}, 1, {}, component_graph(inst, {0, 1}, {2}))
     nat_imp = component_impact(inst, {0, 1}, u.natural)
     assert u.impact == nat_imp and u.price(nat_imp) == 0
     other = [component_impact(inst, {0, 1}, b) for b in behaviors
@@ -279,7 +279,7 @@ def test_natural_pieces_two_legged(seed):
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, r, {}).natural
+        nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
         assert all(len(p.legs) == 2 for p in pieces(inst, M, nat))
 
 
@@ -294,7 +294,7 @@ def _blend_cases(rng, count):
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, r, {}).natural
+        nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
         nat_touch = component_impact(inst, M, nat).touched
         for A in behaviors:
             a_touch = component_impact(inst, M, A).touched

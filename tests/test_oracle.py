@@ -296,10 +296,10 @@ def _connected_multigraph(rng: random.Random):
 
 
 def _treewidth_with_ops(inst):
-    """solve_treewidth's result and the op list its DP ran."""
+    """solve_treewidth's result, and the op list and vertex bits its DP ran."""
     with mock.patch.object(oracle, "_run_tw_dp", wraps=oracle._run_tw_dp) as dp:
         res = solve_treewidth(inst)
-    return res, dp.call_args.args[1]
+    return res, dp.call_args.args[1], dp.call_args.args[2]
 
 
 @given(st.integers(0, 10**6))
@@ -308,7 +308,7 @@ def test_treewidth_engine_agrees_through_joins(seed):
     rng = random.Random(seed)
     for _ in range(20):  # most draws decompose with a join; keep the first that does
         inst = _connected_multigraph(rng)
-        c, ops = _treewidth_with_ops(inst)
+        c, ops, _ = _treewidth_with_ops(inst)
         if any(op == "join" for op, _ in ops):
             break
     assert any(op == "join" for op, _ in ops)
@@ -317,6 +317,44 @@ def test_treewidth_engine_agrees_through_joins(seed):
     if c.opt_weight is not None:
         at_opt = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, c.opt_weight)
         assert check_certificate(at_opt, c.witness)
+
+
+def _bags_of_ops(ops):
+    """Every bag the ops build, one per intro.  A join's two bags are
+    equal, so the bag of the subtree last built carries on past it."""
+    bag = set()
+    for op, arg in ops:
+        if op == "leaf":
+            bag = set()
+        elif op == "intro":
+            bag.add(arg)
+            yield frozenset(bag)
+        elif op == "forget":
+            bag.discard(arg)
+
+
+@pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "random"])
+def test_treewidth_bits_distinct_within_every_bag(case):
+    """The DP gives each vertex one bit for the whole run: no two vertices
+    of a bag may share it, and at most width + 1 bits are used."""
+    rng = random.Random(5)
+    if case.startswith("grid"):
+        rows = int(case[-1])
+        edges = tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(rows, rows))
+        insts = [Instance("wrp", rows * rows, edges, frozenset(range(rows * rows)), 0)]
+    elif case == "planted":
+        insts = [gen_planted(kind, regime, 3, 2, 120, seed=seed)
+                 for seed, kind in enumerate(KINDS) for regime in REGIMES]
+    else:
+        insts = [_connected_multigraph(rng) for _ in range(60)]
+    for inst in insts:
+        _, ops, bit = _treewidth_with_ops(inst)
+        width = oracle._decompose(inst)[0]
+        bags = set(_bags_of_ops(ops))
+        assert max(map(len, bags)) == width + 1
+        for bag in bags:
+            assert len({bit[v] for v in bag}) == len(bag), (inst, sorted(bag))
+        assert 0 <= min(bit) and max(bit) <= width, inst
 
 
 def _grid_pairs(rows, cols):
@@ -566,10 +604,13 @@ def test_decomposition_never_wider_than_networkx():
     ([("leaf", None), ("bogus", None)], "unknown"),
     ([("leaf", None), ("intro", 0), ("leaf", None), ("join", None)], "unequal bags"),
     ([("leaf", None), ("intro", 0)], "one empty bag"),
-], ids=["unknown-op", "unequal-join", "open-stack"])
+    ([("leaf", None), ("intro", 0), ("intro", 2), ("edge", 0)], "outside the bag"),
+], ids=["unknown-op", "unequal-join", "open-stack", "edge-outside-bag"])
 def test_treewidth_dp_rejects_malformed_ops(ops, message):
+    """Malformed ops raise InvariantError, not an assert that `python -O`
+    strips or a bare ValueError.  Vertex v of the triangle owns bit v."""
     with pytest.raises(InvariantError, match=message):
-        oracle._run_tw_dp(triangle(), ops)
+        oracle._run_tw_dp(triangle(), ops, [0, 1, 2])
 
 
 def test_equivalent():
