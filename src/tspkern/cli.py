@@ -96,12 +96,13 @@ def cmd_solve(args) -> int:
     inst = _read(args.input)
     caps = _caps_from_env()
     engines = {"auto": oracle.solve_auto, **oracle.ENGINES}
+    # a cross-check runs another engine; auto runs the treewidth engine only
+    # when no other cap admits the input, so there the check stops up front
+    ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
+    if args.cross_check and ran == "treewidth":
+        oracle.check_multiplicity_cap(inst, caps)
     res = engines[args.engine](inst, caps)
     if args.cross_check:
-        # check with an engine other than the one that ran.  auto runs the
-        # treewidth engine only on inputs that no other engine's cap admits,
-        # so there the check raises ScaleError
-        ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
         name, check = (("treewidth", oracle.solve_treewidth) if ran != "treewidth"
                        else ("multiplicity", oracle.solve_exact_multiplicity))
         other = check(inst, caps)

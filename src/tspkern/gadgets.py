@@ -341,14 +341,11 @@ def gen_planted(kind: str, regime: str, k: int, r: int, n: int,
         if len(waypoints) < 2:
             waypoints = frozenset(range(min(2, n)))
 
-    probe = Instance(kind, n, tuple(edges), waypoints, 0, hint)
-    total = probe.total_weight()
+    budget = 2 * sum(e.weight for e in edges)
     try:
-        res = solve_auto(Instance(kind, n, tuple(edges), waypoints, 2 * total + 1, hint))
+        res = solve_auto(Instance(kind, n, tuple(edges), waypoints, budget + 1, hint))
         if res.feasible:
             budget = res.opt_weight + rng.randint(-2, 2)
-        else:
-            budget = 2 * total
-    except ScaleError:
-        budget = 2 * total
+    except ScaleError:  # no engine in reach: the heuristic budget stays
+        pass
     return Instance(kind, n, tuple(edges), waypoints, budget, hint)

@@ -5,16 +5,17 @@ each component C interacts with a solution through a "behavior": an edge
 multiset of G_C = G[C u M] minus modulator-internal edges, giving every
 C-vertex nonzero even degree, anchoring every piece at M, and crossing into
 M at most 2r times.  Behaviors come from `oracle`'s multiplicity folds:
-`even_covering`, one bit per C-vertex, keeps the vectors of even nonzero
-C-degrees, an `np.add` fold bounds the crossings, and only the survivors
-are decoded and walked for M-anchoring.  Components are fingerprinted by
-the impact (touched modulator vertices plus connectivity/parity
-representative edges) and pruned by the marking scheme in `marking`: each
-component is one unit.  A round enumerates behaviors and impacts once per
-component shape (r, and the ends and effective capacity of each edge of
-G_C, with C-vertices by position and modulator vertices by id), and each
-component weighs them with its own weights.  Blue marking, which keeps
-shortest modulator-to-modulator paths, lives here.
+`even_covering` keeps the vectors of even nonzero C-degrees, an `np.add`
+fold bounds the crossings, and a survivor is kept when its edges' end
+masks merge (`oracle._merge_blocks`) into blocks that each hold a
+modulator vertex.  Components are fingerprinted by the impact (touched
+modulator vertices plus connectivity/parity representative edges) and
+pruned by the marking scheme in `marking`: each component is one unit.  A
+round enumerates behaviors and impacts once per component shape (r, and
+the ends and effective capacity of each edge of G_C, with C-vertices by
+position and modulator vertices by id), and each component weighs them
+with its own weights.  Blue marking, which keeps shortest
+modulator-to-modulator paths, lives here.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .marking import (
     table_impacts,
     shaped_unit,
 )
-from .oracle import decode, even_covering, multiplicity_grid
+from .oracle import _merge_blocks, decode, even_covering, multiplicity_grid
 from .preprocess import rr_short_circuit
 from .report import KernelReport
 
@@ -84,20 +85,21 @@ def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior
         raise ScaleError(f"behavior enumeration space {space} exceeds guard {BEHAVIOR_GUARD}")
     if not eids:
         return []
-    # one bit per C-vertex, which must get nonzero even degree, and at most
-    # 2r edge occurrences into M
-    M = set(M)
-    bit = {v: 1 << i for i, v in enumerate(sorted(C))}
-    ends = [bit.get(inst.edges[i].u, 0) | bit.get(inst.edges[i].v, 0) for i in eids]
-    index = even_covering(bases, ends, ends, sum(bit.values()))
-    into_m = [[0, 1, 2] if {inst.edges[i].u, inst.edges[i].v} & M else [0, 0, 0] for i in eids]
+    # one bit per vertex of G_C, the C-vertices' lowest, so a mask above `cmask`
+    # holds a modulator vertex; C-degrees even and nonzero, at most 2r into M
+    bit = {v: 1 << p for p, v in enumerate([*sorted(C), *M])}
+    cmask = (1 << len(C)) - 1
+    ends = [bit[inst.edges[i].u] | bit[inst.edges[i].v] for i in eids]
+    cends = [b & cmask for b in ends]
+    index = even_covering(bases, cends, cends, cmask)
+    into_m = [[0, 1, 2] if b > cmask else [0, 0, 0] for b in ends]
     index = index[multiplicity_grid(bases, np.array(into_m, dtype=np.int32))[index] <= 2 * r]
     out = []
     for row in decode(bases, index).tolist():
         # no edge joins two modulator vertices, so every piece of the
         # support holds a C-vertex and must reach M
-        if all(not M.isdisjoint(piece) for piece in
-               component_walk(inst, [i for i, c in zip(eids, row) if c])):
+        masks = [b for b, c in zip(ends, row) if c]
+        if all(block > cmask for block in _merge_blocks(masks[:1], masks)):
             out.append(Behavior.of(inst, [i for i, c in zip(eids, row) for _ in range(c)]))
     return out
 

@@ -14,8 +14,9 @@ the same way (`_witnessed`):
                                edge at a time (`even_covering`, which also
                                enumerates component behaviors in
                                `modulator`); only the parity-even, covering
-                               vectors are decoded, weighed and tested for
-                               connectivity.
+                               vectors are decoded, weighed and, in weight
+                               order, tested once per support by merging its
+                               edges' end masks (`_merge_blocks`).
   * solve_heldkarp           - subset DP on the waypoint metric closure
                                (uncapacitated kinds only).  The closure
                                comes from one Dijkstra per waypoint, so
@@ -118,13 +119,6 @@ def empty_solution(inst: Instance) -> SolutionMultigraph:
     return SolutionMultigraph((0,) * len(inst.edges), 0)
 
 
-def _support_connected(inst: Instance, mult) -> bool:
-    """Support (positive-degree vertices) connected and covering all waypoints."""
-    comps = component_walk(inst, [i for i, m in enumerate(mult) if m > 0])
-    first = next(comps, ())
-    return next(comps, None) is None and inst.waypoints <= set(first)
-
-
 def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
     if len(sol.multiplicity) != len(inst.edges):
         raise ValueError("multiplicity vector length != edge count")
@@ -140,9 +134,10 @@ def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
         deg[e.v] += m
     if any(d % 2 for d in deg):
         return False
-    if not _support_connected(inst, sol.multiplicity):
-        return False
-    return sol.total_weight <= inst.budget
+    comps = component_walk(inst, [i for i, m in enumerate(sol.multiplicity) if m > 0])
+    first = next(comps, ())  # the support must be one piece holding every waypoint
+    return (next(comps, None) is None and inst.waypoints <= set(first)
+            and sol.total_weight <= inst.budget)
 
 
 # -- engine 1: multiplicity enumeration -------------------------------------
@@ -191,10 +186,15 @@ def _witnessed(inst: Instance, opt, sol: SolutionMultigraph, engine: str) -> Opt
     return OptResult(opt <= inst.budget, int(opt), sol)
 
 
-def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
+def check_multiplicity_cap(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> None:
+    """ScaleError when `inst` has more edges than the multiplicity engine's cap."""
     m = len(inst.edges)
     if m > caps.multiplicity_edges:
         raise ScaleError(f"oracle scale exceeded: {m} edges > cap {caps.multiplicity_edges}")
+
+
+def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
+    check_multiplicity_cap(inst, caps)
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
 
@@ -209,29 +209,27 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
     bit = {v: 1 << i for i, v in enumerate(touched)}
     wmask = sum(bit[w] for w in inst.waypoints)
     ends = [bit[e.u] | bit[e.v] for e in inst.edges]
-    cand = even_covering(bases, ends, [b & wmask for b in ends], wmask)
-    if cand.size == 0:
-        return OptResult(False, None, None)
-    counts = decode(bases, cand)
+    counts = decode(bases, even_covering(bases, ends, [b & wmask for b in ends], wmask))
 
-    # weights whose sums could pass int64 are exact Python ints; `cand` is
-    # ascending, so a stable sort breaks weight ties by vector index
+    # weights whose sums could pass int64 are exact Python ints; the rows are
+    # in ascending index order, so a stable sort breaks weight ties by index
     dtype = object if 2 * inst.total_weight() >= 2**62 else np.int64
     weights = counts @ np.array([e.weight for e in inst.edges], dtype=dtype)
     order = np.argsort(weights, kind="stable")
 
-    powers = np.int64(1) << np.arange(m, dtype=np.int64)
-    conn_cache: dict[int, bool] = {}
+    # each candidate's support as a bit mask over the edges; every waypoint is
+    # covered, so a candidate is a solution when its edges' end masks merge into one block
+    supports = (counts > 0) @ (1 << np.arange(len(ends), dtype=np.int64))
+    rejected: set[int] = set()
     for j in order:
-        row = counts[j]
-        key = int((row > 0) @ powers)
-        hit = conn_cache.get(key)
-        if hit is None:
-            hit = _support_connected(inst, [int(x) for x in row])
-            conn_cache[key] = hit
-        if hit:
-            sol = make_solution(inst, (int(x) for x in row))
+        key = int(supports[j])
+        if key in rejected:
+            continue
+        masks = [b for i, b in enumerate(ends) if key >> i & 1]
+        if len(_merge_blocks(masks[:1], masks)) == 1:
+            sol = make_solution(inst, counts[j].tolist())
             return _witnessed(inst, sol.total_weight, sol, "multiplicity")
+        rejected.add(key)
     return OptResult(False, None, None)
 
 
@@ -521,8 +519,10 @@ def _decompose(inst: Instance):
 
 def _merge_blocks(blocks1, blocks2):
     """The finest partition coarser than both: each block of `blocks2`
-    absorbs the blocks it meets.  Blocks are disjoint vertex-bit masks,
-    given and returned in ascending order."""
+    absorbs the blocks it meets.  Blocks are vertex-bit masks; when those of
+    `blocks1` are disjoint and ascending, and `blocks1` is nonempty or
+    `blocks2`'s are too, so is the result.  Edge end masks `masks` merge
+    into their connected pieces as `_merge_blocks(masks[:1], masks)`."""
     if not blocks2:
         return blocks1
     if not blocks1:

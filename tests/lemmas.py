@@ -6,7 +6,10 @@ behavior (`is_component_behavior`, the reference the enumerator is
 checked against), blending for Subset TSP (`blend_behavior`),
 positive weights (`ensure_positive_weights`), and the plain build of a
 marking unit from its own behaviors (`unit`, the reference a round's
-units, built once per shape, are checked against).
+units, built once per shape, are checked against), and the multiplicity
+engine's witness search with a component walk per support
+(`multiplicity_search`, the reference the engine's block merge is checked
+against).
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from tspkern.instance import (
 )
 from tspkern.marking import Behavior, NoBehavior, Unit
 from tspkern.modulator import _label, component_impact, enumerate_component_behaviors
-from tspkern.oracle import SolutionMultigraph, check_certificate, make_solution
+from tspkern.oracle import (
+    OptResult,
+    SolutionMultigraph,
+    check_certificate,
+    decode,
+    empty_solution,
+    even_covering,
+    make_solution,
+)
 from tspkern.preprocess import RuleOutcome, reduced, unchanged
 
 
@@ -50,6 +61,39 @@ def unit(label: str, deletes, behaviors, impact_of) -> Unit:
         if imp not in table or b.weight < table[imp]:
             table[imp] = b.weight
     return Unit(tuple(deletes), nat, impact_of(nat), table)
+
+
+# -- the multiplicity engine's witness search --------------------------------
+
+def multiplicity_search(inst: Instance) -> OptResult:
+    """`oracle.solve_exact_multiplicity` without its edge cap, with each
+    candidate's support walked: the same folds and weight order, and the
+    first candidate whose support `component_walk` finds connected and
+    covering every waypoint is the witness.  A walk's verdict is cached per
+    support."""
+    if len(inst.waypoints) <= 1:
+        return OptResult(0 <= inst.budget, 0, empty_solution(inst))
+    touched = sorted({v for e in inst.edges for v in e.ends()})
+    if not inst.waypoints <= set(touched):
+        return OptResult(False, None, None)
+    bases = [inst.effective_capacity(e) + 1 for e in inst.edges]
+    bit = {v: 1 << i for i, v in enumerate(touched)}
+    wmask = sum(bit[w] for w in inst.waypoints)
+    ends = [bit[e.u] | bit[e.v] for e in inst.edges]
+    counts = decode(bases, even_covering(bases, ends, [b & wmask for b in ends], wmask))
+    weights = [sum(c * e.weight for c, e in zip(row, inst.edges)) for row in counts.tolist()]
+    connected: dict[tuple[bool, ...], bool] = {}
+    for j in sorted(range(len(weights)), key=weights.__getitem__):
+        row = counts[j].tolist()
+        key = tuple(c > 0 for c in row)
+        if key not in connected:
+            comps = component_walk(inst, [i for i, c in enumerate(row) if c])
+            first = next(comps, ())
+            connected[key] = next(comps, None) is None and inst.waypoints <= set(first)
+        if connected[key]:
+            sol = make_solution(inst, row)
+            return OptResult(sol.total_weight <= inst.budget, sol.total_weight, sol)
+    return OptResult(False, None, None)
 
 
 # -- nice solutions ----------------------------------------------------------

@@ -78,8 +78,8 @@ def test_cross_check_disagreement_is_error(monkeypatch, triangle, capsys):
 
 def test_cross_check_never_checks_an_engine_against_itself(monkeypatch, tmp_path, capsys):
     """auto sends a 16-edge wrp cycle to the treewidth engine, and no other
-    engine's cap admits it, so there is nothing to check against: exit 3,
-    not a second run of the same DP."""
+    engine's cap admits it, so there is nothing to check against: exit 3
+    before any engine runs, not after the DP or a second run of it."""
     edges = "".join(f"e {i} {i % 16 + 1} 1 2\n" for i in range(1, 17))
     path = tmp_path / "cycle16.grw"
     path.write_text(f"p wrp 16 16\nb 16\nw {' '.join(map(str, range(1, 17)))}\n{edges}")
@@ -88,9 +88,9 @@ def test_cross_check_never_checks_an_engine_against_itself(monkeypatch, tmp_path
     monkeypatch.setattr(oracle, "solve_treewidth", lambda *a: calls.append(1) or real(*a))
     assert main(["solve", str(path), "--cross-check"]) == 3
     out, err = capsys.readouterr()
-    assert calls == [1]
+    assert calls == []
     assert "cross-check optimum" not in out
-    assert err.startswith("scale exceeded:")
+    assert err == "scale exceeded: oracle scale exceeded: 16 edges > cap 14\n"
     assert main(["solve", str(path)]) == 0
     assert capsys.readouterr().out.startswith("yes 16")
 

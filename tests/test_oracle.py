@@ -18,6 +18,7 @@ from lemmas import (
     find_component_preserving_cycle,
     is_component_behavior,
     make_nice,
+    multiplicity_search,
     solution_component_behavior,
     split_into_segments,
 )
@@ -471,6 +472,59 @@ def test_multiplicity_engine_matches_brute_force(seed, big):
     res = solve_exact_multiplicity(inst)
     assert (res.feasible, res.opt_weight) == (feasible, weight), inst
     assert (res.witness.multiplicity if res.witness else None) == witness, inst
+
+
+@st.composite
+def small_inputs(draw):
+    """tsp, stsp and wrp inputs of at most 10 edges on at most 7 vertices,
+    connected or not; a pair drawn twice is a parallel edge."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = tuple(Edge(u, v, draw(st.integers(0, 9)),
+                       draw(st.sampled_from([1, 2])) if kind == "wrp" else None)
+                  for u, v in draw(st.lists(pair, min_size=1, max_size=10)))
+    wps = frozenset(range(n)) if kind == "tsp" else draw(st.frozensets(st.integers(0, n - 1)))
+    return Instance(kind, n, edges, wps, draw(st.integers(0, 60)))
+
+
+def _two_triangles(kind, bridge):
+    """Two disjoint weight-1 triangles, optionally joined by a weight-9 edge
+    of capacity `bridge`, with waypoints on both: the cheapest even covering
+    vectors stay inside the triangles, so their supports are not connected."""
+    cap = 2 if kind == "wrp" else None
+    edges = [Edge(u, v, 1, cap) for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))]
+    if bridge:
+        edges.append(Edge(2, 3, 9, bridge if kind == "wrp" else None))
+    wps = range(6) if kind == "tsp" else (0, 5)
+    return Instance(kind, 6, tuple(edges), frozenset(wps), 30)
+
+
+@given(small_inputs())
+@example(_two_triangles("tsp", 2))
+@example(_two_triangles("stsp", 2))
+@example(_two_triangles("wrp", 2))
+@example(_two_triangles("wrp", 1))
+@example(_two_triangles("tsp", 0))
+@settings(max_examples=150, deadline=None)
+def test_multiplicity_engine_matches_walked_search(inst):
+    """The engine's block merge finds the same feasibility, optimum and
+    witness as walking each candidate's support."""
+    got, want = solve_exact_multiplicity(inst), multiplicity_search(inst)
+    assert (got.feasible, got.opt_weight) == (want.feasible, want.opt_weight), inst
+    assert ((got.witness.multiplicity if got.witness else None)
+            == (want.witness.multiplicity if want.witness else None)), inst
+
+
+def test_merge_blocks_of_edge_end_masks():
+    """Each edge's end mask absorbs the blocks it meets: two disjoint
+    triangles give two blocks, and a path gives one even when its middle
+    edge comes last."""
+    triangle = [0b011, 0b110, 0b101]
+    two = triangle + [b << 3 for b in triangle]
+    assert oracle._merge_blocks(two[:1], two) == (0b000111, 0b111000)
+    path = [0b0011, 0b1100, 0b0110]
+    assert oracle._merge_blocks(path[:1], path) == (0b1111,)
 
 
 def test_multiplicity_engine_memory():
