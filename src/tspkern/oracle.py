@@ -45,21 +45,25 @@ the same way (`_witnessed`):
                                Each vertex owns one bit for the whole run,
                                the least bit free in the top bag that
                                holds it, so no two vertices of a bag share
-                               one and at most width + 1 are used.  Each
-                               table is grouped by partition: the
+                               one and at most width + 1 are used.  The DP
+                               walks the bag tree depth first: a bag's
+                               table is its children's, each forgetting
+                               the vertices the bag lacks and joined to the
+                               earlier ones, with the bag's edges added.
+                               Each table is grouped by partition: the
                                connected blocks of the used bag vertices,
                                as bit masks, plus a sealed flag key a
                                group, and a group maps each degree parity
-                               mask to its best cost.  An intro leaves the
-                               table as it is, a forget clears one bit
-                               once per group, an edge copies only the
-                               groups it adds to, and a join merges each
-                               pair of partitions once before an XOR pass
-                               over their parities.  Each entry carries a
-                               trail, a shared tuple tree of the edge
-                               multiplicities it chose, so the witness is
-                               read off the final state without keeping
-                               earlier tables.
+                               mask to its best cost.  A vertex a bag
+                               gains leaves the table as it is, a forget
+                               clears one bit once per group, an edge
+                               copies only the groups it adds to, and a
+                               join merges each pair of partitions once
+                               before an XOR pass over their parities.
+                               Each entry carries a trail, a shared tuple
+                               tree of the edge multiplicities it chose,
+                               so the witness is read off the final state
+                               without keeping earlier tables.
 """
 
 from __future__ import annotations
@@ -361,21 +365,21 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
     """
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
-    # the decomposition, the ops and the DP's tables hold no reference
+    # the decomposition, its layout and the DP's tables hold no reference
     # cycles, so the cyclic collector would only rescan them as they grow
     collecting = gc.isenabled()
     gc.disable()
     try:
-        ops, bit = _nice_ops(inst, caps)
-        return _run_tw_dp(inst, ops, bit)
+        return _run_tw_dp(inst, *_layout(inst, caps))
     finally:
         if collecting:
             gc.enable()
 
 
-def _nice_ops(inst: Instance, caps: OracleCaps):
-    """(ops, bit): the postfix ops of a nice tree decomposition of `inst`,
-    within the width cap, and the bit each vertex owns in the DP."""
+def _layout(inst: Instance, caps: OracleCaps):
+    """(bags, children, homed, bit): a tree decomposition of `inst` within
+    the width cap, each bag's children, the edges homed at each bag and the
+    bit each vertex owns in the DP."""
     width, bags, parent = _decompose(inst)
     if width > caps.treewidth_width:
         raise ScaleError(f"oracle scale exceeded: decomposition width {width} > cap {caps.treewidth_width}")
@@ -408,29 +412,7 @@ def _nice_ops(inst: Instance, caps: OracleCaps):
         if e.u not in bags[b] or e.v not in bags[b]:
             raise InvariantError("tree decomposition misses an edge")
         homed[b].append(i)
-
-    # nice decomposition in postfix order: a bag's subtree is a leaf and
-    # intros, or each child's subtree adapted to the bag and joined to the
-    # previous one; then the bag's edges
-    ops: list[tuple] = []  # ("leaf"|"intro"|"forget"|"edge"|"join", payload)
-    todo = [(0, 0)]  # (bag, children already emitted)
-    while todo:
-        b, done = todo.pop()
-        if done:
-            child, bag = bags[children[b][done - 1]], bags[b]
-            ops.extend(("forget", v) for v in sorted(child - bag))
-            ops.extend(("intro", v) for v in sorted(bag - child))
-            if done > 1:
-                ops.append(("join", None))
-        elif not children[b]:
-            ops.append(("leaf", None))
-            ops.extend(("intro", v) for v in sorted(bags[b]))
-        if done < len(children[b]):
-            todo += [(b, done + 1), (children[b][done], 0)]
-        else:
-            ops.extend(("edge", i) for i in homed[b])
-    ops.extend(("forget", v) for v in sorted(bags[0]))
-    return ops, bit
+    return bags, children, homed, bit
 
 
 def _decompose(inst: Instance):
@@ -540,9 +522,9 @@ def _merge_blocks(blocks1, blocks2):
     return tuple(sorted(blocks))
 
 
-def _run_tw_dp(inst: Instance, ops, bit) -> OptResult:
-    """Run the postfix `ops` on the table of the current subtree, with a
-    stack of finished left subtrees waiting for their join.
+def _run_tw_dp(inst: Instance, bags, children, homed, bit) -> OptResult:
+    """Walk the bag tree depth first, root at bags[0], and return the
+    optimum read off the root's table once it has forgotten every vertex.
 
     Vertex v owns bit `bit[v]` for the whole run, and no two vertices of a
     bag own the same bit.  A table is grouped by partition: it maps (blocks,
@@ -551,122 +533,44 @@ def _run_tw_dp(inst: Instance, ops, bit) -> OptResult:
     block was sealed (forgotten whole).  A group maps a parity mask, whose
     bit `bit[v]` is the degree parity of bag vertex v, to (cost, trail).
 
-    Every bit a mask holds belongs to a vertex of the bag, so an intro finds
-    its vertex's bit clear everywhere and leaves the table as it is.  A
-    forget drops the entries where its vertex's degree is odd and clears its
-    bit from its block, once per group; no other mask moves.  An edge adds
-    its multiplicities to the groups whose partition it reaches, copying
-    only those, and merges the partition once per group.  A join merges each
-    compatible pair of groups' partitions once and takes the min-plus XOR
-    product of their parity entries.  An op's input table is dropped once
-    the op is done, so an op may keep or change its groups in place.
+    A leaf bag starts from the table of the empty multigraph.  After each
+    child, the table forgets the child's vertices that the bag lacks, and
+    from the second child on it is joined to the table of the bag's earlier
+    children; then the bag's homed edges are added.  Every bit a mask holds
+    belongs to a vertex of the bag, so a vertex the bag gains finds its bit
+    clear everywhere and the table needs no change.  Each step drops its
+    input table, so it may keep or change the groups in place.
 
     The trail is the witness of a cost: None, (edge, multiplicity, trail)
     for an edge taken a positive number of times, or (left trail, right
-    trail) at a join.  Intro and forget pass it through, so only the final
+    trail) at a join.  A forget passes it through, so only the final
     state's trail is read back.
     """
-    if not ops or ops[0][0] != "leaf":
-        raise InvariantError("tree-decomposition ops do not start with a leaf")
-    W, edges = inst.waypoints, inst.edges
-    merge_blocks = _merge_blocks
-    stack: list[tuple[frozenset, int, dict]] = []  # (bag, held bits, table) of left subtrees
-    bag, held, table = frozenset(), 0, None  # the current subtree's
-    for op, arg in ops:
-        if op == "intro":
-            b = 1 << bit[arg]
-            if held & b:
-                raise InvariantError(f"intro of vertex {arg} onto a held bit")
-            bag, held = bag | {arg}, held | b
-        elif op == "edge":
-            e = edges[arg]
-            if e.u not in bag or e.v not in bag:
-                raise InvariantError(f"edge {arg} has an end outside the bag")
-            cap = inst.effective_capacity(e)
-            if not cap:
-                continue
-            bu, bv = 1 << bit[e.u], 1 << bit[e.v]
-            pair, flip = (bu | bv,), bu ^ bv
-            t0, table = table, dict(table)  # multiplicity 0
-            copied = {}  # the groups this edge adds to, copied on first use
-            for (blocks, done), group in t0.items():
-                if done:
-                    continue
-                state = (merge_blocks(blocks, pair), False)
-                out = copied.get(state)
-                if out is None:
-                    out = copied[state] = table[state] = dict(t0.get(state, ()))
-                for mult in range(1, cap + 1):
-                    add, odd = mult * e.weight, flip if mult % 2 else 0
-                    for mask, (cost, trail) in group.items():
-                        key, ncost = mask ^ odd, cost + add
-                        old = out.get(key)
-                        if old is None or ncost < old[0]:
-                            out[key] = (ncost, (arg, mult, trail))
-        elif op == "forget":
-            if arg not in bag:
-                raise InvariantError(f"forget of vertex {arg} outside the bag")
-            b = 1 << bit[arg]
-            bag, held = bag - {arg}, held ^ b
-            t0, table, emptied = table, {}, False
-            for state, group in t0.items():
-                blocks, done = state
-                if sum(blocks) & b:  # the blocks are disjoint: their sum is their union
-                    if b in blocks:  # the vertex's block ends here: seal it
-                        if done or len(blocks) > 1:
-                            continue
-                        state = ((), True)
-                    else:
-                        state = (tuple(sorted([m & ~b for m in blocks])), done)
-                    # keep the entries where the vertex's degree is even
-                    group = {m: entry for m, entry in group.items() if not m & b}
-                elif arg in W:
-                    continue  # a waypoint left unused
-                # an unused vertex's parity bit is clear: the group passes as it is
-                out = table.get(state)
-                if out is None:
-                    table[state] = group
-                    emptied = emptied or not group
-                    continue
-                for m, entry in group.items():
-                    old = out.get(m)
-                    if old is None or entry[0] < old[0]:
-                        out[m] = entry
-            if emptied:
-                table = {state: group for state, group in table.items() if group}
-        elif op == "leaf":
-            if table is not None:
-                stack.append((bag, held, table))
-            bag, held, table = frozenset(), 0, {((), False): {0: (0, None)}}
-        elif op == "join":
-            if not stack:
-                raise InvariantError("join without a left subtree")
-            bag_l, _, t_l = stack.pop()
-            if bag_l != bag:
-                raise InvariantError(f"join of unequal bags {sorted(bag_l)} and {sorted(bag)}")
-            rights = [(blocks, done, list(group.items()))
-                      for (blocks, done), group in table.items()]
-            table = {}
-            for (blocks1, done1), group in t_l.items():
-                lefts = list(group.items())
-                for blocks2, done2, items2 in rights:
-                    # a sealed side must have used nothing the other side uses
-                    if done1 and (done2 or blocks2) or done2 and blocks1:
-                        continue
-                    state = (merge_blocks(blocks1, blocks2), done1 or done2)
-                    out = table.setdefault(state, {})
-                    for m1, (c1, trail1) in lefts:
-                        for m2, (c2, trail2) in items2:
-                            key, ncost = m1 ^ m2, c1 + c2
-                            old = out.get(key)
-                            if old is None or ncost < old[0]:
-                                out[key] = (ncost, (trail1, trail2))
-        else:
-            raise InvariantError(f"unknown tree-decomposition op {op!r}")
+    W = inst.waypoints
 
-    if stack or bag:
-        raise InvariantError("tree-decomposition ops do not end in one empty bag")
-    final = table.get(((), True), {}).get(0)
+    def forget(table, vertices):
+        for v in vertices:
+            table = _dp_forget(table, 1 << bit[v], v in W)
+        return table
+
+    earlier = []  # the tables of the bags whose later children are still walked
+    todo = [(0, 0)]  # (bag, children already walked)
+    while todo:
+        b, done = todo.pop()
+        if done:
+            table = forget(table, sorted(bags[children[b][done - 1]] - bags[b]))
+            if done > 1:
+                table = _dp_join(earlier.pop(), table)
+        elif not children[b]:
+            table = {((), False): {0: (0, None)}}
+        if done < len(children[b]):
+            if done:
+                earlier.append(table)
+            todo += [(b, done + 1), (children[b][done], 0)]
+        else:
+            for i in homed[b]:
+                table = _dp_edge(inst, table, i, bit)
+    final = forget(table, sorted(bags[0])).get(((), True), {}).get(0)
     if final is None:
         return OptResult(False, None, None)
     opt, trail = final
@@ -683,6 +587,89 @@ def _run_tw_dp(inst: Instance, ops, bit) -> OptResult:
         else:
             trails.extend(t)
     return _witnessed(inst, opt, make_solution(inst, mult), "treewidth")
+
+
+def _dp_forget(t0, b, waypoint):
+    """`t0` once the bag vertex of bit `b` is forgotten: drop the entries
+    where its degree is odd and clear its bit from its block, once per
+    group; no other mask moves.  A waypoint must have been used."""
+    table, emptied = {}, False
+    for state, group in t0.items():
+        blocks, done = state
+        if sum(blocks) & b:  # the blocks are disjoint: their sum is their union
+            if b in blocks:  # the vertex's block ends here: seal it
+                if done or len(blocks) > 1:
+                    continue
+                state = ((), True)
+            else:
+                state = (tuple(sorted([m & ~b for m in blocks])), done)
+            # keep the entries where the vertex's degree is even
+            group = {m: entry for m, entry in group.items() if not m & b}
+        elif waypoint:
+            continue  # a waypoint left unused
+        # an unused vertex's parity bit is clear: the group passes as it is
+        out = table.get(state)
+        if out is None:
+            table[state] = group
+            emptied = emptied or not group
+            continue
+        for m, entry in group.items():
+            old = out.get(m)
+            if old is None or entry[0] < old[0]:
+                out[m] = entry
+    if emptied:
+        table = {state: group for state, group in table.items() if group}
+    return table
+
+
+def _dp_edge(inst: Instance, t0, i, bit):
+    """`t0` with edge i taken 0 to its effective capacity times: the groups
+    whose partition it reaches are copied, and the partition merged, once
+    per group."""
+    e = inst.edges[i]
+    cap = inst.effective_capacity(e)
+    bu, bv = 1 << bit[e.u], 1 << bit[e.v]
+    pair, flip = (bu | bv,), bu ^ bv
+    table = dict(t0)  # multiplicity 0
+    copied = {}  # the groups this edge adds to, copied on first use
+    for (blocks, done), group in t0.items():
+        if done:
+            continue
+        state = (_merge_blocks(blocks, pair), False)
+        out = copied.get(state)
+        if out is None:
+            out = copied[state] = table[state] = dict(t0.get(state, ()))
+        for mult in range(1, cap + 1):
+            add, odd = mult * e.weight, flip if mult % 2 else 0
+            for mask, (cost, trail) in group.items():
+                key, ncost = mask ^ odd, cost + add
+                old = out.get(key)
+                if old is None or ncost < old[0]:
+                    out[key] = (ncost, (i, mult, trail))
+    return table
+
+
+def _dp_join(t_l, t_r):
+    """The join of two tables over the same bag: merge each compatible pair
+    of groups' partitions once and take the min-plus XOR product of their
+    parity entries, the left table's groups in the outer loop."""
+    rights = [(blocks, done, list(group.items())) for (blocks, done), group in t_r.items()]
+    table = {}
+    for (blocks1, done1), group in t_l.items():
+        lefts = list(group.items())
+        for blocks2, done2, items2 in rights:
+            # a sealed side must have used nothing the other side uses
+            if done1 and (done2 or blocks2) or done2 and blocks1:
+                continue
+            state = (_merge_blocks(blocks1, blocks2), done1 or done2)
+            out = table.setdefault(state, {})
+            for m1, (c1, trail1) in lefts:
+                for m2, (c2, trail2) in items2:
+                    key, ncost = m1 ^ m2, c1 + c2
+                    old = out.get(key)
+                    if old is None or ncost < old[0]:
+                        out[key] = (ncost, (trail1, trail2))
+    return table
 
 
 ENGINES = {
@@ -705,12 +692,7 @@ def auto_engine(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> str:
 
 def solve_auto(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     """Solve with the widest applicable engine; ScaleError if none fits."""
-    engine = auto_engine(inst, caps)
-    if engine == "multiplicity":
-        return solve_exact_multiplicity(inst, caps)
-    if engine == "heldkarp":
-        return solve_heldkarp(inst, caps)
-    return solve_treewidth(inst, caps)
+    return ENGINES[auto_engine(inst, caps)](inst, caps)
 
 
 def equivalent(a: Instance, b: Instance, caps: OracleCaps = DEFAULT_CAPS) -> bool:

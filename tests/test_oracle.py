@@ -26,6 +26,7 @@ from tspkern import oracle
 from tspkern.gadgets import REGIMES, gen_planted
 from tspkern.instance import KINDS, Edge, Instance, InvariantError, ScaleError
 from tspkern.oracle import (
+    DEFAULT_CAPS,
     OracleCaps,
     check_certificate,
     equivalent,
@@ -296,23 +297,17 @@ def _connected_multigraph(rng: random.Random):
     return Instance(kind, n, edges, wps, rng.randint(0, 60))
 
 
-def _treewidth_with_ops(inst):
-    """solve_treewidth's result, and the op list and vertex bits its DP ran."""
-    with mock.patch.object(oracle, "_run_tw_dp", wraps=oracle._run_tw_dp) as dp:
-        res = solve_treewidth(inst)
-    return res, dp.call_args.args[1], dp.call_args.args[2]
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_treewidth_engine_agrees_through_joins(seed):
     rng = random.Random(seed)
-    for _ in range(20):  # most draws decompose with a join; keep the first that does
+    for _ in range(20):  # most draws have a bag of two children; keep the first that does
         inst = _connected_multigraph(rng)
-        c, ops, _ = _treewidth_with_ops(inst)
-        if any(op == "join" for op, _ in ops):
+        children = oracle._layout(inst, DEFAULT_CAPS)[1]
+        if any(len(c) >= 2 for c in children):
             break
-    assert any(op == "join" for op, _ in ops)
+    assert any(len(c) >= 2 for c in children)
+    c = solve_treewidth(inst)
     a = solve_exact_multiplicity(inst)
     assert (a.opt_weight, a.feasible) == (c.opt_weight, c.feasible), inst
     if c.opt_weight is not None:
@@ -320,42 +315,42 @@ def test_treewidth_engine_agrees_through_joins(seed):
         assert check_certificate(at_opt, c.witness)
 
 
-def _bags_of_ops(ops):
-    """Every bag the ops build, one per intro.  A join's two bags are
-    equal, so the bag of the subtree last built carries on past it."""
-    bag = set()
-    for op, arg in ops:
-        if op == "leaf":
-            bag = set()
-        elif op == "intro":
-            bag.add(arg)
-            yield frozenset(bag)
-        elif op == "forget":
-            bag.discard(arg)
+def _layout_cases(case):
+    """Instances whose treewidth layout the tests below read."""
+    if case.startswith("grid"):
+        rows = int(case[-1])
+        edges = tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(rows, rows))
+        return [Instance("wrp", rows * rows, edges, frozenset(range(rows * rows)), 0)]
+    if case == "planted":
+        return [gen_planted(kind, regime, 3, 2, 120, seed=seed)
+                for seed, kind in enumerate(KINDS) for regime in REGIMES]
+    rng = random.Random(5)
+    return [_connected_multigraph(rng) for _ in range(60)]
 
 
 @pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "random"])
 def test_treewidth_bits_distinct_within_every_bag(case):
     """The DP gives each vertex one bit for the whole run: no two vertices
     of a bag may share it, and at most width + 1 bits are used."""
-    rng = random.Random(5)
-    if case.startswith("grid"):
-        rows = int(case[-1])
-        edges = tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(rows, rows))
-        insts = [Instance("wrp", rows * rows, edges, frozenset(range(rows * rows)), 0)]
-    elif case == "planted":
-        insts = [gen_planted(kind, regime, 3, 2, 120, seed=seed)
-                 for seed, kind in enumerate(KINDS) for regime in REGIMES]
-    else:
-        insts = [_connected_multigraph(rng) for _ in range(60)]
-    for inst in insts:
-        _, ops, bit = _treewidth_with_ops(inst)
+    for inst in _layout_cases(case):
+        bags, _, _, bit = oracle._layout(inst, DEFAULT_CAPS)
         width = oracle._decompose(inst)[0]
-        bags = set(_bags_of_ops(ops))
         assert max(map(len, bags)) == width + 1
         for bag in bags:
             assert len({bit[v] for v in bag}) == len(bag), (inst, sorted(bag))
         assert 0 <= min(bit) and max(bit) <= width, inst
+
+
+@pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "random"])
+def test_treewidth_edges_homed_at_first_bag_holding_both_ends(case):
+    """Each edge is added at the first bag, by index, that holds both its
+    ends, and at no other."""
+    for inst in _layout_cases(case):
+        bags, _, homed, _ = oracle._layout(inst, DEFAULT_CAPS)
+        home = {i: b for b, edges in enumerate(homed) for i in edges}
+        assert sorted(i for edges in homed for i in edges) == list(range(len(inst.edges)))
+        for i, e in enumerate(inst.edges):
+            assert home[i] == next(b for b, bag in enumerate(bags) if e.u in bag and e.v in bag)
 
 
 def _grid_pairs(rows, cols):
@@ -654,17 +649,40 @@ def test_decomposition_never_wider_than_networkx():
         assert _checked_width(inst) <= nx_approx.treewidth_min_fill_in(G)[0], inst
 
 
-@pytest.mark.parametrize("ops, message", [
-    ([("leaf", None), ("bogus", None)], "unknown"),
-    ([("leaf", None), ("intro", 0), ("leaf", None), ("join", None)], "unequal bags"),
-    ([("leaf", None), ("intro", 0)], "one empty bag"),
-    ([("leaf", None), ("intro", 0), ("intro", 2), ("edge", 0)], "outside the bag"),
-], ids=["unknown-op", "unequal-join", "open-stack", "edge-outside-bag"])
-def test_treewidth_dp_rejects_malformed_ops(ops, message):
-    """Malformed ops raise InvariantError, not an assert that `python -O`
-    strips or a bare ValueError.  Vertex v of the triangle owns bit v."""
-    with pytest.raises(InvariantError, match=message):
-        oracle._run_tw_dp(triangle(), ops, [0, 1, 2])
+def test_layout_rejects_a_decomposition_that_misses_an_edge(monkeypatch):
+    """A triangle with a pendant edge: the pendant's bag is laid out last,
+    and without it the edge to vertex 3 lies in no bag."""
+    edges = (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1), Edge(2, 3, 1))
+    inst = Instance("tsp", 4, edges, frozenset(range(4)), 8)
+    width, bags, parent = oracle._decompose(inst)
+    assert bags[-1] == {2, 3}
+    monkeypatch.setattr(oracle, "_decompose", lambda _: (width, bags[:-1], parent[:-1]))
+    with pytest.raises(InvariantError, match="misses an edge"):
+        oracle._layout(inst, DEFAULT_CAPS)
+    with pytest.raises(InvariantError, match="misses an edge"):
+        solve_treewidth(inst)
+
+
+def test_decompose_rejects_a_core_decomposition_that_misses_a_clique():
+    """K4 plus vertex 4 on 0 and 1: vertex 4 peels, and its bag must hang
+    below a core bag holding both 0 and 1.  A core decomposition with no
+    such bag is refused."""
+    inst = _graph(5, [*itertools.combinations(range(4), 2), (4, 0), (4, 1)])
+    tree = nx.Graph([(frozenset({0, 2, 3}), frozenset({1, 2, 3}))])
+    with mock.patch.object(nx_approx, "treewidth_min_fill_in", return_value=(2, tree)):
+        with pytest.raises(InvariantError, match="misses a clique"):
+            oracle._decompose(inst)
+
+
+def test_witnessed_rejects_an_unsound_witness():
+    tour = make_solution(triangle(), (1, 1, 1))
+    with pytest.raises(InvariantError, match="weighs 3, optimum 4"):
+        oracle._witnessed(triangle(), 4, tour, "test")
+    path = make_solution(triangle(), (1, 1, 0))  # odd degrees at 0 and 2
+    with pytest.raises(InvariantError, match="not a certificate"):
+        oracle._witnessed(triangle(), 2, path, "test")
+    # past the budget the witness is not read as a certificate
+    assert oracle._witnessed(triangle(1), 2, path, "test") == oracle.OptResult(False, 2, path)
 
 
 def test_equivalent():
