@@ -6,10 +6,13 @@ capacitated problem kind ("wrp") and are normalized into {1, 2} on load:
 a closed walk never needs an edge more than twice, so larger capacities
 carry no information.
 
-The kernels stand on five graph primitives, each written once here:
+The kernels stand on six graph primitives, each written once here:
 
 - incidence: `Instance.adjacency()`, the edge ids at each vertex in
   ascending order, computed once per instance;
+- shortest paths: `shortest_paths`, one Dijkstra, behind the Held-Karp
+  engine's metric closure (`oracle._apsp_with_paths`) and blue marking's
+  modulator-to-modulator paths (`modulator._shortest_mm_paths`);
 - components: `component_walk`, one depth-first walk over a set of edge ids
   plus extra vertices, behind `Instance.components`, the regime checks of
   the modulator search, the support walks of the modulator kernels and the
@@ -425,6 +428,33 @@ def component_walk(inst: Instance, eids, vertices=()):
                     seen.add(w)
                     stack.append(w)
         yield comp
+
+
+def shortest_paths(inst: Instance, s: int, adj=None, through=None):
+    """Dijkstra from s: yield (v, distance, the id of the last edge of a
+    shortest s-v path, None for s) for each vertex reached, in the order the
+    vertices are settled.  `adj[v]` lists the edge ids relaxed at v,
+    `inst.adjacency()` by default.  A settled vertex other than s for which
+    `through(v)` is false is yielded but not expanded.  A vertex's distance
+    only drops on a strictly shorter way, so of equally short ways the
+    first one relaxed is kept."""
+    if adj is None:
+        adj = inst.adjacency()
+    edges = inst.edges
+    dist, pred, heap = {s: 0}, {s: None}, [(0, s)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue  # a stale entry: u was reached more cheaply since
+        yield u, du, pred[u]
+        if through is not None and u != s and not through(u):
+            continue
+        for i in adj[u]:
+            e = edges[i]
+            v, dv = e.v if e.u == u else e.u, du + e.weight
+            if v not in dist or dv < dist[v]:
+                dist[v], pred[v] = dv, i
+                heapq.heappush(heap, (dv, v))
 
 
 def _induced_edges(inst: Instance, alive) -> list[int]:

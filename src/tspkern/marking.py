@@ -4,8 +4,8 @@ A *unit* is what a marking rule keeps or deletes whole: one vertex outside
 the vertex cover (`vc.py`) or one component of G minus the modulator
 (`modulator.py`).  A solution meets a unit through a *behavior*
 (`Behavior`), an edge multiset with a weight.  The unit's natural behavior
-is its least behavior by (weight, edges), and an *impact* is the
-fingerprint a behavior leaves on the cover or modulator.  The unit's
+is its least behavior by (weight, edges), and an *impact* (`Impact`) is
+the fingerprint a behavior leaves on the cover or modulator.  The unit's
 *impact table* maps each impact of its behaviors to the least weight among
 them; the price of an impact is that weight minus the natural weight.
 
@@ -17,7 +17,8 @@ capacities and, for a vertex, whether it is a waypoint.  The first unit of
 a shape enumerates its behaviors and their impacts, stored by edge
 position; every unit then maps them onto its own edge ids and weighs them
 with its own weights, which gives its natural behavior and its impact
-table.  The memo is a dict of the round: no shape outlives it.
+table.  The memo is a dict that `collect_units` makes for its round, so
+no shape outlives the round.
 
 A round marks units in colors and deletes the rest:
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
 from .instance import Instance, InvariantError
 from .report import KernelReport
@@ -67,11 +68,19 @@ class Behavior:
         return cls(edges, sum(inst.edges[i].weight for i in edges))
 
 
+class Impact(NamedTuple):
+    """A behavior's fingerprint: the cover or modulator vertices it touches,
+    and what else the kernel tells behaviors apart by (`vc.vertex_impact`,
+    `modulator.component_impact`)."""
+    touched: frozenset
+    detail: tuple = ()
+
+
 @dataclass(frozen=True)
 class Unit:
     deletes: tuple[int, ...]  # the vertices deleted with the unit
     natural: Behavior
-    impact: Hashable  # the natural behavior's impact
+    impact: Impact  # the natural behavior's impact
     table: dict  # impact -> least weight of a behavior with that impact
 
     def price(self, impact) -> float:
@@ -112,10 +121,12 @@ def shaped_unit(shapes: dict, key: Hashable, label: str, deletes, inst: Instance
 
 
 def collect_units(report: KernelReport, keys, make: Callable) -> list[Unit] | None:
-    """`make(key)` for every key, or None once some unit admits no behavior;
-    the report then carries the "no" verdict."""
+    """`make(key, shapes)` for every key, with `shapes` the round's memo for
+    `shaped_unit`, or None once some unit admits no behavior; the report
+    then carries the "no" verdict."""
+    shapes: dict = {}
     try:
-        return [make(key) for key in keys]
+        return [make(key, shapes) for key in keys]
     except NoBehavior as exc:
         report.decided = "no"
         report.log.append(str(exc))

@@ -8,21 +8,20 @@ M at most 2r times.  Behaviors come from `oracle`'s multiplicity folds:
 `even_covering` keeps the vectors of even nonzero C-degrees, an `np.add`
 fold bounds the crossings, and a survivor is kept when its edges' end
 masks merge (`oracle._merge_blocks`) into blocks that each hold a
-modulator vertex.  Components are fingerprinted by the impact (touched
-modulator vertices plus connectivity/parity representative edges) and
-pruned by the marking scheme in `marking`: each component is one unit.  A
+modulator vertex.  Components are fingerprinted by the impact
+(`marking.Impact`: touched modulator vertices plus connectivity/parity
+representative edges) and pruned by the marking scheme in `marking`: each
+component is one unit.  A
 round enumerates behaviors and impacts once per component shape (r, and
 the ends and effective capacity of each edge of G_C, with C-vertices by
 position and modulator vertices by id), and each component weighs them
 with its own weights.  Blue marking, which keeps shortest
-modulator-to-modulator paths, lives here.
+modulator-to-modulator paths (`instance.shortest_paths`), lives here.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +34,11 @@ from .instance import (
     ScaleError,
     WorkGraph,
     component_walk,
+    shortest_paths,
 )
 from .marking import (
-    INF,
     Behavior,
+    Impact,
     Unit,
     close_round,
     collect_units,
@@ -53,19 +53,6 @@ from .report import KernelReport
 
 # most multiplicity vectors a component's behaviors are enumerated from
 BEHAVIOR_GUARD = 3**12
-
-
-@dataclass(frozen=True)
-class ComponentImpact:
-    touched: frozenset[int]
-    rep_edges: tuple[tuple[tuple[int, int], int], ...]  # ((mi, mj), mult)
-
-    # hashed once, as `vc.VertexImpact` is
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.touched, self.rep_edges)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def component_graph(inst: Instance, M, C) -> list[int]:
@@ -108,7 +95,7 @@ def _label(C) -> str:
     return f"component {[v + 1 for v in sorted(C)]}"
 
 
-def component_impact(inst: Instance, M, behavior: Behavior) -> ComponentImpact:
+def component_impact(inst: Instance, M, behavior: Behavior) -> Impact:
     M = set(M)
     deg: dict[int, int] = {}
     for i in behavior.edges:
@@ -129,7 +116,7 @@ def component_impact(inst: Instance, M, behavior: Behavior) -> ComponentImpact:
         if sum(rep[(mi, mj)] for mj in mverts[1:]) % 2 != deg[mi] % 2:
             raise InvariantError("behavior impact breaks the parity law"
                                  f" at modulator vertex {mi + 1}")
-    return ComponentImpact(touched, tuple(sorted(rep.items())))
+    return Impact(touched, tuple(sorted(rep.items())))
 
 
 def component_unit(inst: Instance, M, C, r: int, shapes: dict, eids) -> Unit:
@@ -150,31 +137,19 @@ def component_unit(inst: Instance, M, C, r: int, shapes: dict, eids) -> Unit:
 def _shortest_mm_paths(inst: Instance, M, eids):
     """dict (u,v) -> shortest u-v distance through G_C, whose edges are
     `eids`, for u < v in M."""
-    adj: dict[int, list[tuple[int, int]]] = {}
+    adj: dict[int, list[int]] = {}
     for i in eids:
         e = inst.edges[i]
-        adj.setdefault(e.u, []).append((e.v, e.weight))
-        adj.setdefault(e.v, []).append((e.u, e.weight))
+        adj.setdefault(e.u, []).append(i)
+        adj.setdefault(e.v, []).append(i)
     out = {}
     for u in sorted(M):
         if u not in adj:
             continue
-        dist = {u: 0}
-        heap = [(0, u)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist.get(v, INF):
-                continue
-            if v in M and v != u:
-                # don't expand through modulator vertices: a u-v walk through
-                # m in M contains a u-m path that is no longer, so clamping
-                # here keeps every pairwise minimum correct
-                continue
-            for w, wt in adj[v]:
-                nd = d + wt
-                if nd < dist.get(w, INF):
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
+        # don't expand through modulator vertices: a u-v walk through m in M
+        # contains a u-m path that is no longer, so clamping there keeps
+        # every pairwise minimum correct
+        dist = {v: d for v, d, _ in shortest_paths(inst, u, adj, lambda x: x not in M)}
         for v in sorted(M):
             if v > u and v in dist:
                 out[(u, v)] = dist[v]
@@ -202,9 +177,8 @@ def _modulator_round(inst: Instance, M, r: int, rule: str, report: KernelReport,
     # each component's G_C, once; components are disjoint, so their least
     # vertices tell them apart
     graphs = {C[0]: component_graph(inst, M, C) for C in comps}
-    shapes: dict = {}
-    units = collect_units(report, comps,
-                          lambda C: component_unit(inst, M, C, r, shapes, graphs[C[0]]))
+    units = collect_units(report, comps, lambda C, shapes:
+                          component_unit(inst, M, C, r, shapes, graphs[C[0]]))
     if units is None:
         return inst
     k = len(M)

@@ -19,13 +19,14 @@ the same way (`_witnessed`):
                                edges' end masks (`_merge_blocks`).
   * solve_heldkarp           - subset DP on the waypoint metric closure
                                (uncapacitated kinds only).  The closure
-                               comes from one Dijkstra per waypoint, so
-                               it costs the waypoints' searches, not a
-                               cubic pass over every vertex.  Waypoint 0
-                               starts the tour; a cost array and an int8
-                               parent array of shape (2^(l-1), l-1) hold
-                               the cheapest path through each subset of
-                               the other waypoints, by its last one.
+                               comes from one `instance.shortest_paths`
+                               search per waypoint, so it costs the
+                               waypoints' searches, not a cubic pass over
+                               every vertex.  Waypoint 0 starts the tour;
+                               a cost array and an int8 parent array of
+                               shape (2^(l-1), l-1) hold the cheapest
+                               path through each subset of the other
+                               waypoints, by its last one.
                                Each popcount layer is filled by one numpy
                                gather over its (subset, last) cells and
                                an argmin, in int64, or in exact Python
@@ -69,13 +70,20 @@ the same way (`_witnessed`):
 from __future__ import annotations
 
 import gc
-import heapq
 from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .instance import KIND_WRP, Instance, InstanceError, InvariantError, ScaleError, component_walk
+from .instance import (
+    KIND_WRP,
+    Instance,
+    InstanceError,
+    InvariantError,
+    ScaleError,
+    component_walk,
+    shortest_paths,
+)
 
 
 @dataclass(frozen=True)
@@ -240,33 +248,25 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
 # -- engine 2: Held-Karp on the waypoint metric closure ----------------------
 
 def _apsp_with_paths(inst: Instance, wps):
-    """Shortest paths between the waypoints `wps`, by Dijkstra from each.
-    Distances are symmetric, so the search from wps[a] stops once every
-    later waypoint is settled.  Returns d and expand: d[a][b] is the
+    """Shortest paths between the waypoints `wps`, by `shortest_paths` from
+    each.  Distances are symmetric, so the search from wps[a] stops once
+    every later waypoint is settled.  Returns d and expand: d[a][b] is the
     distance between wps[a] and wps[b], None when unreachable, and
     expand(a, b) lists the edge ids of one shortest path between them.  Of
     parallel edges the cheapest, then the lowest id, is taken."""
-    adj, edges = inst.adjacency(), inst.edges
     index = {w: a for a, w in enumerate(wps)}
     d = [[0 if a == b else None for b in range(len(wps))] for a in range(len(wps))]
     preds = []
-    for a, s in enumerate(wps):
-        dist, pred, left = {s: 0}, {}, len(wps) - 1 - a
-        heap = [(0, s)]
-        while heap and left:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue  # a stale entry: u was reached more cheaply since
-            b = index.get(u, -1)
+    for a, s in enumerate(wps[:-1]):  # the last one has no later waypoint to find
+        pred, left = {}, len(wps) - 1 - a
+        for v, dv, i in shortest_paths(inst, s):
+            pred[v] = i
+            b = index.get(v, -1)
             if b > a:
-                d[a][b] = d[b][a] = du
+                d[a][b] = d[b][a] = dv
                 left -= 1
-            for i in adj[u]:
-                e = edges[i]
-                v, dv = e.v if e.u == u else e.u, du + e.weight
-                if v not in dist or dv < dist[v]:
-                    dist[v], pred[v] = dv, i
-                    heapq.heappush(heap, (dv, v))
+                if not left:
+                    break
         preds.append(pred)
 
     def expand(a, b):
@@ -274,7 +274,7 @@ def _apsp_with_paths(inst: Instance, wps):
         pred, v, path = preds[a], wps[b], []
         while v != wps[a]:
             path.append(pred[v])
-            v = edges[pred[v]].other(v)
+            v = inst.edges[pred[v]].other(v)
         return path
 
     return d, expand

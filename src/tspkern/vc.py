@@ -3,8 +3,9 @@
 With a vertex cover M, every vertex r outside M has all its edges into M.
 A solution restricted to r is a "behavior": a small multiset of r's edges
 (two occurrences for the all-waypoint kind; zero, two, or four for the
-capacitated kind).  The impact of a behavior is the set of cover vertices it
-touches, and for the capacitated kind also the parity of each touch.  Each
+capacitated kind).  The impact of a behavior (`marking.Impact`) is the set
+of cover vertices it touches, and for the capacitated kind also the parity
+of each touch.  Each
 vertex outside M is one unit of the marking scheme in `marking`.  Neither
 depends on weights, so a round enumerates them once per vertex shape: the
 kind, whether the vertex is a waypoint, and the cover vertex and effective
@@ -14,11 +15,11 @@ capacity of each of its edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError
 from .marking import (
     Behavior,
+    Impact,
     Unit,
     close_round,
     collect_units,
@@ -28,21 +29,6 @@ from .marking import (
     shaped_unit,
 )
 from .report import KernelReport
-
-
-@dataclass(frozen=True)
-class VertexImpact:
-    touched: frozenset[int]
-    degrees: tuple[tuple[int, int], ...] | None = None  # (m, parity class), wrp only
-
-    # impacts key the tables and red-marking buckets of a round, and a frozen
-    # dataclass rebuilds the tuple of its fields for every hash: take the
-    # same hash once
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.touched, self.degrees)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
@@ -78,7 +64,7 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
     return out
 
 
-def vertex_impact(inst: Instance, r: int, behavior: Behavior) -> VertexImpact:
+def vertex_impact(inst: Instance, r: int, behavior: Behavior) -> Impact:
     """The cover vertices that `behavior`, a behavior of vertex r, touches,
     and for the capacitated kind the parity class of each touch."""
     deg: dict[int, int] = {}
@@ -87,9 +73,9 @@ def vertex_impact(inst: Instance, r: int, behavior: Behavior) -> VertexImpact:
         deg[m] = deg.get(m, 0) + 1
     touched = frozenset(deg)
     if inst.kind == KIND_TSP:
-        return VertexImpact(touched)
+        return Impact(touched)
     classes = tuple(sorted((m, 1 if d % 2 else 2) for m, d in deg.items()))
-    return VertexImpact(touched, classes)
+    return Impact(touched, classes)
 
 
 def vertex_unit(inst: Instance, M, r: int, shapes: dict) -> Unit:
@@ -111,8 +97,7 @@ def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    shapes: dict = {}
-    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, shapes))
+    units = collect_units(report, R, lambda r, shapes: vertex_unit(inst, M, r, shapes))
     if units is None:
         return inst
     impacts = table_impacts(units)
@@ -133,8 +118,7 @@ def rule_vc_wrp(inst: Instance, M, report: KernelReport) -> Instance:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    shapes: dict = {}
-    units = collect_units(report, R, lambda r: vertex_unit(inst, M, r, shapes))
+    units = collect_units(report, R, lambda r, shapes: vertex_unit(inst, M, r, shapes))
     if units is None:
         return inst
     ni = len(table_impacts(units))

@@ -21,6 +21,7 @@ from tspkern.instance import (
     find_modulator,
     parse_instance,
     render_instance,
+    shortest_paths,
 )
 
 TRIANGLE_TEXT = "p tsp 3 3\nb 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"
@@ -295,3 +296,27 @@ def test_adjacency_is_memoized_per_instance():
     assert adj == tuple(tuple(i for i, e in enumerate(inst.edges) if v in e.ends())
                         for v in range(inst.n))
     assert dataclasses.replace(inst, edges=inst.edges[:1]).adjacency() == ((0,), (0,), ())
+
+
+def test_shortest_paths_order_preds_and_limits():
+    """Parallel edges 0-1 (ids 0 and 1) and edge 1-2 (id 2)."""
+    def graph(w0, w1):
+        return Instance("stsp", 3, (Edge(0, 1, w0), Edge(0, 1, w1), Edge(1, 2, 1)),
+                        frozenset({0, 1}), 99)
+
+    inst = graph(3, 5)
+    assert list(shortest_paths(inst, 0)) == [(0, 0, None), (1, 3, 0), (2, 4, 2)]
+    assert list(shortest_paths(inst, 2)) == [(2, 0, None), (1, 1, 2), (0, 4, 0)]
+    # a vertex `through` rejects is settled but not expanded; the source is expanded
+    assert list(shortest_paths(inst, 0, through=lambda v: v != 1)) == [(0, 0, None), (1, 3, 0)]
+    assert list(shortest_paths(inst, 1, through=lambda v: False)) == [
+        (1, 0, None), (2, 1, 2), (0, 3, 0)]
+    # only the edges `adj` lists are relaxed, in its order
+    assert list(shortest_paths(inst, 0, adj=((1,), (1, 2), (2,)))) == [
+        (0, 0, None), (1, 5, 1), (2, 6, 2)]
+    # of equally short ways the first one relaxed is kept
+    tie = graph(3, 3)
+    assert list(shortest_paths(tie, 0)) == [(0, 0, None), (1, 3, 0), (2, 4, 2)]
+    assert list(shortest_paths(tie, 0, adj=((1, 0), (0, 1, 2), (2,)))) == [
+        (0, 0, None), (1, 3, 1), (2, 4, 2)]
+    assert list(shortest_paths(graph(5, 3), 0)) == [(0, 0, None), (1, 3, 1), (2, 4, 2)]

@@ -89,8 +89,8 @@ def _check_rounds(monkeypatch, inst: Instance, regime: str, r: int) -> tuple[int
         built = []
         seen.append((list(keys), built))
 
-        def record(key):
-            built.append(make(key))
+        def record(key, shapes):
+            built.append(make(key, shapes))
             return built[-1]
         return collect(report, keys, record)
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemmas import blend_behavior, is_component_behavior, pieces
-from tspkern.instance import Edge, Instance, InstanceError, ScaleError
+from tspkern.instance import Edge, Instance, InstanceError, InvariantError, ScaleError
 from tspkern.marking import Behavior
 from tspkern.modulator import (
     BEHAVIOR_GUARD,
+    _shortest_mm_paths,
     component_graph,
     component_impact,
     component_unit,
@@ -128,13 +129,33 @@ def test_impact_figure_config():
     beh = Behavior(beh_edges, weight)
     imp = component_impact(inst, {0, 1, 2, 3, 4}, beh)
     assert imp.touched == frozenset({1, 2, 4})
-    assert dict(imp.rep_edges) == {(1, 2): 2, (1, 4): 1}
+    assert dict(imp.detail) == {(1, 2): 2, (1, 4): 1}
 
 
 def test_impact_single_touch_empty_reps():
     inst = singleton_component()
     nat = _natural(inst, {0, 1}, {2}, 1)
-    assert component_impact(inst, {0, 1}, nat).rep_edges == ()
+    assert component_impact(inst, {0, 1}, nat).detail == ()
+
+
+def test_impact_checks_the_parity_law():
+    """Three edges from one C-vertex touch each modulator vertex once: no
+    behavior does that, and the representatives cannot match vertex 1's
+    odd degree."""
+    edges = (Edge(3, 0, 1), Edge(3, 1, 1), Edge(3, 2, 1))
+    inst = Instance("tsp", 4, edges, frozenset(range(4)), 9)
+    with pytest.raises(InvariantError, match="parity law at modulator vertex 1$"):
+        component_impact(inst, {0, 1, 2}, Behavior.of(inst, [0, 1, 2]))
+
+
+def test_blue_paths_stop_at_the_modulator():
+    """The 4-long way from 0 to 1 passes modulator vertex 2, so the pair
+    (0, 1) keeps the 12-long way through C alone."""
+    edges = (Edge(0, 3, 1), Edge(3, 2, 1), Edge(2, 4, 1), Edge(4, 1, 1), Edge(3, 4, 10))
+    inst = Instance("tsp", 5, edges, frozenset(range(5)), 99)
+    M = {0, 1, 2}
+    got = _shortest_mm_paths(inst, M, component_graph(inst, M, {3, 4}))
+    assert dict(got) == {(0, 1): 12, (0, 2): 2, (1, 2): 2}
 
 
 @given(st.integers(0, 10**6))

@@ -129,6 +129,16 @@ def test_heldkarp_examples():
     assert solve_heldkarp(star13(budget=99)).opt_weight == 6
 
 
+@pytest.mark.parametrize("w0, w1, witness", [(3, 3, (2, 0, 0)), (3, 5, (2, 0, 0)),
+                                             (5, 3, (0, 2, 0))])
+def test_heldkarp_keeps_the_first_shortest_edge(w0, w1, witness):
+    """Of parallel edges the cheapest, then the lowest id, joins the
+    waypoints; the solve digests leave witnesses out, so this pins it."""
+    inst = Instance("stsp", 3, (Edge(0, 1, w0), Edge(0, 1, w1), Edge(1, 2, 1)),
+                    frozenset({0, 1}), 99)
+    assert solve_heldkarp(inst).witness.multiplicity == witness
+
+
 def test_heldkarp_rejects_wrp():
     inst = Instance("wrp", 2, (Edge(0, 1, 1, 2),), frozenset({0, 1}), 9)
     with pytest.raises(ValueError, match="capacities"):

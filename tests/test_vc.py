@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from tspkern import vc
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError
-from tspkern.marking import Behavior, Unit, close_round
+from tspkern.marking import Behavior, Impact, Unit, close_round
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_vc_tsp, kernelize_vc_wrp
 from tspkern.report import KernelReport
 from tspkern.vc import (
-    VertexImpact,
     enumerate_vertex_behaviors,
     rule_vc_tsp,
     rule_vc_wrp,
@@ -110,21 +109,21 @@ def test_impacts():
     beh = [b for b in enumerate_vertex_behaviors(wrp, {0, 1, 2}, 3)
            if b.edges == (0, 0, 1, 2)][0]
     imp = vertex_impact(wrp, 3, beh)
-    assert imp.degrees == ((0, 2), (1, 1), (2, 1))
+    assert imp.detail == ((0, 2), (1, 1), (2, 1))
 
 
 def test_prices_tsp():
     inst = two_neighbor_tsp()  # weights 2, 5 -> b_nat weight 4
     u = vertex_unit(inst, {0, 1}, 2, {})
-    assert u.price(VertexImpact(frozenset({1}))) == 6
-    assert u.price(VertexImpact(frozenset({0, 1}))) == 3
-    assert u.price(VertexImpact(frozenset({0, 1, 2}))) == float("inf")
+    assert u.price(Impact(frozenset({1}))) == 6
+    assert u.price(Impact(frozenset({0, 1}))) == 3
+    assert u.price(Impact(frozenset({0, 1, 2}))) == float("inf")
 
 
 def test_price_wrp_mismatch_infinite():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0, 1}), 9)
-    nat_imp = VertexImpact(frozenset({0}), ((0, 2),))
-    wrong = VertexImpact(frozenset(), ())
+    nat_imp = Impact(frozenset({0}), ((0, 2),))
+    wrong = Impact(frozenset(), ())
     u = vertex_unit(inst, {0}, 1, {})
     # a unit is priced from its own natural impact only
     assert u.impact != wrong and u.price(wrong) == float("inf")
@@ -161,7 +160,7 @@ def test_rule_tsp_small_untouched():
 def test_impact_bound_is_checked(monkeypatch):
     # an impact function that tells every behavior apart breaks the k^2 bound
     monkeypatch.setattr(vc, "vertex_impact",
-                        lambda inst, r, b: VertexImpact(frozenset(b.edges)))
+                        lambda inst, r, b: Impact(frozenset(b.edges)))
     inst = _cover_instance(random.Random(0), "tsp", 2, 8)
     with pytest.raises(InvariantError, match="k\\^2 bound"):
         rule_vc_tsp(inst, {0, 1}, KernelReport(pipeline="vc-tsp"))
