@@ -22,7 +22,6 @@ from .oracle import (
     OracleCaps,
     SolutionMultigraph,
     check_certificate,
-    equivalent,
     solve_auto,
     solve_exact_multiplicity,
     solve_heldkarp,
@@ -41,8 +40,7 @@ __all__ = [
     "Edge", "Instance", "InstanceError", "InvariantError", "ParseError", "ScaleError",
     "parse_instance", "render_instance",
     "OptResult", "OracleCaps", "SolutionMultigraph", "check_certificate",
-    "equivalent", "solve_auto", "solve_exact_multiplicity", "solve_heldkarp",
-    "solve_treewidth",
+    "solve_auto", "solve_exact_multiplicity", "solve_heldkarp", "solve_treewidth",
     "PIPELINES", "kernelize_fes", "kernelize_vc_tsp", "kernelize_vc_wrp",
     "kernelize_components_tsp", "kernelize_paths_subtsp",
 ]

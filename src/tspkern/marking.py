@@ -4,10 +4,13 @@ A *unit* is what a marking rule keeps or deletes whole: one vertex outside
 the vertex cover (`vc.py`) or one component of G minus the modulator
 (`modulator.py`).  A solution meets a unit through a *behavior*
 (`Behavior`), an edge multiset with a weight.  The unit's natural behavior
-is its least behavior by (weight, edges), and an *impact* (`Impact`) is
-the fingerprint a behavior leaves on the cover or modulator.  The unit's
-*impact table* maps each impact of its behaviors to the least weight among
-them; the price of an impact is that weight minus the natural weight.
+is its least behavior by (weight, edges), and an *impact* (`Impact`,
+computed by `impact_of`) is the fingerprint a behavior leaves on the cover
+or modulator.  A vertex outside a vertex cover is a one-vertex component
+of G minus the cover, so one impact function serves both kinds of unit.
+The unit's *impact table* maps each impact of its behaviors to the least
+weight among them; the price of an impact is that weight minus the
+natural weight.
 
 A round builds its units once per *shape* (`shaped_unit`).  Behaviors and
 their impacts never read edge weights: they follow from the unit's shape,
@@ -46,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, NamedTuple
 
-from .instance import Instance, InvariantError
+from .instance import Instance, InvariantError, component_walk
 from .report import KernelReport
 
 INF = math.inf
@@ -69,11 +72,40 @@ class Behavior:
 
 
 class Impact(NamedTuple):
-    """A behavior's fingerprint: the cover or modulator vertices it touches,
-    and what else the kernel tells behaviors apart by (`vc.vertex_impact`,
-    `modulator.component_impact`)."""
+    """A behavior's fingerprint (`impact_of`): the cover or modulator
+    vertices it touches, and for each piece of its support that holds two or
+    more M-vertices, a representative per pair (least, other) of them."""
     touched: frozenset
     detail: tuple = ()
+
+
+def impact_of(inst: Instance, M, behavior: Behavior) -> Impact:
+    """The impact of `behavior` on M.  Each piece of its support pairs its
+    least M-vertex mi with every other M-vertex mj of the piece, as a single
+    edge (1) when mj's degree is odd and a double edge (2) when it is even;
+    the parity law checks that these representatives give mi its degree's
+    parity."""
+    M = set(M)
+    deg: dict[int, int] = {}
+    for i in behavior.edges:
+        e = inst.edges[i]
+        deg[e.u] = deg.get(e.u, 0) + 1
+        deg[e.v] = deg.get(e.v, 0) + 1
+    touched = frozenset(v for v in deg if v in M)
+
+    rep: dict[tuple[int, int], int] = {}
+    for comp in component_walk(inst, behavior.edges):
+        mverts = sorted(M.intersection(comp))
+        if len(mverts) < 2:
+            continue
+        mi = mverts[0]
+        for mj in mverts[1:]:
+            rep[(mi, mj)] = 1 if deg[mj] % 2 else 2
+        # parity law: the representative's D-degree parity matches its F-degree
+        if sum(rep[(mi, mj)] for mj in mverts[1:]) % 2 != deg[mi] % 2:
+            raise InvariantError("behavior impact breaks the parity law"
+                                 f" at modulator vertex {mi + 1}")
+    return Impact(touched, tuple(sorted(rep.items())))
 
 
 @dataclass(frozen=True)
@@ -89,19 +121,19 @@ class Unit:
         return self.table[impact] - self.natural.weight
 
 
-def shaped_unit(shapes: dict, key: Hashable, label: str, deletes, inst: Instance, eids,
-                behaviors: Callable, impact_of: Callable) -> Unit:
+def shaped_unit(shapes: dict, key: Hashable, label: str, deletes, inst: Instance, M, eids,
+                behaviors: Callable) -> Unit:
     """The unit on the edges `eids`, in ascending order, priced by `inst`'s
     weights.  `key` is its shape: it must fix `behaviors()`, the unit's
-    behaviors, and `impact_of` on each of them, up to the map from position
-    in `eids` to edge id.  The first unit of a shape enumerates and stores
+    behaviors, and their impacts on M, up to the map from position in
+    `eids` to edge id.  The first unit of a shape enumerates and stores
     them in `shapes` as (edge positions, impact); later units of the shape
     only weigh them.  `label` names the unit in the `NoBehavior` raised when
     it has no behavior."""
     shape = shapes.get(key)
     if shape is None:
         position = {i: p for p, i in enumerate(eids)}
-        shape = shapes[key] = [(tuple(position[i] for i in b.edges), impact_of(b))
+        shape = shapes[key] = [(tuple(position[i] for i in b.edges), impact_of(inst, M, b))
                                for b in behaviors()]
     if not shape:
         raise NoBehavior(f"{label} admits no behavior")

@@ -8,12 +8,12 @@ M at most 2r times.  Behaviors come from `oracle`'s multiplicity folds:
 `even_covering` keeps the vectors of even nonzero C-degrees, an `np.add`
 fold bounds the crossings, and a survivor is kept when its edges' end
 masks merge (`oracle._merge_blocks`) into blocks that each hold a
-modulator vertex.  Components are fingerprinted by the impact
-(`marking.Impact`: touched modulator vertices plus connectivity/parity
-representative edges) and pruned by the marking scheme in `marking`: each
-component is one unit.  A
-round enumerates behaviors and impacts once per component shape (r, and
-the ends and effective capacity of each edge of G_C, with C-vertices by
+modulator vertex.  Each component is one unit of the marking scheme in
+`marking`, which fingerprints its behaviors by their impact
+(`marking.impact_of`: the touched modulator vertices plus
+connectivity/parity representative edges) and prunes the units.  A round
+enumerates behaviors and impacts once per component shape (r, and the
+ends and effective capacity of each edge of G_C, with C-vertices by
 position and modulator vertices by id), and each component weighs them
 with its own weights.  Blue marking, which keeps shortest
 modulator-to-modulator paths (`instance.shortest_paths`), lives here.
@@ -28,17 +28,14 @@ import numpy as np
 from .instance import (
     Instance,
     InstanceError,
-    InvariantError,
     KIND_SUBTSP,
     KIND_TSP,
     ScaleError,
     WorkGraph,
-    component_walk,
     shortest_paths,
 )
 from .marking import (
     Behavior,
-    Impact,
     Unit,
     close_round,
     collect_units,
@@ -95,30 +92,6 @@ def _label(C) -> str:
     return f"component {[v + 1 for v in sorted(C)]}"
 
 
-def component_impact(inst: Instance, M, behavior: Behavior) -> Impact:
-    M = set(M)
-    deg: dict[int, int] = {}
-    for i in behavior.edges:
-        e = inst.edges[i]
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-    touched = frozenset(v for v in deg if v in M)
-
-    rep: dict[tuple[int, int], int] = {}
-    for comp in component_walk(inst, behavior.edges):
-        mverts = sorted(M.intersection(comp))
-        if len(mverts) < 2:
-            continue
-        mi = mverts[0]
-        for mj in mverts[1:]:
-            rep[(mi, mj)] = 1 if deg[mj] % 2 else 2
-        # parity law: the representative's D-degree parity matches its F-degree
-        if sum(rep[(mi, mj)] for mj in mverts[1:]) % 2 != deg[mi] % 2:
-            raise InvariantError("behavior impact breaks the parity law"
-                                 f" at modulator vertex {mi + 1}")
-    return Impact(touched, tuple(sorted(rep.items())))
-
-
 def component_unit(inst: Instance, M, C, r: int, shapes: dict, eids) -> Unit:
     """The unit of component C, whose `component_graph` is `eids`.  `shapes`
     is a round's memo of component shapes: r and, for each edge of G_C in
@@ -129,9 +102,8 @@ def component_unit(inst: Instance, M, C, r: int, shapes: dict, eids) -> Unit:
     edges = [inst.edges[i] for i in eids]
     key = (r, tuple((role.get(e.u, ~e.u), role.get(e.v, ~e.v), inst.effective_capacity(e))
                     for e in edges))
-    return shaped_unit(shapes, key, _label(C), C, inst, eids,
-                       lambda: enumerate_component_behaviors(inst, M, C, r),
-                       lambda b: component_impact(inst, M, b))
+    return shaped_unit(shapes, key, _label(C), C, inst, M, eids,
+                       lambda: enumerate_component_behaviors(inst, M, C, r))
 
 
 def _shortest_mm_paths(inst: Instance, M, eids):

@@ -693,8 +693,3 @@ def auto_engine(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> str:
 def solve_auto(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
     """Solve with the widest applicable engine; ScaleError if none fits."""
     return ENGINES[auto_engine(inst, caps)](inst, caps)
-
-
-def equivalent(a: Instance, b: Instance, caps: OracleCaps = DEFAULT_CAPS) -> bool:
-    """True iff both instances get the same feasibility verdict."""
-    return solve_auto(a, caps).feasible == solve_auto(b, caps).feasible

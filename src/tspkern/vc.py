@@ -3,13 +3,14 @@
 With a vertex cover M, every vertex r outside M has all its edges into M.
 A solution restricted to r is a "behavior": a small multiset of r's edges
 (two occurrences for the all-waypoint kind; zero, two, or four for the
-capacitated kind).  The impact of a behavior (`marking.Impact`) is the set
-of cover vertices it touches, and for the capacitated kind also the parity
-of each touch.  Each
-vertex outside M is one unit of the marking scheme in `marking`.  Neither
-depends on weights, so a round enumerates them once per vertex shape: the
-kind, whether the vertex is a waypoint, and the cover vertex and effective
-capacity of each of its edges.
+capacitated kind).  Each vertex outside M is a one-vertex component of G
+minus M and one unit of the marking scheme in `marking`, which fingerprints
+its behaviors as it does a component's (`marking.impact_of`): the cover
+vertices a behavior touches and the parity of each touch but the least
+one's, which the others fix, since r's degree is even.  Neither behaviors
+nor impacts depend on weights, so a round enumerates them once per vertex
+shape: the kind, whether the vertex is a waypoint, and the cover vertex and
+effective capacity of each of its edges.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError
 from .marking import (
     Behavior,
-    Impact,
     Unit,
     close_round,
     collect_units,
@@ -64,20 +64,6 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
     return out
 
 
-def vertex_impact(inst: Instance, r: int, behavior: Behavior) -> Impact:
-    """The cover vertices that `behavior`, a behavior of vertex r, touches,
-    and for the capacitated kind the parity class of each touch."""
-    deg: dict[int, int] = {}
-    for i in behavior.edges:
-        m = inst.edges[i].other(r)
-        deg[m] = deg.get(m, 0) + 1
-    touched = frozenset(deg)
-    if inst.kind == KIND_TSP:
-        return Impact(touched)
-    classes = tuple(sorted((m, 1 if d % 2 else 2) for m, d in deg.items()))
-    return Impact(touched, classes)
-
-
 def vertex_unit(inst: Instance, M, r: int, shapes: dict) -> Unit:
     """The unit of vertex r.  `shapes` is a round's memo of vertex shapes:
     the kind, whether r is a waypoint, and the cover vertex and effective
@@ -86,9 +72,8 @@ def vertex_unit(inst: Instance, M, r: int, shapes: dict) -> Unit:
     edges = [inst.edges[i] for i in eids]
     key = (inst.kind, r in inst.waypoints,
            tuple((e.other(r), inst.effective_capacity(e)) for e in edges))
-    return shaped_unit(shapes, key, f"vertex {r + 1}", (r,), inst, eids,
-                       lambda: enumerate_vertex_behaviors(inst, M, r),
-                       lambda b: vertex_impact(inst, r, b))
+    return shaped_unit(shapes, key, f"vertex {r + 1}", (r,), inst, M, eids,
+                       lambda: enumerate_vertex_behaviors(inst, M, r))
 
 
 def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:

@@ -4,10 +4,12 @@ the behavior that a solution's Euler walk induces on a component
 (`solution_component_behavior`), the defining predicate of a component
 behavior (`is_component_behavior`, the reference the enumerator is
 checked against), blending for Subset TSP (`blend_behavior`),
-positive weights (`ensure_positive_weights`), and the plain build of a
+positive weights (`ensure_positive_weights`), the plain build of a
 marking unit from its own behaviors (`unit`, the reference a round's
-units, built once per shape, are checked against), and the multiplicity
-engine's witness search with a component walk per support
+units, built once per shape, are checked against), the parity class of
+each cover vertex a vertex behavior touches (`vertex_classes`, the
+reference `marking.impact_of` is checked against on vertices), and the
+multiplicity engine's witness search with a component walk per support
 (`multiplicity_search`, the reference the engine's block merge is checked
 against).
 """
@@ -27,8 +29,8 @@ from tspkern.instance import (
     component_walk,
     non_forest,
 )
-from tspkern.marking import Behavior, NoBehavior, Unit
-from tspkern.modulator import _label, component_impact, enumerate_component_behaviors
+from tspkern.marking import Behavior, NoBehavior, Unit, impact_of
+from tspkern.modulator import _label, enumerate_component_behaviors
 from tspkern.oracle import (
     OptResult,
     SolutionMultigraph,
@@ -51,16 +53,26 @@ def natural(behaviors, label: str) -> Behavior:
     return min(behaviors, key=lambda b: (b.weight, b.edges))
 
 
-def unit(label: str, deletes, behaviors, impact_of) -> Unit:
+def unit(label: str, deletes, inst: Instance, M, behaviors) -> Unit:
     """The unit built from its own behaviors, each weighed and fingerprinted
-    where it stands."""
+    on M where it stands."""
     nat = natural(behaviors, label)
     table: dict = {}
     for b in behaviors:
-        imp = impact_of(b)
+        imp = impact_of(inst, M, b)
         if imp not in table or b.weight < table[imp]:
             table[imp] = b.weight
-    return Unit(tuple(deletes), nat, impact_of(nat), table)
+    return Unit(tuple(deletes), nat, impact_of(inst, M, nat), table)
+
+
+def vertex_classes(inst: Instance, r: int, behavior: Behavior) -> tuple:
+    """(m, 1 if odd else 2) for each cover vertex m that `behavior`, a
+    behavior of vertex r outside the cover, touches, by the parity of its
+    touches.  Each class names its vertex, so equal classes mean equal
+    touched sets too.  On r's star, `marking.impact_of` must split the
+    behaviors of all vertices into the same classes."""
+    deg = Counter(inst.edges[i].other(r) for i in behavior.edges)
+    return tuple(sorted((m, 1 if d % 2 else 2) for m, d in deg.items()))
 
 
 # -- the multiplicity engine's witness search --------------------------------
@@ -333,8 +345,8 @@ def blend_behavior(inst: Instance, M, C, A: Behavior, M_prime, v: int,
     M, M_prime = set(M), set(M_prime)
     behaviors = enumerate_component_behaviors(inst, M, C, r)
     nat = natural(behaviors, _label(C))
-    nat_touch = component_impact(inst, M, nat).touched
-    a_touch = component_impact(inst, M, A).touched
+    nat_touch = impact_of(inst, M, nat).touched
+    a_touch = impact_of(inst, M, A).touched
     if v not in nat_touch or v in M_prime:
         raise InstanceError("v must be naturally touched and outside M'")
     if not a_touch <= M_prime:
@@ -347,7 +359,7 @@ def blend_behavior(inst: Instance, M, C, A: Behavior, M_prime, v: int,
     for b in behaviors:
         if b.weight > A.weight:
             continue
-        imp = component_impact(inst, M, b)
+        imp = impact_of(inst, M, b)
         if v not in imp.touched or not imp.touched <= allowed:
             continue
         # every support component with a vertex outside M meets M'

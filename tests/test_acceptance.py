@@ -24,9 +24,9 @@ from tspkern.gadgets import (
     selection_gadget,
 )
 from tspkern.instance import Edge, Instance, compute_fes, render_instance
+from tspkern.marking import impact_of
 from tspkern.modulator import (
     component_graph,
-    component_impact,
     component_unit,
     enumerate_component_behaviors,
     rule_components_tsp,
@@ -306,9 +306,9 @@ def test_06_blending():
         if not behaviors:
             continue
         nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
-        nat_touch = component_impact(inst, M, nat).touched
+        nat_touch = impact_of(inst, M, nat).touched
         for A in rng.sample(behaviors, len(behaviors)):
-            a_touch = component_impact(inst, M, A).touched
+            a_touch = impact_of(inst, M, A).touched
             if any(len(p.legs) != 2 for p in pieces(inst, M, A)):
                 continue
             candidates = sorted(nat_touch - a_touch)
@@ -317,7 +317,7 @@ def test_06_blending():
             v = rng.choice(candidates)
             M_prime = set(a_touch)
             F = blend_behavior(inst, M, C, A, M_prime, v, r)
-            touched = component_impact(inst, M, F).touched
+            touched = impact_of(inst, M, F).touched
             assert v in touched
             assert touched <= a_touch | nat_touch
             assert _anchored(inst, M, F, M_prime | {v})

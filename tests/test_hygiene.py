@@ -2,8 +2,9 @@
 every module-level private function, class or constant is referenced
 somewhere in the package, every public function or method is referenced
 somewhere in the package or the benchmark harness (a reference from the
-tests alone does not count: code only the tests use belongs in the tests),
-and no module uses `assert`.
+tests alone does not count: code only the tests use belongs in the tests,
+and neither does a re-export in `__init__.py`, which only the tests could
+then be reading), and no module uses `assert`.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library.  `__init__.py` is skipped by the import check:
@@ -109,9 +110,11 @@ def public_functions(tree: ast.Module) -> list[tuple[str, str, int]]:
 
 def unreferenced(package: dict[str, str], users: dict[str, str]) -> list[str]:
     """Public functions and methods of `package` that no source in `package`
-    or `users` reads, calls or imports, other than by defining them."""
+    or `users` reads, calls or imports, other than by defining them or by
+    re-exporting them from `__init__.py`."""
     trees = {name: ast.parse(src) for name, src in package.items()}
-    used = set().union(*(references(tree) for tree in trees.values()),
+    used = set().union(*(references(tree) for name, tree in trees.items()
+                         if name != "__init__.py"),
                        *(references(ast.parse(src)) for src in users.values()))
     return [f"{name} line {line}: {qual}" for name, tree in sorted(trees.items())
             for fn, qual, line in public_functions(tree) if fn not in used]
@@ -124,6 +127,13 @@ def test_unreferenced_detector():
                        "    def _private(self):\n        pass\n"}
     users = {"run.py": "from a import kept, K\nK().used()\n"}
     assert unreferenced(package, users) == ["a.py line 3: gone", "a.py line 8: K.idle"]
+
+
+def test_reexport_is_not_a_use():
+    package = {"__init__.py": "from .a import exported, kept\n",
+               "a.py": "def exported():\n    pass\ndef kept():\n    pass\n"}
+    users = {"run.py": "from a import kept\n"}
+    assert unreferenced(package, users) == ["a.py line 1: exported"]
 
 
 def test_no_unreferenced_public_functions():

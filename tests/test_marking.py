@@ -16,10 +16,10 @@ from tspkern import modulator, vc
 from tspkern.gadgets import gen_planted
 from tspkern.instance import KIND_WRP, Edge, Instance, InstanceError, ScaleError
 from tspkern.marking import NoBehavior
-from tspkern.modulator import _label, component_impact, rule_components_tsp
+from tspkern.modulator import _label, rule_components_tsp
 from tspkern.pipelines import REGIMES, kernelize
 from tspkern.report import KernelReport
-from tspkern.vc import rule_vc_tsp, vertex_impact
+from tspkern.vc import rule_vc_tsp
 
 # (kind, planted regime, kernel regime)
 CASES = [("tsp", "vc", "vc-tsp"), ("wrp", "vc", "vc-wrp"),
@@ -53,14 +53,13 @@ def _plain_round(inst: Instance, M, r: int, vertices: bool):
     unit has no behavior."""
     if vertices:
         keys = sorted(set(range(inst.n)) - M)
-        build = [lambda v=v: unit(f"vertex {v + 1}", (v,),
-                                  vc.enumerate_vertex_behaviors(inst, M, v),
-                                  lambda b: vertex_impact(inst, v, b)) for v in keys]
+        build = [lambda v=v: unit(f"vertex {v + 1}", (v,), inst, M,
+                                  vc.enumerate_vertex_behaviors(inst, M, v)) for v in keys]
     else:
         keys = inst.components(without=M)
-        build = [lambda C=C: unit(_label(C), C,
-                                  modulator.enumerate_component_behaviors(inst, M, C, r),
-                                  lambda b: component_impact(inst, M, b)) for C in keys]
+        build = [lambda C=C: unit(_label(C), C, inst, M,
+                                  modulator.enumerate_component_behaviors(inst, M, C, r))
+                 for C in keys]
     units = []
     for make in build:
         try:

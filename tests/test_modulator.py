@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from lemmas import blend_behavior, is_component_behavior, pieces
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError, ScaleError
-from tspkern.marking import Behavior
+from tspkern.marking import Behavior, impact_of
 from tspkern.modulator import (
     BEHAVIOR_GUARD,
     _shortest_mm_paths,
     component_graph,
-    component_impact,
     component_unit,
     enumerate_component_behaviors,
     rule_components_tsp,
@@ -127,7 +126,7 @@ def test_impact_figure_config():
     beh_edges = (0, 1, 2, 3, 4, 5, 6)
     weight = sum(inst.edges[i].weight for i in beh_edges)
     beh = Behavior(beh_edges, weight)
-    imp = component_impact(inst, {0, 1, 2, 3, 4}, beh)
+    imp = impact_of(inst, {0, 1, 2, 3, 4}, beh)
     assert imp.touched == frozenset({1, 2, 4})
     assert dict(imp.detail) == {(1, 2): 2, (1, 4): 1}
 
@@ -135,7 +134,7 @@ def test_impact_figure_config():
 def test_impact_single_touch_empty_reps():
     inst = singleton_component()
     nat = _natural(inst, {0, 1}, {2}, 1)
-    assert component_impact(inst, {0, 1}, nat).detail == ()
+    assert impact_of(inst, {0, 1}, nat).detail == ()
 
 
 def test_impact_checks_the_parity_law():
@@ -145,7 +144,7 @@ def test_impact_checks_the_parity_law():
     edges = (Edge(3, 0, 1), Edge(3, 1, 1), Edge(3, 2, 1))
     inst = Instance("tsp", 4, edges, frozenset(range(4)), 9)
     with pytest.raises(InvariantError, match="parity law at modulator vertex 1$"):
-        component_impact(inst, {0, 1, 2}, Behavior.of(inst, [0, 1, 2]))
+        impact_of(inst, {0, 1, 2}, Behavior.of(inst, [0, 1, 2]))
 
 
 def test_blue_paths_stop_at_the_modulator():
@@ -180,17 +179,17 @@ def test_parity_law(seed):
             enumerate_component_behaviors(inst, M, set(range(k, n)), csize)
         return
     for beh in enumerate_component_behaviors(inst, M, set(range(k, n)), csize):
-        component_impact(inst, M, beh)  # asserts the parity law internally
+        impact_of(inst, M, beh)  # asserts the parity law internally
 
 
 def test_price_component_basics():
     inst = singleton_component()
     behaviors = enumerate_component_behaviors(inst, {0, 1}, {2}, 1)
     u = component_unit(inst, {0, 1}, {2}, 1, {}, component_graph(inst, {0, 1}, {2}))
-    nat_imp = component_impact(inst, {0, 1}, u.natural)
+    nat_imp = impact_of(inst, {0, 1}, u.natural)
     assert u.impact == nat_imp and u.price(nat_imp) == 0
-    other = [component_impact(inst, {0, 1}, b) for b in behaviors
-             if component_impact(inst, {0, 1}, b) != nat_imp]
+    other = [impact_of(inst, {0, 1}, b) for b in behaviors
+             if impact_of(inst, {0, 1}, b) != nat_imp]
     # a unit is priced from its own natural impact only
     assert other[0] != u.impact
 
@@ -316,9 +315,9 @@ def _blend_cases(rng, count):
         if not behaviors:
             continue
         nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
-        nat_touch = component_impact(inst, M, nat).touched
+        nat_touch = impact_of(inst, M, nat).touched
         for A in behaviors:
-            a_touch = component_impact(inst, M, A).touched
+            a_touch = impact_of(inst, M, A).touched
             if any(len(p.legs) != 2 for p in pieces(inst, M, A)):
                 continue
             candidates = [v for v in nat_touch if v not in a_touch]
@@ -337,10 +336,10 @@ def test_blending_properties():
     rng = random.Random(2024)
     for inst, M, C, A, M_prime, v, r in _blend_cases(rng, 60):
         F = blend_behavior(inst, M, C, A, M_prime, v, r)
-        touched = component_impact(inst, M, F).touched
+        touched = impact_of(inst, M, F).touched
         nat = _natural(inst, M, C, r)
-        nat_touch = component_impact(inst, M, nat).touched
-        a_touch = component_impact(inst, M, A).touched
+        nat_touch = impact_of(inst, M, nat).touched
+        a_touch = impact_of(inst, M, A).touched
         assert v in touched
         assert touched <= a_touch | nat_touch
         assert F.weight <= A.weight
@@ -353,7 +352,7 @@ def test_blend_singleton_example():
     A = [b for b in behaviors if b.edges == (1, 1)][0]  # 2 x edge to m0
     F = blend_behavior(inst, {0, 1}, {2}, A, {0}, 1, 1)
     assert F.weight <= A.weight
-    assert 1 in component_impact(inst, {0, 1}, F).touched
+    assert 1 in impact_of(inst, {0, 1}, F).touched
 
 
 @given(st.integers(0, 10**6))

@@ -29,7 +29,6 @@ from tspkern.oracle import (
     DEFAULT_CAPS,
     OracleCaps,
     check_certificate,
-    equivalent,
     make_solution,
     solve_auto,
     solve_exact_multiplicity,
@@ -693,11 +692,6 @@ def test_witnessed_rejects_an_unsound_witness():
         oracle._witnessed(triangle(), 2, path, "test")
     # past the budget the witness is not read as a certificate
     assert oracle._witnessed(triangle(1), 2, path, "test") == oracle.OptResult(False, 2, path)
-
-
-def test_equivalent():
-    assert equivalent(triangle(), triangle())
-    assert not equivalent(triangle(3), triangle(2))
 
 
 # -- nice form ---------------------------------------------------------------

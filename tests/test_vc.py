@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tspkern import vc
+from lemmas import vertex_classes
+from tspkern import marking
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError
-from tspkern.marking import Behavior, Impact, Unit, close_round
+from tspkern.marking import Behavior, Impact, Unit, close_round, impact_of
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_vc_tsp, kernelize_vc_wrp
 from tspkern.report import KernelReport
@@ -16,7 +17,6 @@ from tspkern.vc import (
     enumerate_vertex_behaviors,
     rule_vc_tsp,
     rule_vc_wrp,
-    vertex_impact,
     vertex_unit,
 )
 
@@ -102,27 +102,55 @@ def test_natural_wrp_nonwaypoint_empty():
 def test_impacts():
     inst = two_neighbor_tsp()
     behaviors = {b.edges: b for b in enumerate_vertex_behaviors(inst, {0, 1}, 2)}
-    assert vertex_impact(inst, 2, behaviors[(1, 1)]).touched == frozenset({0})
-    assert vertex_impact(inst, 2, behaviors[(1, 2)]).touched == frozenset({0, 1})
+    assert impact_of(inst, {0, 1}, behaviors[(1, 1)]) == Impact(frozenset({0}))
+    assert impact_of(inst, {0, 1}, behaviors[(1, 2)]) == Impact(frozenset({0, 1}),
+                                                                (((0, 1), 1),))
     wrp = Instance("wrp", 4, (Edge(0, 3, 1, 2), Edge(1, 3, 1, 2), Edge(2, 3, 1, 2)),
                    frozenset({3}), 9)
     beh = [b for b in enumerate_vertex_behaviors(wrp, {0, 1, 2}, 3)
            if b.edges == (0, 0, 1, 2)][0]
-    imp = vertex_impact(wrp, 3, beh)
-    assert imp.detail == ((0, 2), (1, 1), (2, 1))
+    # vertex 0, touched twice, is the least: its parity follows from the others'
+    imp = impact_of(wrp, {0, 1, 2}, beh)
+    assert imp.detail == (((0, 1), 1), ((0, 2), 1))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_impact_splits_like_vertex_classes(seed):
+    """A vertex outside the cover is a one-vertex component: on its star,
+    `impact_of` tells two behaviors of any two vertices apart exactly when
+    their parity classes differ."""
+    rng = random.Random(seed)
+    kind = rng.choice(("tsp", "wrp"))
+    k = rng.randint(1, 4)
+    n = k + rng.randint(1, 5)
+    edges = []
+    for v in range(k, n):
+        # neighbours drawn with repetition give parallel edges
+        for m in rng.choices(range(k), k=rng.randint(1, 4)):
+            edges.append(Edge(m, v, rng.randint(1, 9),
+                              rng.choice((1, 2)) if kind == "wrp" else None))
+    wps = (frozenset(range(n)) if kind == "tsp"
+           else frozenset(v for v in range(n) if rng.random() < 0.5))
+    inst = Instance(kind, n, tuple(edges), wps, 99)
+    M = frozenset(range(k))
+    pairs = {(impact_of(inst, M, b), vertex_classes(inst, v, b))
+             for v in range(k, n) for b in enumerate_vertex_behaviors(inst, M, v)}
+    assert len({imp for imp, _ in pairs}) == len(pairs) == len({cls for _, cls in pairs})
 
 
 def test_prices_tsp():
     inst = two_neighbor_tsp()  # weights 2, 5 -> b_nat weight 4
     u = vertex_unit(inst, {0, 1}, 2, {})
     assert u.price(Impact(frozenset({1}))) == 6
-    assert u.price(Impact(frozenset({0, 1}))) == 3
+    assert u.price(Impact(frozenset({0, 1}), (((0, 1), 1),))) == 3
+    assert u.price(Impact(frozenset({0, 1}))) == float("inf")
     assert u.price(Impact(frozenset({0, 1, 2}))) == float("inf")
 
 
 def test_price_wrp_mismatch_infinite():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0, 1}), 9)
-    nat_imp = Impact(frozenset({0}), ((0, 2),))
+    nat_imp = Impact(frozenset({0}))
     wrong = Impact(frozenset(), ())
     u = vertex_unit(inst, {0}, 1, {})
     # a unit is priced from its own natural impact only
@@ -159,8 +187,8 @@ def test_rule_tsp_small_untouched():
 
 def test_impact_bound_is_checked(monkeypatch):
     # an impact function that tells every behavior apart breaks the k^2 bound
-    monkeypatch.setattr(vc, "vertex_impact",
-                        lambda inst, r, b: Impact(frozenset(b.edges)))
+    monkeypatch.setattr(marking, "impact_of",
+                        lambda inst, M, b: Impact(frozenset(b.edges)))
     inst = _cover_instance(random.Random(0), "tsp", 2, 8)
     with pytest.raises(InvariantError, match="k\\^2 bound"):
         rule_vc_tsp(inst, {0, 1}, KernelReport(pipeline="vc-tsp"))
@@ -169,7 +197,7 @@ def test_impact_bound_is_checked(monkeypatch):
 def test_close_round_checks_parity():
     inst = two_neighbor_tsp()
     nat = vertex_unit(inst, {0, 1}, 2, {}).natural
-    lone = Unit((2,), nat, vertex_impact(inst, 2, nat), {})
+    lone = Unit((2,), nat, impact_of(inst, {0, 1}, nat), {})
     with pytest.raises(InvariantError, match="odd number"):
         close_round(inst, KernelReport(pipeline="vc-wrp"), "rule_vc_wrp", [lone], set(),
                     "vertices")
