@@ -399,15 +399,11 @@ def render_instance(inst: Instance) -> str:
 
 # -- decompositions --------------------------------------------------------
 
-REGIME_COMPONENTS = "r_components"
-REGIME_PATHS = "r_paths"
-
-
 def component_walk(inst: Instance, eids, vertices=()):
     """Yield the components of the graph on the ends of edges `eids`
     (repetition allowed) plus `vertices`, each as a vertex list in the order
     a depth-first walk pops them.  Seeds are taken in ascending order and a
-    vertex's neighbours in the order of `eids`: `_component_violation`'s
+    vertex's neighbours in the order of `eids`: `_regime_violation`'s
     witness, and with it find_modulator's branching order, rests on that."""
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for i in eids:
@@ -537,47 +533,39 @@ def compute_vc(inst: Instance, k_max: int) -> frozenset[int] | None:
     return _structure(inst, uncovered, k_max, "modulator hint is not a vertex cover")
 
 
-def _path_violation(inst: Instance, alive: set[int]) -> list[int] | None:
-    """A small vertex set hitting every obstruction to `alive` being disjoint paths."""
+def _regime_violation(inst: Instance, alive: set[int], regime: str,
+                      r: int) -> list[int] | None:
+    """A few vertices of `alive` hitting an obstruction to G[alive] being in
+    the regime, or None.  For paths: the least vertex of degree 3 or more
+    with the three least of its neighbours in `alive` (a parallel edge
+    repeats one), else the vertices of the first cycle.  Then, for both
+    regimes, the first r+1 vertices the walk pops from the first component
+    above r vertices."""
     eids = _induced_edges(inst, alive)
-    deg = dict.fromkeys(alive, 0)
-    for i in eids:
-        deg[inst.edges[i].u] += 1
-        deg[inst.edges[i].v] += 1
-    for v in sorted(alive):
-        if deg[v] >= 3:
-            nbrs = (inst.edges[i].other(v) for i in inst.adjacency()[v])
-            return [v] + sorted(w for w in nbrs if w in alive)[:3]
-    # all degrees <= 2: components are paths or cycles
-    for comp in component_walk(inst, eids, alive):
-        if sum(deg[v] for v in comp) // 2 >= len(comp):  # cycle
-            return sorted(comp)
-    return None
-
-
-def _component_violation(inst: Instance, alive: set[int], r: int) -> list[int] | None:
-    """r+1 connected vertices inside `alive`, if some component is too big:
-    the first r+1 that the walk pops from the first such component."""
-    for comp in component_walk(inst, _induced_edges(inst, alive), alive):
-        if len(comp) > r:
-            return sorted(comp[: r + 1])
-    return None
+    comps = component_walk(inst, eids, alive)  # lazy: nothing is walked yet
+    if regime == "paths":
+        deg = dict.fromkeys(alive, 0)
+        for i in eids:
+            deg[inst.edges[i].u] += 1
+            deg[inst.edges[i].v] += 1
+        for v in sorted(alive):
+            if deg[v] >= 3:
+                nbrs = (inst.edges[i].other(v) for i in inst.adjacency()[v])
+                return [v] + sorted(w for w in nbrs if w in alive)[:3]
+        comps = list(comps)  # all degrees <= 2: components are paths or cycles
+        for comp in comps:
+            if sum(deg[v] for v in comp) // 2 >= len(comp):  # cycle
+                return sorted(comp)
+    return next((sorted(comp[: r + 1]) for comp in comps if len(comp) > r), None)
 
 
 def find_modulator(inst: Instance, regime: str, r: int, k_max: int) -> frozenset[int] | None:
     """Smallest modulator M of size <= k_max putting G minus M into the
     regime, or None; a modulator hint must put G minus it into the regime
     and is returned as it is."""
-    if regime not in (REGIME_COMPONENTS, REGIME_PATHS):
+    if regime not in ("components", "paths"):
         raise ValueError(f"unknown regime {regime!r}")
     if r < 1:
         raise InstanceError(f"r must be positive, got {r}")
-
-    def witness(alive):
-        if regime == REGIME_PATHS:
-            bad = _path_violation(inst, alive)
-            if bad is not None:
-                return bad
-        return _component_violation(inst, alive, r)
-
-    return _structure(inst, witness, k_max, "modulator hint does not satisfy the regime")
+    return _structure(inst, lambda alive: _regime_violation(inst, alive, regime, r), k_max,
+                      "modulator hint does not satisfy the regime")

@@ -33,8 +33,6 @@ from .instance import (
     KIND_SUBTSP,
     KIND_TSP,
     KIND_WRP,
-    REGIME_COMPONENTS,
-    REGIME_PATHS,
     WorkGraph,
     as_wrp,
     compute_fes,
@@ -81,7 +79,7 @@ def _saturated_path_modulator(inst: Instance, r: int, k_max: int | None,
                               report: KernelReport) -> Instance:
     """Short-circuiting keeps the waypoints, the budget and connectivity, so
     the stop rules need no recheck."""
-    inst = _structure(inst, REGIME_PATHS, r, k_max)
+    inst = _structure(inst, "paths", r, k_max)
     before = inst.n
     inst = saturate_path_nonterminals(inst)
     if inst.n != before:
@@ -116,7 +114,7 @@ REGIMES = {
         entry=lambda inst, r=None, k_max=None: kernelize_vc_wrp(inst, k_max)),
     "components": Regime(
         "components-tsp", KIND_TSP, "all-waypoint",
-        structure=lambda inst, r, k_max, report: _structure(inst, REGIME_COMPONENTS, r, k_max),
+        structure=lambda inst, r, k_max, report: _structure(inst, "components", r, k_max),
         rule=lambda inst, r, report: rule_components_tsp(inst, inst.modulator_hint, r, report),
         entry=lambda inst, r=1, k_max=None: kernelize_components_tsp(inst, r, k_max)),
     "paths": Regime(

@@ -119,25 +119,20 @@ def _sum_profile(weights):
 
 
 def _fit_budget(new_sums, signs):
-    """Budget making sign(w'.x - b') match `signs` everywhere, or None."""
+    """Budget making sign(w'.x - b') match `signs` everywhere, or None.
+
+    Some class is always filled: x = 0 sums to 0 under every weighting, so
+    the sign of -budget lands in `signs`."""
     neg = new_sums[signs < 0]
     zero = new_sums[signs == 0]
     pos = new_sums[signs > 0]
-    lo = int(neg.max()) if neg.size else None  # b' must be > lo
-    hi = int(pos.min()) if pos.size else None  # b' must be < hi
     if zero.size:
         b = int(zero[0])
         if (zero != b).any():
             return None
-        if (lo is not None and b <= lo) or (hi is not None and b >= hi):
-            return None
-        return b
-    if lo is None and hi is None:
-        return None
-    if lo is None:
-        return hi - 1
-    b = lo + 1
-    if hi is not None and b >= hi:
+    else:
+        b = int(neg.max()) + 1 if neg.size else int(pos.min()) - 1
+    if (neg.size and b <= neg.max()) or (pos.size and b >= pos.min()):
         return None
     return b
 
@@ -162,31 +157,21 @@ def compress_weights(inst: Instance) -> RuleOutcome:
         sums = sums.astype(object)
     signs = np.sign(sums - inst.budget).astype(np.int8)
 
-    best = None  # (bitsize, weights, budget)
     base = total_bitsize(weights, inst.budget)
+    best = (base, None, None)  # (bitsize, weights, budget)
     g = math.gcd(*weights, 0) or 1
-
-    def consider(cand):
-        nonlocal best
-        if all(c == 0 for c in cand):
-            return
+    scaled = [w // g for w in weights]
+    # shift 0 is the scaled vector itself; every candidate keeps its largest
+    # weight at 1 or more, and all-zero weights give no candidate
+    for shift in range(max(scaled).bit_length()):
+        cand = [(w + ((1 << shift) >> 1)) >> shift for w in scaled]
         b = _fit_budget(_sum_profile(cand), signs)
-        if b is None:
-            return
-        size = total_bitsize(cand, b)
-        if size < base and (best is None or size < best[0]):
+        if b is not None and (size := total_bitsize(cand, b)) < best[0]:
             best = (size, cand, b)
 
-    scaled = [w // g for w in weights]
-    consider(scaled)
-    shift = 1
-    while max(scaled) >> shift > 0:
-        consider([(w + (1 << (shift - 1))) >> shift for w in scaled])
-        shift += 1
-
-    if best is None:
+    bits, new_w, new_b = best
+    if new_w is None:
         return unchanged("compress_weights: no smaller verified encoding")
-    _, new_w, new_b = best
     edges = [Edge(e.u, e.v, w, e.capacity) for e, w in zip(inst.edges, new_w)]
     out = inst.with_edges(edges, budget_delta=new_b - inst.budget)
-    return reduced(out, f"compress_weights: bit-size {base} -> {best[0]}")
+    return reduced(out, f"compress_weights: bit-size {base} -> {bits}")

@@ -1,20 +1,26 @@
 """End-to-end command-line behavior and exit codes."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tspkern
-from tspkern import oracle
+from tspkern import gadgets, oracle
 from tspkern.cli import build_parser, main
 from tspkern.gadgets import gen_planted
-from tspkern.instance import parse_instance, render_instance
+from tspkern.instance import KINDS, InvariantError, parse_instance, render_instance
+from tspkern.pipelines import PIPELINES
 
 
 TRIANGLE = """p tsp 3 3
@@ -357,3 +363,99 @@ def test_usage_error_bad_length(tmp_path, capsys):
     sel = tmp_path / "sel.grw"
     assert main(["generate", "selection", str(sel), "--length", "2"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+_CAP_VARS = {"TSPKERN_CAP_MULT_EDGES": "multiplicity_edges",
+             "TSPKERN_CAP_HK_WAYPOINTS": "heldkarp_waypoints",
+             "TSPKERN_CAP_TW_WIDTH": "treewidth_width"}
+
+
+@st.composite
+def _mutated_files(draw):
+    """The file of a small planted instance, and the same file with at most
+    one record broken: dropped, duplicated, swapped with another, an
+    unknown record added, an id set to 0 or n + 1, a number set to an
+    extreme, or the kind changed.  The header's n stays at 8 or less."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(4, 8))
+    inst = gen_planted(kind, draw(st.sampled_from(gadgets.REGIMES)), 2, draw(st.integers(1, 2)),
+                       n, (0, 9), draw(st.integers(0, 3)))
+    base = render_instance(inst)
+    lines = base.splitlines()
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(("none", "drop", "duplicate", "swap", "unknown", "id", "number",
+                                "kind")))
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(j, lines[i])
+    elif how == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "unknown":
+        lines.insert(i, draw(st.sampled_from(("x 1 2", "z", "E 1 2 3"))))
+    elif how == "id":
+        row = draw(st.sampled_from([k for k, line in enumerate(lines)
+                                    if line[0] in "ewm" and len(line.split()) > 1]))
+        parts = lines[row].split()
+        last = 2 if parts[0] == "e" else len(parts) - 1  # an edge's ids are its two ends
+        parts[draw(st.integers(1, last))] = draw(st.sampled_from(("0", str(n + 1))))
+        lines[row] = " ".join(parts)
+    elif how == "number":
+        row = draw(st.sampled_from([k for k, line in enumerate(lines) if line[0] in "be"]))
+        parts = lines[row].split()
+        # the budget, or an edge's weight or capacity (added where it has none)
+        field = 1 if parts[0] == "b" else draw(st.integers(3, 4))
+        parts[field:field + 1] = [draw(st.sampled_from(("-1", "0", str(2**63), str(10**30))))]
+        lines[row] = " ".join(parts)
+    elif how == "kind":
+        other = draw(st.sampled_from([k for k in KINDS if k != kind]))
+        lines[0] = f"p {other} {n} {len(inst.edges)}"
+    return base, "\n".join(lines) + "\n"
+
+
+_COMMANDS = st.one_of(
+    st.builds(lambda engine, check: ["solve", "IN", "--engine", engine] + ["--cross-check"] * check,
+              st.sampled_from(("auto", *oracle.ENGINES)), st.booleans()),
+    st.builds(lambda regime, r, k_max, report: (
+        ["kernelize", "IN", "OUT", "--regime", regime, "--r", str(r), "--report", report]
+        + ([] if k_max is None else ["--k-max", str(k_max)])),
+        st.sampled_from(tuple(PIPELINES)), st.integers(-1, 3),
+        st.one_of(st.none(), st.integers(-1, 6)), st.sampled_from(("text", "json"))),
+    st.builds(lambda other: ["verify", "IN", other], st.sampled_from(("IN", "BASE"))))
+
+# a variable left unset, not an integer, above its default, or lowered
+_CAP_VALUES = st.dictionaries(st.sampled_from(tuple(_CAP_VARS)),
+                              st.sampled_from(("abc", "2.5", "", "above", "-1", "0", "2")))
+
+
+@given(_mutated_files(), _COMMANDS, _CAP_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_every_failure_is_an_exit_code_with_one_stderr_line(files, argv, caps):
+    """Whatever the input, the command and the caps, `main` returns 0, 1, 2
+    or 3 and raises nothing; 2 and 3 come with one stderr line that names
+    the failure, 0 and 1 with none.  No InvariantError is ever made: `main`
+    reports one as an `error:` line too, but it is a bug in the program,
+    whatever the input."""
+    env = {var: str(getattr(oracle.DEFAULT_CAPS, _CAP_VARS[var]) + 1) if raw == "above" else raw
+           for var, raw in caps.items()}
+    invariants = []
+
+    def spy(self, *args):
+        invariants.append(args)
+        RuntimeError.__init__(self, *args)
+
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env),
+          mock.patch.object(InvariantError, "__init__", spy)):
+        paths = {name: os.path.join(tmp, f"{name}.grw") for name in ("IN", "BASE", "OUT")}
+        for name, text in zip(("BASE", "IN"), files):
+            Path(paths[name]).write_text(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv])
+    assert not invariants, f"InvariantError{invariants[0]}"
+    assert code in (0, 1, 2, 3)
+    if code >= 2:
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith(("error:", "parse error:", "scale exceeded:"))
+    else:
+        assert err.getvalue() == ""

@@ -13,9 +13,7 @@ from tspkern.instance import (
     Instance,
     InstanceError,
     ParseError,
-    REGIME_COMPONENTS,
-    REGIME_PATHS,
-    _component_violation,
+    _regime_violation,
     compute_fes,
     compute_vc,
     find_modulator,
@@ -142,12 +140,12 @@ def _is_modulator(inst, regime, r, S) -> bool:
     comps = list(nx.connected_components(g))
     if any(len(c) > r for c in comps):
         return False
-    return regime != REGIME_PATHS or (
+    return regime != "paths" or (
         all(d <= 2 for _, d in g.degree())
         and g.number_of_edges() == g.number_of_nodes() - len(comps))
 
 
-@given(st.integers(0, 10_000), st.sampled_from(("vc", REGIME_COMPONENTS, REGIME_PATHS)),
+@given(st.integers(0, 10_000), st.sampled_from(("vc", "components", "paths")),
        st.integers(1, 3))
 @settings(max_examples=90, deadline=None)
 def test_vc_matches_bruteforce(seed, regime, r):
@@ -181,21 +179,27 @@ def k4():
 
 
 def test_modulator_k4():
-    M = find_modulator(k4(), REGIME_COMPONENTS, 1, 3)
+    M = find_modulator(k4(), "components", 1, 3)
     assert M is not None and len(M) == 3
     assert all(len(c) == 1 for c in k4().components(without=M))
 
 
 def test_modulator_empty_for_paths():
     inst = Instance("stsp", 4, (Edge(0, 1, 1), Edge(2, 3, 1)), frozenset(), 0)
-    M = find_modulator(inst, REGIME_PATHS, 2, 0)
+    M = find_modulator(inst, "paths", 2, 0)
     assert M == frozenset()
+
+
+def test_modulator_takes_the_regime_names_of_the_pipelines():
+    for regime in ("r_components", "r_paths", "vc"):
+        with pytest.raises(ValueError, match="unknown regime"):
+            find_modulator(k4(), regime, 1, 3)
 
 
 def test_modulator_bad_hint_rejected():
     inst = Instance("tsp", 4, k4().edges, frozenset(range(4)), 10, frozenset({0}))
     with pytest.raises(InstanceError):
-        find_modulator(inst, REGIME_COMPONENTS, 1, 4)
+        find_modulator(inst, "components", 1, 4)
 
 
 @given(st.integers(0, 10_000))
@@ -205,7 +209,7 @@ def test_modulator_regime_revalidates(seed):
     inst = _random_instance(rng)
     inst = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, inst.budget, None)
     r = rng.randint(1, 3)
-    regime = rng.choice([REGIME_COMPONENTS, REGIME_PATHS])
+    regime = rng.choice(["components", "paths"])
     M = find_modulator(inst, regime, r, inst.n)
     assert M is not None
     # decomposition invariants: components partition V minus M and fit the regime
@@ -213,7 +217,7 @@ def test_modulator_regime_revalidates(seed):
     flat = [v for c in comps for v in c]
     assert sorted(flat) == sorted(set(range(inst.n)) - M)
     assert all(len(c) <= r for c in comps)
-    if regime == REGIME_PATHS:
+    if regime == "paths":
         for comp in comps:
             inside = set(comp)
             deg = {v: 0 for v in comp}
@@ -280,7 +284,7 @@ def test_component_violation_is_connected_witness(seed, r):
     inst = _random_instance(rng)
     alive = _alive(inst, rng)
     g = _induced_graph(inst, alive)
-    bad = _component_violation(inst, alive, r)
+    bad = _regime_violation(inst, alive, "components", r)
     if bad is None:
         assert all(len(c) <= r for c in nx.connected_components(g))
     else:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from lemmas import ensure_positive_weights
 from tspkern.instance import Edge, Instance, InstanceError, WorkGraph
 from tspkern.oracle import solve_auto, solve_exact_multiplicity
 from tspkern.preprocess import (
+    _fit_budget,
     _sum_profile,
     compress_weights,
     ensure_connected,
@@ -181,6 +183,47 @@ def test_sum_profile_matches_product(weights):
     sums = _sum_profile(weights)
     assert [int(s) for s in sums] == ref
     assert (sums.dtype == object) == (2 * sum(weights) >= 2**62)
+
+
+@st.composite
+def _fit_cases(draw):
+    """Weights w, a budget b around their sums, and a candidate w' of the
+    same length: a rounded halving of w, as compression tries, or any."""
+    m = draw(st.integers(1, 5))
+    w = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
+    b = draw(st.integers(-2, 2 * sum(w) + 2))
+    shift = draw(st.integers(0, 5))
+    halved = [(v + ((1 << shift) >> 1)) >> shift for v in w]
+    free = st.lists(st.integers(0, 20), min_size=m, max_size=m)
+    return w, b, draw(st.one_of(st.just(halved), free))
+
+
+@given(_fit_cases())
+@example(([3, 5], 8, [3, 5]))  # a zero class fixes b'
+@example(([2, 2], 3, [1, 1]))  # w' sums to 2 on both sides of b: no fit
+@example(([4], 20, [1]))  # every sum below b
+@example(([5], -2, [1]))  # every sum above b
+@settings(max_examples=200, deadline=None)
+def test_fit_budget_finds_a_budget_exactly_when_one_exists(case):
+    """_fit_budget returns a b' with sign(w'.x - b') = sign(w.x - b) for
+    every x in {0,1,2}^m when some integer b' does, and None otherwise.
+    Every w'.x lies in [0, 2 sum(w')], so the integers in
+    [-1, 2 sum(w') + 1] are all the budgets there are to try."""
+    w, b, cand = case
+
+    def profile(weights):
+        return np.array([sum(c * v for c, v in zip(reversed(x), weights))
+                         for x in itertools.product(range(3), repeat=len(weights))])
+
+    want = np.sign(profile(w) - b)
+    new = profile(cand)
+    budgets = np.arange(-1, 2 * sum(cand) + 2)
+    exists = (np.sign(new[None, :] - budgets[:, None]) == want).all(axis=1).any()
+    got = _fit_budget(_sum_profile(cand), want.astype(np.int8))
+    if exists:
+        assert got is not None and (np.sign(new - got) == want).all()
+    else:
+        assert got is None
 
 
 @given(st.lists(st.integers(2**61 - 2**20, 2**61), min_size=1, max_size=6),
