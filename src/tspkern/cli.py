@@ -77,6 +77,8 @@ def _trivial(kind: str, verdict: str) -> Instance:
 
 
 def cmd_kernelize(args) -> int:
+    if args.r < 1:  # every regime, though only components and paths read r
+        raise UsageError(f"r must be positive, got {args.r}")
     inst = _read(args.input)
     try:
         kernel, report = PIPELINES[args.regime](inst, r=args.r, k_max=args.k_max)

@@ -76,8 +76,9 @@ def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior
     ends = [bit[inst.edges[i].u] | bit[inst.edges[i].v] for i in eids]
     cends = [b & cmask for b in ends]
     index = even_covering(bases, cends, cends, cmask)
-    into_m = [[0, 1, 2] if b > cmask else [0, 0, 0] for b in ends]
-    index = index[multiplicity_grid(bases, np.array(into_m, dtype=np.int32))[index] <= 2 * r]
+    into_m = np.array([[0, 1, 2] if b > cmask else [0, 0, 0] for b in ends],
+                      dtype=np.min_scalar_type(2 * len(ends)))  # a sum is at most 2|G_C|
+    index = index[multiplicity_grid(bases, into_m)[index] <= 2 * r]
     out = []
     for row in decode(bases, index).tolist():
         # no edge joins two modulator vertices, so every piece of the

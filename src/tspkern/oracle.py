@@ -11,12 +11,14 @@ the same way (`_witnessed`):
   * solve_exact_multiplicity - enumerate multiplicity vectors in {0,1,2}^m
                                as two flat vertex-bitmask arrays, degree
                                parity and waypoint coverage, folded in one
-                               edge at a time (`even_covering`, which also
-                               enumerates component behaviors in
-                               `modulator`); only the parity-even, covering
-                               vectors are decoded, weighed and, in weight
-                               order, tested once per support by merging its
-                               edges' end masks (`_merge_blocks`).
+                               edge at a time in the narrowest unsigned
+                               dtype that holds the masks (`even_covering`,
+                               which also enumerates component behaviors
+                               in `modulator`); only the parity-even,
+                               covering vectors are decoded, weighed and,
+                               in weight order, tested once per support by
+                               merging its edges' end masks
+                               (`_merge_blocks`).
   * solve_heldkarp           - subset DP on the waypoint metric closure
                                (uncapacitated kinds only).  The closure
                                comes from one `instance.shortest_paths`
@@ -29,9 +31,10 @@ the same way (`_witnessed`):
                                waypoints, by its last one.
                                Each popcount layer is filled by one numpy
                                gather over its (subset, last) cells and
-                               an argmin, in int64, or in exact Python
+                               an argmin, in the narrowest unsigned dtype
+                               that holds every sum, or in exact Python
                                ints (object arrays) when the sums could
-                               pass int64.
+                               pass 2^64.
   * solve_treewidth          - connectivity/parity DP over a tree
                                decomposition; exact, handles all kinds,
                                reaches instances the other engines cannot.
@@ -172,13 +175,16 @@ def multiplicity_grid(bases, values, op=np.add) -> np.ndarray:
 def even_covering(bases, flips, covers, target) -> np.ndarray:
     """The ascending mixed-radix indices, as in `multiplicity_grid`, of the
     vectors x whose odd entries' `flips` masks XOR to 0 and whose nonzero
-    entries' `covers` masks OR to `target`.  Two int32 folds, one alive at a
-    time, so every mask must fit in 30 bits."""
-    if max([target, *flips, *covers]) >> 30:
+    entries' `covers` masks OR to `target`.  Two folds, one alive at a time,
+    in the narrowest unsigned dtype that holds every mask: uint8 up to 8
+    bits, uint16 up to 16 and uint32 up to 30, the most a mask may have."""
+    top = max([target, *flips, *covers])
+    if top >> 30:
         raise InvariantError("vertex masks exceed 30 bits")
-    ok = multiplicity_grid(bases, np.array([[0, f, 0] for f in flips], dtype=np.int32),
+    dtype = np.min_scalar_type(top)
+    ok = multiplicity_grid(bases, np.array([[0, f, 0] for f in flips], dtype=dtype),
                            np.bitwise_xor) == 0
-    ok &= multiplicity_grid(bases, np.array([[0, c, c] for c in covers], dtype=np.int32),
+    ok &= multiplicity_grid(bases, np.array([[0, c, c] for c in covers], dtype=dtype),
                             np.bitwise_or) == target
     return np.flatnonzero(ok)
 
@@ -319,9 +325,10 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
         return OptResult(False, None, None)
     top = max(map(max, d))
     # every sum the DP forms, the sentinel `inf` plus a distance included,
-    # is at most (ell + 1) * top + 1; past int64, object arrays hold exact
-    # Python ints instead
-    dtype = np.int64 if (ell + 1) * top < 2**62 else object
+    # is nonnegative and at most (ell + 1) * top + 1: the narrowest unsigned
+    # dtype that holds that, or, from 2^64 on, object arrays of exact Python
+    # ints
+    dtype = np.min_scalar_type((ell + 1) * top + 1)
     inf = ell * top + 1  # above every tour
     # dp[S, j]: the cheapest path from waypoint 0 through the waypoints of
     # subset S, ending at j in S; bit j stands for waypoint j + 1
@@ -341,9 +348,10 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
     last = int(np.argmin(dp[full] + start))
     opt = int(dp[full, last]) + d[0][last + 1]
 
-    # walk the parents back into a waypoint tour, then expand each leg to edges
+    # walk the parents back into a waypoint tour, then expand each leg to
+    # edges; the walk takes k - 1 steps from the full subset to a singleton
     tour, S, j = [last], full, last
-    while S & S - 1:
+    for _ in range(k - 1):
         S, j = S ^ 1 << j, int(parent[S, j])
         tour.append(j)
     tour = [0] + [j + 1 for j in reversed(tour)]

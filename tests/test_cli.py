@@ -276,11 +276,15 @@ def test_kernelize_regime_kind_mismatch(tmp_path, triangle, capsys):
     assert "capacitated path kernels are open" in capsys.readouterr().err
 
 
-def test_kernelize_r_zero_is_usage_error(tmp_path, triangle, capsys):
-    assert main(["kernelize", triangle, str(tmp_path / "out.grw"),
-                 "--regime", "components", "--r", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+@pytest.mark.parametrize("regime", tuple(PIPELINES))
+def test_kernelize_r_zero_is_usage_error(tmp_path, triangle, capsys, regime):
+    """Every regime refuses an r below 1, even those that never read it,
+    and before the input is read: a missing input gets the same line."""
+    out = tmp_path / "out.grw"
+    for path, r in ((triangle, 0), (triangle, -1), (str(tmp_path / "missing.grw"), -1)):
+        assert main(["kernelize", path, str(out), "--regime", regime, "--r", str(r)]) == 2
+        assert capsys.readouterr().err == f"error: r must be positive, got {r}\n"
+    assert not out.exists()
 
 
 def test_kernelize_log_names_file_vertex(tmp_path, capsys):

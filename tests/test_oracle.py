@@ -10,7 +10,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from networkx.algorithms import approximation as nx_approx
 
 from lemmas import (
@@ -24,7 +24,7 @@ from lemmas import (
 )
 from tspkern import oracle
 from tspkern.gadgets import REGIMES, gen_planted
-from tspkern.instance import KINDS, Edge, Instance, InvariantError, ScaleError
+from tspkern.instance import KINDS, MAX_WEIGHT, Edge, Instance, InvariantError, ScaleError
 from tspkern.oracle import (
     DEFAULT_CAPS,
     OracleCaps,
@@ -181,10 +181,9 @@ def test_engines_agree(seed):
         assert check_certificate(inst, b.witness)
 
 
-def _closure_tour_reference(inst):
-    """Held-Karp's optimum by brute force: the cheapest closed order of the
-    waypoints on the metric closure (Floyd-Warshall), None when some
-    waypoint is unreachable."""
+def _closure(inst):
+    """The metric closure by Floyd-Warshall: dist[u][v], None when v is
+    unreachable from u."""
     dist = [[0 if u == v else None for v in range(inst.n)] for u in range(inst.n)]
     for e in inst.edges:
         if e.u != e.v and (dist[e.u][e.v] is None or e.weight < dist[e.u][e.v]):
@@ -193,6 +192,14 @@ def _closure_tour_reference(inst):
         if dist[i][k] is not None and dist[k][j] is not None:
             if dist[i][j] is None or dist[i][k] + dist[k][j] < dist[i][j]:
                 dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
+
+
+def _closure_tour_reference(inst):
+    """Held-Karp's optimum by brute force: the cheapest closed order of the
+    waypoints on the metric closure, None when some waypoint is
+    unreachable."""
+    dist = _closure(inst)
     first, *rest = sorted(inst.waypoints)
     if any(dist[first][w] is None for w in rest):
         return None
@@ -200,33 +207,40 @@ def _closure_tour_reference(inst):
                for order in itertools.permutations(rest))
 
 
-def _waypoint_multigraph(rng: random.Random, big: bool):
+# weight ranges of `_waypoint_multigraph`: small, just under and just over
+# 2^8, 2^16 and 2^32, and past 2^61
+BIG_WEIGHTS = (2**61, 2**61 + 2**40)
+WEIGHT_RANGES = ((0, 9), *((2**b - 3, 2**b + 3) for b in (8, 16, 32)), BIG_WEIGHTS)
+
+
+def _waypoint_multigraph(rng: random.Random, weights):
     """A random tsp or stsp multigraph with 2-7 waypoints, mostly built on a
-    spanning tree, with parallel edges and zero weights.  With `big`,
-    every weight is at least 2^61."""
+    spanning tree, with parallel edges, and weights drawn from the range
+    `weights`."""
     kind = rng.choice(["tsp", "stsp"])
     n = rng.randint(2, 7 if kind == "tsp" else 9)
     order = rng.sample(range(n), n)
     pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)] if rng.random() < 0.75 else []
     pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
     pairs += rng.sample(pairs, len(pairs) // 3)  # parallel copies
-    lo, hi = (2**61, 2**61 + 2**40) if big else (0, 9)
-    edges = tuple(Edge(u, v, rng.randint(lo, hi)) for u, v in pairs)
+    edges = tuple(Edge(u, v, rng.randint(*weights)) for u, v in pairs)
     wps = frozenset(range(n)) if kind == "tsp" else frozenset(rng.sample(range(n), rng.randint(2, min(n, 7))))
     total = sum(e.weight for e in edges)
     return Instance(kind, n, edges, wps, rng.randint(0, 2 * total))
 
 
-@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([1, 2, oracle.HELDKARP_SLICE]))
-@example(seed=0, big=True, slice_=oracle.HELDKARP_SLICE)
-@settings(max_examples=120, deadline=None)
-def test_heldkarp_matches_brute_force(seed, big, slice_):
+@given(st.integers(0, 10**6), st.sampled_from(WEIGHT_RANGES),
+       st.sampled_from([1, 2, oracle.HELDKARP_SLICE]))
+@example(seed=0, weights=BIG_WEIGHTS, slice_=oracle.HELDKARP_SLICE)
+@settings(max_examples=200, deadline=None)
+def test_heldkarp_matches_brute_force(seed, weights, slice_):
     """Optimum and verdict equal the brute force over waypoint orders, the
     witness weighs the optimum and is a certificate at that budget, and
-    slicing the layers changes nothing.  Big weights put the DP's sums past
-    int64, so the engine runs on exact Python ints: a tour of four or more
-    legs then weighs at least 2^63."""
-    inst = _waypoint_multigraph(random.Random(seed), big)
+    slicing the layers changes nothing.  The weight ranges put the DP in
+    each dtype its rule picks: uint8 to uint64 as the sums grow, and exact
+    Python ints past 2^64; with weights past 2^61 a tour of four or more
+    legs weighs at least 2^63."""
+    inst = _waypoint_multigraph(random.Random(seed), weights)
     want = _closure_tour_reference(inst)
     with mock.patch.object(oracle, "HELDKARP_SLICE", slice_):
         res = solve_heldkarp(inst)
@@ -235,8 +249,29 @@ def test_heldkarp_matches_brute_force(seed, big, slice_):
         assert res.witness.total_weight == want
         at_opt = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, want)
         assert check_certificate(at_opt, res.witness)
-        if big and len(inst.waypoints) >= 4:
+        if weights == BIG_WEIGHTS and len(inst.waypoints) >= 4:
             assert want >= 2**63
+
+
+@given(st.integers(0, 10**6), st.sampled_from((8, 16, 32, 64)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_heldkarp_at_each_dtype_boundary(seed, bits, over):
+    """Every sum the DP forms is at most (ell + 1) * D + 1, D the longest
+    distance between two waypoints.  Scaling the weights by f puts that
+    bound just below 2^bits, filling its dtype to the brim, or, with
+    `over`, just past it; the optimum scales by f."""
+    inst = _waypoint_multigraph(random.Random(seed), (1, 3))
+    dist, wps = _closure(inst), sorted(inst.waypoints)
+    assume(all(dist[wps[0]][w] is not None for w in wps))
+    ell, top = len(wps), max(dist[a][b] for a in wps for b in wps)
+    f = (2**bits - 2) // ((ell + 1) * top) + over
+    assume(1 <= f <= MAX_WEIGHT // max(e.weight for e in inst.edges))
+    assert ((ell + 1) * f * top + 1 < 2**bits) != over
+    want = f * _closure_tour_reference(inst)
+    edges = tuple(Edge(e.u, e.v, f * e.weight) for e in inst.edges)
+    scaled = Instance(inst.kind, inst.n, edges, inst.waypoints, want)  # budget at the optimum
+    res = solve_heldkarp(scaled)
+    assert res.opt_weight == want and check_certificate(scaled, res.witness)
 
 
 def test_heldkarp_long_cycle():
@@ -259,22 +294,31 @@ def test_heldkarp_long_cycle():
     assert elapsed < 2, f"{elapsed:.2f} s"
 
 
-def test_heldkarp_memory_at_cap():
-    """18 waypoints, the default cap: the tables hold 2^17 x 17 cells,
-    about 18 MB of int64 costs and 2 MB of int8 parents.  Sliced layers
-    keep the working arrays to a few MB beside them."""
+def _traced(solve, inst):
+    """`solve(inst)` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return solve(inst), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _random_stsp(n, ell):
+    """A fixed random stsp graph: a spanning tree on n vertices plus 2n
+    random edges, weights 1-50, and ell waypoints."""
     rng = random.Random(9)
-    n = 28
     pairs = [(i, rng.randrange(i)) for i in range(1, n)] + [tuple(rng.sample(range(n), 2))
                                                           for _ in range(2 * n)]
     edges = tuple(Edge(u, v, rng.randint(1, 50)) for u, v in pairs)
-    inst = Instance("stsp", n, edges, frozenset(rng.sample(range(n), 18)), 10**6)
-    tracemalloc.start()
-    try:
-        res = solve_heldkarp(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return Instance("stsp", n, edges, frozenset(rng.sample(range(n), ell)), 10**6)
+
+
+def test_heldkarp_memory_at_cap():
+    """18 waypoints, the default cap: the tables hold 2^17 x 17 cells,
+    here 4.5 MB of uint16 costs and 2 MB of int8 parents.  Sliced layers
+    keep the working arrays to a few MB beside them."""
+    inst = _random_stsp(28, 18)
+    res, peak = _traced(solve_heldkarp, inst)
     assert res.feasible and check_certificate(inst, res.witness)
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
@@ -407,6 +451,41 @@ def test_multiplicity_grid_folds_in_mixed_radix_order():
     assert list(oracle.multiplicity_grid(bases, values, np.bitwise_xor)) == expect
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_even_covering_matches_brute_force(data):
+    """`even_covering` keeps exactly the vectors, in ascending index order,
+    whose odd entries' flips XOR to 0 and whose nonzero entries' covers OR
+    to the target.  The masks are drawn from a few bit positions below 8,
+    9, 16, 17, 29 or 30 bits, so the folds run in uint8, uint16 and uint32;
+    a mask past 30 bits is refused."""
+    bits = data.draw(st.sampled_from((8, 9, 16, 17, 29, 30)))
+    spots = data.draw(st.lists(st.integers(0, bits - 2), max_size=3, unique=True)) + [bits - 1]
+    masks = st.builds(lambda picks: sum(1 << p for p, take in zip(spots, picks) if take),
+                      st.lists(st.booleans(), min_size=len(spots), max_size=len(spots)))
+    m = data.draw(st.integers(1, 7))
+    bases = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    flips = data.draw(st.lists(masks, min_size=m, max_size=m))
+    covers = data.draw(st.lists(masks, min_size=m, max_size=m))
+    target = data.draw(masks)
+    want = []
+    # product varies its last factor fastest, and index j has x[0] fastest
+    for j, rev in enumerate(itertools.product(*(range(b) for b in reversed(bases)))):
+        x = rev[::-1]
+        parity = cover = 0
+        for xi, f, c in zip(x, flips, covers):
+            parity ^= f if xi % 2 else 0
+            cover |= c if xi else 0
+        if parity == 0 and cover == target:
+            want.append(j)
+    assert oracle.even_covering(bases, flips, covers, target).tolist() == want
+    past = 1 << 30
+    for args in ((flips[:-1] + [past], covers, target), (flips, [past] + covers[1:], target),
+                 (flips, covers, past)):
+        with pytest.raises(InvariantError):
+            oracle.even_covering(bases, *args)
+
+
 def _mult_reference(inst):
     """The multiplicity engine's answer by brute force: the first vector in
     (weight, flat index) order, x[0] varying fastest, that respects the
@@ -533,22 +612,29 @@ def test_merge_blocks_of_edge_end_masks():
 
 def test_multiplicity_engine_memory():
     """14 capacity-2 edges on 8 vertices, every vertex a waypoint: 3^14
-    vectors, the most the default edge cap allows.  Two flat 4-byte masks per
-    vector stay well under what a materialized vector grid needs."""
+    vectors, the most the default edge cap allows.  The 8 touched vertices
+    fit uint8 masks, so the solve peaks at 13.7 MB (tracemalloc): the fold,
+    its comparison and the running filter, one byte per vector each.  With
+    int32 folds it peaked at 28.9 MB; the pin is half of that."""
     rng = random.Random(7)
     order = rng.sample(range(8), 8)
     pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, 8)]
     pairs += [tuple(rng.sample(range(8), 2)) for _ in range(7)]
     edges = tuple(Edge(u, v, rng.randint(1, 9), 2) for u, v in pairs)
     inst = Instance("wrp", 8, edges, frozenset(range(8)), 100)
-    tracemalloc.start()
-    try:
-        res = solve_exact_multiplicity(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.opt_weight is not None
-    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    res, peak = _traced(solve_exact_multiplicity, inst)
+    assert res.opt_weight == 33
+    assert peak <= 28.9 / 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_heldkarp_costs_in_the_narrowest_dtype():
+    """15 waypoints, weights 1-50: every sum the DP forms is below 2^16, so
+    its costs are uint16.  The solve peaks at 3.2 MB (tracemalloc); with
+    int64 costs it peaked at 8.1 MB, and the pin is half of that."""
+    inst = _random_stsp(24, 15)
+    res, peak = _traced(solve_heldkarp, inst)
+    assert res.opt_weight == 339 and check_certificate(inst, res.witness)
+    assert peak <= 8.1 / 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_treewidth_deep_decomposition_without_recursion(monkeypatch):
