@@ -218,6 +218,7 @@ def rule_fes(g: WorkGraph, report: KernelReport) -> WorkGraph:
     return g
 
 
-def kernelize_fes(inst: Instance) -> tuple[Instance, KernelReport]:
+def kernelize_fes(inst: Instance, r: int = 1,
+                  k_max: int | None = None) -> tuple[Instance, KernelReport]:
     from .pipelines import kernelize  # the driver imports this module
-    return kernelize(inst, "fes")
+    return kernelize(inst, "fes", r, k_max)

@@ -146,6 +146,9 @@ def _modulator_round(inst: Instance, M, r: int, rule: str, report: KernelReport,
     """One marking round over the components of G minus M, recorded in
     `report`.  `yellow_cap`, given for the subset kind only, maps
     (k, impact count) to the yellow cap."""
+    if not M:  # G lies in the regime; no behavior could reach M, so mark nothing
+        report.log.append("empty modulator: nothing to mark")
+        return inst
     comps = inst.components(without=M)
     # each component's G_C, once; components are disjoint, so their least
     # vertices tell them apart

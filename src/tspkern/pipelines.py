@@ -56,8 +56,6 @@ class Regime:
     # (instance or graph, r, report) -> the next instance or graph; records
     # what fired in the report
     rule: Callable[[Instance | WorkGraph, int, KernelReport], Instance | WorkGraph]
-    # public entry point, called as entry(inst, r=..., k_max=...)
-    entry: Callable[..., tuple[Instance, KernelReport]]
     # (input, kernel or None when decided) -> stats closing the report
     stats: Callable[[Instance, Instance | None], dict] = lambda start, kernel: {}
 
@@ -100,28 +98,23 @@ REGIMES = {
         "fes", None, "any",
         structure=lambda inst, r, k_max, report: WorkGraph(inst),
         rule=lambda g, r, report: rule_fes(g, report),
-        entry=lambda inst, r=None, k_max=None: kernelize_fes(inst),
         stats=_fes_stats),
     "vc-tsp": Regime(
         "vc-tsp", KIND_TSP, "all-waypoint",
         structure=lambda inst, r, k_max, report: _structure(inst, None, r, k_max),
-        rule=lambda inst, r, report: rule_vc_tsp(inst, inst.modulator_hint, report),
-        entry=lambda inst, r=None, k_max=None: kernelize_vc_tsp(inst, k_max)),
+        rule=lambda inst, r, report: rule_vc_tsp(inst, inst.modulator_hint, report)),
     "vc-wrp": Regime(
         "vc-wrp", KIND_WRP, "capacitated",
         structure=lambda inst, r, k_max, report: _structure(inst, None, r, k_max),
-        rule=lambda inst, r, report: rule_vc_wrp(inst, inst.modulator_hint, report),
-        entry=lambda inst, r=None, k_max=None: kernelize_vc_wrp(inst, k_max)),
+        rule=lambda inst, r, report: rule_vc_wrp(inst, inst.modulator_hint, report)),
     "components": Regime(
         "components-tsp", KIND_TSP, "all-waypoint",
         structure=lambda inst, r, k_max, report: _structure(inst, "components", r, k_max),
-        rule=lambda inst, r, report: rule_components_tsp(inst, inst.modulator_hint, r, report),
-        entry=lambda inst, r=1, k_max=None: kernelize_components_tsp(inst, r, k_max)),
+        rule=lambda inst, r, report: rule_components_tsp(inst, inst.modulator_hint, r, report)),
     "paths": Regime(
         "paths-subtsp", KIND_SUBTSP, "subset",
         structure=_saturated_path_modulator,
-        rule=lambda inst, r, report: rule_paths_subtsp(inst, inst.modulator_hint, r, report),
-        entry=lambda inst, r=1, k_max=None: kernelize_paths_subtsp(inst, r, k_max)),
+        rule=lambda inst, r, report: rule_paths_subtsp(inst, inst.modulator_hint, r, report)),
 }
 
 
@@ -187,22 +180,26 @@ def kernelize(inst: Instance, regime: str, r: int = 1,
     return inst, report
 
 
-def kernelize_vc_tsp(inst: Instance, k_max: int | None = None) -> tuple[Instance, KernelReport]:
-    return kernelize(inst, "vc-tsp", k_max=k_max)
+def kernelize_vc_tsp(inst: Instance, r: int = 1,
+                     k_max: int | None = None) -> tuple[Instance, KernelReport]:
+    return kernelize(inst, "vc-tsp", r, k_max)
 
 
-def kernelize_vc_wrp(inst: Instance, k_max: int | None = None) -> tuple[Instance, KernelReport]:
-    return kernelize(inst, "vc-wrp", k_max=k_max)
+def kernelize_vc_wrp(inst: Instance, r: int = 1,
+                     k_max: int | None = None) -> tuple[Instance, KernelReport]:
+    return kernelize(inst, "vc-wrp", r, k_max)
 
 
-def kernelize_components_tsp(inst: Instance, r: int,
+def kernelize_components_tsp(inst: Instance, r: int = 1,
                              k_max: int | None = None) -> tuple[Instance, KernelReport]:
     return kernelize(inst, "components", r, k_max)
 
 
-def kernelize_paths_subtsp(inst: Instance, r: int,
+def kernelize_paths_subtsp(inst: Instance, r: int = 1,
                            k_max: int | None = None) -> tuple[Instance, KernelReport]:
     return kernelize(inst, "paths", r, k_max)
 
 
-PIPELINES = {name: spec.entry for name, spec in REGIMES.items()}
+# regime -> its entry point; each is called as PIPELINES[regime](inst, r=..., k_max=...)
+PIPELINES = {"fes": kernelize_fes, "vc-tsp": kernelize_vc_tsp, "vc-wrp": kernelize_vc_wrp,
+             "components": kernelize_components_tsp, "paths": kernelize_paths_subtsp}

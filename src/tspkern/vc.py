@@ -40,28 +40,13 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
         if w not in M:
             raise InstanceError(f"M is not a vertex cover: edge {r + 1}-{w + 1} has no end in it")
 
-    def usable(combo) -> bool:
-        for i in set(combo):
-            count = combo.count(i)
-            if count > inst.effective_capacity(inst.edges[i]):
-                return False
-        return True
-
-    out = []
-    if inst.kind == KIND_TSP:
-        for combo in itertools.combinations_with_replacement(incident, 2):
-            if usable(combo):
-                out.append(Behavior.of(inst, combo))
-    elif inst.kind == KIND_WRP:
-        if r not in inst.waypoints:
-            out.append(Behavior((), 0))
-        for size in (2, 4):
-            for combo in itertools.combinations_with_replacement(incident, size):
-                if usable(combo):
-                    out.append(Behavior.of(inst, combo))
-    else:
+    if inst.kind not in (KIND_TSP, KIND_WRP):
         raise InstanceError(f"vertex behaviors need the tsp or wrp kind, got {inst.kind}")
-    return out
+    # multisets of 2 of r's edges for tsp; of 2 or 4 for wrp, or of none at a non-waypoint
+    sizes = (2,) if inst.kind == KIND_TSP else (2, 4) if r in inst.waypoints else (0, 2, 4)
+    return [Behavior.of(inst, combo) for size in sizes
+            for combo in itertools.combinations_with_replacement(incident, size)
+            if all(combo.count(i) <= inst.effective_capacity(inst.edges[i]) for i in combo)]
 
 
 def vertex_unit(inst: Instance, M, r: int, shapes: dict) -> Unit:

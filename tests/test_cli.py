@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -288,11 +289,16 @@ def test_kernelize_r_zero_is_usage_error(tmp_path, triangle, capsys, regime):
 
 
 def test_kernelize_log_names_file_vertex(tmp_path, capsys):
-    src = tmp_path / "in.grw"
-    src.write_text(render_instance(gen_planted("wrp", "vc", 2, 1, 7, seed=13)))
-    assert main(["kernelize", str(src), str(tmp_path / "out.grw"), "--regime", "vc-wrp",
-                 "--report", "json"]) == 0
-    assert "vertex 4 admits no behavior" in json.loads(capsys.readouterr().out)["log"]
+    # in the second input, waypoint 1's only edge has capacity 1
+    for text, label in ((render_instance(gen_planted("wrp", "vc", 2, 1, 7, seed=13)), 4),
+                        ("p wrp 3 2\nb 99\nw 1 3\ne 1 2 1 1\ne 2 3 1 2\n", 1)):
+        src = tmp_path / "in.grw"
+        src.write_text(text)
+        assert main(["kernelize", str(src), str(tmp_path / "out.grw"), "--regime", "vc-wrp",
+                     "--report", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["decided"] == "no"
+        assert f"vertex {label} admits no behavior" in report["log"]
 
 
 def test_kernelize_behavior_guard_is_scale_exit(tmp_path, capsys):
@@ -357,6 +363,12 @@ def test_generate_gadgets(tmp_path):
     assert main(["generate", "selection", str(sel), "--length", "3"]) == 0
     inst = parse_instance(sel.read_text())
     assert inst.n == 9 and inst.budget == 6
+
+    cycle = tmp_path / "cycle.grw"
+    assert main(["generate", "cycle", str(cycle), "--length", "2"]) == 0
+    assert cycle.read_text().startswith("c cycle length=2\n")
+    inst = parse_instance(cycle.read_text())
+    assert (inst.kind, inst.n, len(inst.edges), inst.budget) == ("stsp", 6, 6, 6)
 
     mcc = tmp_path / "mcc.grw"
     assert main(["generate", "mcc", str(mcc), "--k", "3", "--n", "2"]) == 0
@@ -463,3 +475,34 @@ def test_every_failure_is_an_exit_code_with_one_stderr_line(files, argv, caps):
         assert err.getvalue().startswith(("error:", "parse error:", "scale exceeded:"))
     else:
         assert err.getvalue() == ""
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_reaches_every_kernel_entry_point(tmp_path, monkeypatch):
+    """The benchmark's tracer (`perfbench/tracer.py`) wraps each kernel entry
+    point wherever the CLI reaches it: one kernelize run per regime records
+    a call in that regime's span of `perfbench/run.py`'s DRIVERS.  The
+    traced benchmark checks this too, but takes minutes."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    with mock.patch.dict(sys.modules):
+        run = importlib.import_module("run")
+    tracer = run.tracing.Tracer().install()
+    try:
+        for regime, (kind, planted, r) in {
+                "fes": ("stsp", "fes", 1), "vc-tsp": ("tsp", "vc", 1),
+                "vc-wrp": ("wrp", "vc", 1), "components": ("tsp", "components", 2),
+                "paths": ("stsp", "paths", 2)}.items():
+            src = tmp_path / f"{regime}.grw"
+            src.write_text(render_instance(gen_planted(kind, planted, 2, r, 7, seed=1)))
+            span = tracer.stats[run.DRIVERS[regime]]
+            calls = span.calls
+            with redirect_stdout(io.StringIO()):
+                assert main(["kernelize", str(src), str(tmp_path / "out.grw"),
+                             "--regime", regime, "--r", str(r)]) == 0
+            assert span.calls == calls + 1, regime
+    finally:
+        tracer.uninstall()
+    assert set(run.DRIVERS) == set(PIPELINES)

@@ -4,10 +4,12 @@ keeps the input's optimum, shifted by the report's budget delta."""
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tspkern.gadgets import gen_planted
-from tspkern.oracle import solve_treewidth
-from tspkern.pipelines import PIPELINES, kernelize
+from tspkern.instance import KINDS, Edge, Instance, parse_instance
+from tspkern.oracle import solve_auto, solve_treewidth
+from tspkern.pipelines import PIPELINES, REGIMES, kernelize
 
 # regime -> (planted kind, planted regime, r)
 PLANTED = {
@@ -70,3 +72,51 @@ def test_kernel_optimum_is_input_optimum_plus_budget_delta(regime):
             assert solve_treewidth(kernel).opt_weight == shifted, (r, k, seed)
     if deletes:
         assert 3 * deleted >= draws
+
+
+@st.composite
+def small_inputs(draw):
+    """Inputs of every kind on at most 6 vertices and 9 edges, connected or
+    not; a pair drawn twice is a parallel edge."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 6))
+    pairs = (draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=9)) if n > 1 else [])
+    edges = tuple(Edge(u, v, draw(st.integers(0, 9)),
+                       draw(st.sampled_from([1, 2])) if kind == "wrp" else None)
+                  for u, v in pairs)
+    wps = frozenset(range(n)) if kind == "tsp" else draw(st.frozensets(st.integers(0, n - 1)))
+    return Instance(kind, n, edges, wps, draw(st.integers(0, 40)))
+
+
+@given(small_inputs(), st.integers(1, 4))
+# inputs that already lie in the regime, so that the modulator is empty
+@example(parse_instance("p tsp 3 3\nb 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"), 3)
+@example(parse_instance("p tsp 4 4\nb 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 1\n"), 4)
+@example(parse_instance("p stsp 3 2\nb 4\nw 1 3\ne 1 2 1\ne 2 3 1\n"), 3)
+@example(parse_instance("p stsp 4 3\nb 6\nw 1 4\nm\ne 1 2 1\ne 2 3 1\ne 3 4 1\n"), 4)
+@settings(max_examples=100, deadline=None)
+def test_small_inputs_keep_their_verdict(inst, r):
+    """Every regime that takes the input's kind gives a kernel with the
+    input's verdict, whatever the modulator, the empty one included."""
+    want = solve_auto(inst).feasible
+    for regime in [name for name, spec in REGIMES.items() if spec.kind in (None, inst.kind)]:
+        kernel, report = PIPELINES[regime](inst, r=r)
+        got = (report.decided == "yes" if report.decided is not None
+               else solve_auto(kernel).feasible)
+        assert got == want, (regime, report.log)
+
+
+def test_disconnected_inputs_are_restricted_or_decided():
+    """`kernelize` runs `ensure_connected` once, before the structure step: a
+    subset input keeps the component that holds its waypoints, and an
+    all-waypoint input split in two is decided "no"."""
+    stsp = parse_instance("p stsp 5 3\nb 99\nw 1 3\ne 1 2 1\ne 2 3 1\ne 4 5 1\n")
+    kernel, report = PIPELINES["paths"](stsp, r=2)
+    assert report.decided is None and kernel.n == 2
+    assert report.rule_firings["ensure_connected"] == 1
+    assert "ensure_connected: restricted to the 3-vertex waypoint component" in report.log
+    tsp = parse_instance("p tsp 5 4\nb 99\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 4 5 1\n")
+    _, report = PIPELINES["components"](tsp, r=2)
+    assert report.decided == "no"
+    assert report.log == ["ensure_connected: waypoints split across components"]

@@ -47,6 +47,16 @@ def test_enumerate_rejects_subset_kind():
         enumerate_vertex_behaviors(inst, {0}, 1)
 
 
+def test_rule_vc_tsp_vertex_without_edges_decides_no():
+    # `kernelize` never gets here: an edgeless vertex outside the cover
+    # leaves the graph disconnected or alone, which the stop rules decide
+    inst = Instance("tsp", 3, (Edge(0, 1, 1),), frozenset(range(3)), 9)
+    report = KernelReport(pipeline="vc-tsp")
+    assert rule_vc_tsp(inst, {0}, report) is inst
+    assert report.decided == "no"
+    assert report.log == ["vertex 3 admits no behavior"]
+
+
 def test_enumerate_wrp_capacity_parity():
     # a waypoint with a single capacity-1 edge has no behavior at all
     inst = Instance("wrp", 2, (Edge(0, 1, 1, 1),), frozenset({0, 1}), 9)
