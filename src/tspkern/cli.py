@@ -98,8 +98,8 @@ def cmd_solve(args) -> int:
     inst = _read(args.input)
     caps = _caps_from_env()
     engines = {"auto": oracle.solve_auto, **oracle.ENGINES}
-    # a cross-check runs another engine; auto runs the treewidth engine only
-    # when no other cap admits the input, so there the check stops up front
+    # a cross-check runs another engine; only a treewidth solve past the
+    # multiplicity cap has none, so there the check stops up front
     ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
     if args.cross_check and ran == "treewidth":
         oracle.check_multiplicity_cap(inst, caps)

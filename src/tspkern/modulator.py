@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .instance import (
     Instance,
     InstanceError,
@@ -61,6 +59,7 @@ def component_graph(inst: Instance, M, C) -> list[int]:
 def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior]:
     """Every behavior of C, in lexicographic order of its multiplicity
     vector over `component_graph`'s edges."""
+    import numpy as np
     # the folds vary their first edge fastest, so they run over the edges reversed
     eids = component_graph(inst, M, C)[::-1]
     bases = [inst.effective_capacity(inst.edges[i]) + 1 for i in eids]

@@ -68,6 +68,12 @@ the same way (`_witnessed`):
                                tree of the edge multiplicities it chose,
                                so the witness is read off the final state
                                without keeping earlier tables.
+
+`solve_auto` runs `auto_engine`'s pick: within the multiplicity cap, the
+DP when the linear peel decomposes the input whole within the width cap,
+else the multiplicity engine; past it, Held-Karp if its cap admits the
+input, else the DP.  numpy is imported only inside the engines and folds
+that use it.
 """
 
 from __future__ import annotations
@@ -75,8 +81,6 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .instance import (
     KIND_WRP,
@@ -157,14 +161,17 @@ def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
 
 # -- engine 1: multiplicity enumeration -------------------------------------
 
-def multiplicity_grid(bases, values, op=np.add) -> np.ndarray:
+def multiplicity_grid(bases, values, op=None) -> np.ndarray:
     """Fold one value per edge over every vector x with 0 <= x[i] < bases[i].
 
     values[i][k] is edge i's value at x[i] = k.  Entry j of the flat result
-    combines values[i][x[i]] over all edges with the ufunc `op`, for the x
-    of mixed-radix index j = x[0] + bases[0] * (x[1] + bases[1] * (...)), so
-    x[0] varies fastest.  Each edge costs one broadcast, out =
-    op(table[:, None], out[None, :]).ravel(); no vector is stored."""
+    combines values[i][x[i]] over all edges with the ufunc `op` (None means
+    np.add), for the x of mixed-radix index j = x[0] + bases[0] * (x[1] +
+    bases[1] * (...)), so x[0] varies fastest.  Each edge costs one
+    broadcast, out = op(table[:, None], out[None, :]).ravel(); no vector is
+    stored."""
+    import numpy as np  # only the folds and the engines that use it load numpy
+    op = np.add if op is None else op
     tables = [np.asarray(values[i][:base]) for i, base in enumerate(bases)]
     out = tables[0]
     for table in tables[1:]:
@@ -178,6 +185,7 @@ def even_covering(bases, flips, covers, target) -> np.ndarray:
     entries' `covers` masks OR to `target`.  Two folds, one alive at a time,
     in the narrowest unsigned dtype that holds every mask: uint8 up to 8
     bits, uint16 up to 16 and uint32 up to 30, the most a mask may have."""
+    import numpy as np
     top = max([target, *flips, *covers])
     if top >> 30:
         raise InvariantError("vertex masks exceed 30 bits")
@@ -191,6 +199,7 @@ def even_covering(bases, flips, covers, target) -> np.ndarray:
 
 def decode(bases, index) -> np.ndarray:
     """The vectors of the mixed-radix indices `index`, one row each."""
+    import numpy as np
     return np.stack(np.unravel_index(index, bases, order="F"), axis=1)
 
 
@@ -212,6 +221,7 @@ def check_multiplicity_cap(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> N
 
 
 def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
+    import numpy as np
     check_multiplicity_cap(inst, caps)
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
@@ -297,6 +307,7 @@ def _heldkarp_layers(k):
     in ascending slices of at most HELDKARP_SLICE subsets.  A slice is
     three int arrays: the subsets S, the last waypoints j and the
     predecessor subsets S ^ 1 << j."""
+    import numpy as np
     count = np.zeros(1, dtype=np.int8)
     for _ in range(k):  # popcount of every subset, doubling the range
         count = np.concatenate([count, count + 1])
@@ -310,6 +321,7 @@ def _heldkarp_layers(k):
 
 
 def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult:
+    import numpy as np
     if inst.kind == KIND_WRP:
         raise InstanceError("capacities unsupported by this engine")
     wps = sorted(inst.waypoints)
@@ -440,32 +452,7 @@ def _decompose(inst: Instance):
     that holds them all.  Outside the core's decomposition the work is
     linear in the size of the graph.
     """
-    nbrs = [set() for _ in range(inst.n)]
-    for e in inst.edges:
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
-    # degrees never grow, so a vertex queued at degree <= 1 stays there, and
-    # one popped from `two` while `low` is empty still has degree 2
-    low = [v for v in range(inst.n) if len(nbrs[v]) <= 1]
-    two = [v for v in range(inst.n) if len(nbrs[v]) == 2]
-    peeled = {}  # eliminated vertex -> its bag, in elimination order
-    while low or two:
-        v = (low or two).pop()
-        if v in peeled:
-            continue
-        near = nbrs[v]
-        peeled[v] = frozenset(near | {v})
-        if len(near) == 2:
-            a, b = near
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        for u in near:
-            nbrs[u].discard(v)
-            if len(nbrs[u]) <= 1:
-                low.append(u)
-            elif len(nbrs[u]) == 2:
-                two.append(u)
-
+    peeled, nbrs = _peel(inst)
     bags, parent = [], []
     core_bags_of = {}  # core vertex -> the core bags holding it
     core = [v for v in range(inst.n) if v not in peeled]
@@ -505,6 +492,39 @@ def _decompose(inst: Instance):
         bags.append(bag)
         parent.append(up)
     return max(map(len, bags)) - 1, bags, parent
+
+
+def _peel(inst: Instance):
+    """(peeled, nbrs), the linear peel of `_decompose`: `peeled` maps each
+    eliminated vertex, in elimination order, to its bag, and nbrs[v] holds
+    v's neighbours among the vertices left, fill edges included.  Every
+    vertex is peeled exactly when the graph has treewidth at most 2."""
+    nbrs = [set() for _ in range(inst.n)]
+    for e in inst.edges:
+        nbrs[e.u].add(e.v)
+        nbrs[e.v].add(e.u)
+    # degrees never grow, so a vertex queued at degree <= 1 stays there, and
+    # one popped from `two` while `low` is empty still has degree 2
+    low = [v for v in range(inst.n) if len(nbrs[v]) <= 1]
+    two = [v for v in range(inst.n) if len(nbrs[v]) == 2]
+    peeled = {}  # eliminated vertex -> its bag, in elimination order
+    while low or two:
+        v = (low or two).pop()
+        if v in peeled:
+            continue
+        near = nbrs[v]
+        peeled[v] = frozenset(near | {v})
+        if len(near) == 2:
+            a, b = near
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for u in near:
+            nbrs[u].discard(v)
+            if len(nbrs[u]) <= 1:
+                low.append(u)
+            elif len(nbrs[u]) == 2:
+                two.append(u)
+    return peeled, nbrs
 
 
 def _merge_blocks(blocks1, blocks2):
@@ -688,10 +708,15 @@ ENGINES = {
 
 
 def auto_engine(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> str:
-    """The name, in ENGINES, of the engine `solve_auto` runs on `inst`: the
-    first of multiplicity and Held-Karp whose cap the input fits, else the
-    treewidth engine, whose cap is checked when it runs."""
+    """The name, in ENGINES, of the engine `solve_auto` runs on `inst` (see
+    the module docstring).  The peel is linear in n, while the multiplicity
+    engine never looks at an isolated vertex, so only inputs with at most
+    m + 1 vertices, as a connected graph has, are peeled."""
     if len(inst.edges) <= caps.multiplicity_edges:
+        if inst.n <= len(inst.edges) + 1:
+            bags = _peel(inst)[0].values()
+            if len(bags) == inst.n and max(map(len, bags)) <= caps.treewidth_width + 1:
+                return "treewidth"
         return "multiplicity"
     if inst.kind != KIND_WRP and len(inst.waypoints) <= caps.heldkarp_waypoints:
         return "heldkarp"

@@ -7,8 +7,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .instance import (
     KIND_SUBTSP,
     Edge,
@@ -113,6 +111,7 @@ def total_bitsize(weights, budget: int) -> int:
 
 def _sum_profile(weights):
     """All values of w . x for x in {0,1,2}^m, aligned with a fixed x order."""
+    import numpy as np
     dtype = object if 2 * sum(weights) >= 2**62 else np.int64
     return multiplicity_grid([3] * len(weights),
                              np.array([[0, w, 2 * w] for w in weights], dtype=dtype))
@@ -151,6 +150,7 @@ def compress_weights(inst: Instance) -> RuleOutcome:
     m = len(inst.edges)
     if m == 0 or m > COMPRESS_MAX_EDGES:
         return unchanged("compress_weights: scale guard" if m else "")
+    import numpy as np  # past the guard, so a large edge set never loads it
     weights = [e.weight for e in inst.edges]
     sums = _sum_profile(weights)
     if abs(inst.budget) >= 2**62:  # the difference could pass int64

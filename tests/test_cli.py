@@ -71,16 +71,17 @@ def test_engine_for_another_kind_is_usage_error(tmp_path, capsys):
 
 
 def test_cross_check_disagreement_is_error(monkeypatch, triangle, capsys):
-    real = oracle.solve_treewidth
+    # auto solves the triangle by the DP, so the multiplicity engine checks it
+    real = oracle.solve_exact_multiplicity
 
     def off_by_one(inst, caps):
         res = real(inst, caps)
         return dataclasses.replace(res, opt_weight=res.opt_weight + 1)
 
-    monkeypatch.setattr(oracle, "solve_treewidth", off_by_one)
+    monkeypatch.setattr(oracle, "solve_exact_multiplicity", off_by_one)
     assert main(["solve", triangle, "--cross-check"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: cross-check failed: auto optimum 9, treewidth optimum 10\n"
+    assert err == "error: cross-check failed: auto optimum 9, multiplicity optimum 10\n"
 
 
 def test_cross_check_never_checks_an_engine_against_itself(monkeypatch, tmp_path, capsys):
@@ -169,18 +170,36 @@ def test_out_of_memory_is_scale_exit(tmp_path, triangle):
         assert done.stderr == "scale exceeded: out of memory\n"
 
 
-def test_solve_does_not_import_networkx(triangle):
-    """networkx is imported only to decompose a core of degree >= 3, and a
-    triangle has none, whichever engine solves it."""
-    code = ("import sys\n"
-            "from tspkern.cli import main\n"
-            f"main(['solve', {triangle!r}])\n"
-            f"main(['solve', {triangle!r}, '--engine', 'treewidth'])\n"
-            "print('networkx' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
-                          text=True, timeout=120)
+def test_solve_does_not_import_networkx(triangle, tmp_path):
+    """networkx is imported only to decompose a core of degree >= 3, and
+    numpy only by the engines and folds that use it, so neither costs a
+    command that does not run them.  Importing the package loads neither.
+    Nor does solving a triangle, which has no core and which auto sends to
+    the DP.  The fes and vc-tsp kernels of planted 200-vertex inputs keep
+    more edges than `compress_weights` enumerates, so kernelizing them
+    loads no numpy."""
+    code = ["import sys",
+            "import tspkern, tspkern.cli",
+            "from tspkern.cli import main",
+            "def loaded(): print('loaded', 'numpy' in sys.modules, 'networkx' in sys.modules)",
+            "loaded()",
+            f"main(['solve', {triangle!r}])",
+            f"main(['solve', {triangle!r}, '--engine', 'treewidth'])",
+            "loaded()"]
+    kernels = []
+    for regime, planted, k in (("fes", "fes", 5), ("vc-tsp", "vc", 3)):
+        src, out = tmp_path / f"{regime}.grw", tmp_path / f"{regime}-kernel.grw"
+        src.write_text(render_instance(gen_planted("tsp", planted, k, 1, 200, seed=1)))
+        code += [f"main(['kernelize', {str(src)!r}, {str(out)!r}, '--regime', {regime!r}])",
+                 "loaded()"]
+        kernels.append(out)
+    done = subprocess.run([sys.executable, "-c", "\n".join(code)], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    lines = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
+    assert lines[:2] == ["loaded False False"] * 2
+    assert [line.split()[1] for line in lines[2:]] == ["False"] * 2
+    assert all(len(parse_instance(out.read_text()).edges) > 12 for out in kernels)
 
 
 def test_malformed_input(tmp_path, capsys):

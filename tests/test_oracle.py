@@ -24,7 +24,7 @@ from lemmas import (
 )
 from tspkern import oracle
 from tspkern.gadgets import REGIMES, gen_planted
-from tspkern.instance import KINDS, MAX_WEIGHT, Edge, Instance, InvariantError, ScaleError
+from tspkern.instance import KINDS, MAX_WEIGHT, Edge, Instance, InvariantError, ScaleError, as_wrp
 from tspkern.oracle import (
     DEFAULT_CAPS,
     OracleCaps,
@@ -35,6 +35,7 @@ from tspkern.oracle import (
     solve_heldkarp,
     solve_treewidth,
 )
+from tspkern.pipelines import PIPELINES
 
 
 def triangle(budget=3):
@@ -119,6 +120,54 @@ def test_solve_auto_past_the_small_engines():
     wrp = Instance("wrp", 30, tuple(Edge(u, v, 1, 2) for u, v in cycle), frozenset({0, 1}), 99)
     assert solve_auto(stsp).opt_weight == 30
     assert solve_auto(wrp).opt_weight == 2
+
+
+def test_auto_engine_sends_inputs_without_a_core_to_the_dp():
+    """Within the multiplicity cap the DP takes what the peel decomposes
+    whole and the multiplicity engine keeps a core; past it the dispatch is
+    as before: Held-Karp when its cap admits the input, else the DP."""
+    k4 = Instance("tsp", 4, tuple(Edge(u, v, 1) for u, v in itertools.combinations(range(4), 2)),
+                  frozenset(range(4)), 9)
+    tsp15 = Instance("tsp", 15, tuple(Edge(i, (i + 1) % 15, 1) for i in range(15)),
+                     frozenset(range(15)), 15)
+    wrp16 = Instance("wrp", 16, tuple(Edge(i, (i + 1) % 16, 1, 2) for i in range(16)),
+                     frozenset(range(16)), 16)
+    assert oracle.auto_engine(triangle()) == "treewidth"
+    assert oracle.auto_engine(k4) == "multiplicity"
+    assert oracle.auto_engine(tsp15) == "heldkarp"
+    assert oracle.auto_engine(wrp16) == "treewidth"
+    # a DP narrower than the peel's bags leaves the input to the multiplicity engine
+    assert oracle.auto_engine(triangle(), OracleCaps(treewidth_width=1)) == "multiplicity"
+    # so do isolated vertices past what the edges could connect
+    lone = Instance("stsp", 5, triangle().edges, frozenset({0, 1}), 9)
+    assert oracle.auto_engine(lone) == "multiplicity"
+
+
+# (pipeline, planted kind, planted regime, r), shaped like the benchmark's
+# kernel-verify inputs; vc-wrp takes capacity-2 copies of stsp inputs
+SMALL_PLANTED = (("fes", "tsp", "fes", 1), ("fes", "stsp", "fes", 1), ("vc-tsp", "tsp", "vc", 1),
+                 ("vc-wrp", "stsp", "vc", 1), ("components", "tsp", "components", 2),
+                 ("paths", "stsp", "paths", 2), ("fes", "wrp", "fes", 1))
+
+
+def test_solve_auto_matches_multiplicity_on_small_planted_inputs_and_kernels():
+    """Small planted inputs of every regime, and their kernels, mostly have
+    treewidth at most 2, so `solve_auto` gives them to the DP: its verdict
+    and optimum are the multiplicity engine's, and its witnesses are
+    certificates."""
+    engines = []
+    for (pipeline, kind, planted, r), k, seed in itertools.product(SMALL_PLANTED, (1, 2, 3),
+                                                                  range(3)):
+        inst = gen_planted(kind, planted, k, r, 7 + seed % 2, seed=seed)
+        inst = as_wrp(inst) if pipeline == "vc-wrp" else inst
+        kernel, report = PIPELINES[pipeline](inst, r=r)
+        for x in (inst,) if report.decided else (inst, kernel):
+            engines.append(oracle.auto_engine(x))
+            got, want = solve_auto(x), solve_exact_multiplicity(x)
+            assert (got.feasible, got.opt_weight) == (want.feasible, want.opt_weight), x
+            if got.feasible:
+                assert check_certificate(x, got.witness)
+    assert engines.count("treewidth") > 0.9 * len(engines)
 
 
 def test_heldkarp_examples():
