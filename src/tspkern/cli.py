@@ -136,13 +136,13 @@ def cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
+_LENGTH_GADGETS = {"selection": gadgets.selection_gadget, "cycle": gadgets.cycle_gadget}
+
+
 def cmd_generate(args) -> int:
-    if args.generator == "selection":
-        inst = gadgets.selection_gadget(args.length)
-        prov = f"c selection length={args.length}"
-    elif args.generator == "cycle":
-        inst = gadgets.cycle_gadget(args.length)
-        prov = f"c cycle length={args.length}"
+    if args.generator in _LENGTH_GADGETS:
+        inst = _LENGTH_GADGETS[args.generator](args.length)
+        prov = f"c {args.generator} length={args.length}"
     elif args.generator == "mcc":
         rng = random.Random(f"mcc|{args.k}|{args.n}|{args.seed}")
         pairs = []
@@ -201,12 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a constructed or random instance")
     gsub = g.add_subparsers(dest="generator", required=True)
-    sel = gsub.add_parser("selection")
-    sel.add_argument("output")
-    sel.add_argument("--length", "--l", dest="length", type=int, required=True)
-    cyc = gsub.add_parser("cycle")
-    cyc.add_argument("output")
-    cyc.add_argument("--length", "--l", dest="length", type=int, required=True)
+    for name in _LENGTH_GADGETS:
+        gadget = gsub.add_parser(name)
+        gadget.add_argument("output")
+        gadget.add_argument("--length", "--l", dest="length", type=int, required=True)
     mcc = gsub.add_parser("mcc")
     mcc.add_argument("output")
     mcc.add_argument("--k", type=int, required=True)

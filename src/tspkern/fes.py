@@ -52,6 +52,20 @@ def rr_terminal_leaf(g: WorkGraph) -> RuleOutcome:
     return reduced(g, log)
 
 
+def _walk(g: WorkGraph, seed: int, i: int, qualifies):
+    """The vertices and edges passed leaving `seed` along edge i, up to and
+    including the first vertex that does not qualify or is `seed` again."""
+    verts, eids, x = [], [], seed
+    while True:
+        x = g.edges[i].other(x)
+        verts.append(x)
+        eids.append(i)
+        if x == seed or not qualifies(x):
+            return verts, eids
+        a, b = g.adj[x]
+        i = a if a != i else b
+
+
 def _find_chains(g: WorkGraph, want_waypoint: bool, min_edges: int):
     """All paths p0..pl, l >= min_edges, whose inner vertices are degree-2
     (non-)waypoints of the requested type.
@@ -62,51 +76,24 @@ def _find_chains(g: WorkGraph, want_waypoint: bool, min_edges: int):
     one edge so the endpoints stay distinct; the rules apply to any
     qualifying path, not only maximal ones.
     """
-    adj = g.adj
-
     def qualifies(x):
-        return len(adj[x]) == 2 and (x in g.waypoints) == want_waypoint
-
-    def onward(x, last):
-        a, b = adj[x]
-        nxt = a if a != last else b
-        return nxt, g.edges[nxt].other(x)
+        return len(g.adj[x]) == 2 and (x in g.waypoints) == want_waypoint
 
     done = set()
     for seed in g.vertices():
         if seed in done or not qualifies(seed):
             continue
-        # walk "right" pretending we arrived via the seed's first edge
-        verts, eids = [seed], []
-        first, _ = adj[seed]
-        cur, last = seed, first
-        pure_cycle = False
-        while True:
-            nxt, w = onward(cur, last)
-            verts.append(w)
-            eids.append(nxt)
-            if w == seed:
-                pure_cycle = True
-                break
-            if not qualifies(w):
-                break
-            cur, last = w, nxt
-        if pure_cycle:
-            verts, eids = verts[:-1], eids[:-1]
+        first, second = g.adj[seed]
+        right, right_eids = _walk(g, seed, second, qualifies)
+        if right[-1] == seed:  # pure qualifying cycle
+            verts, eids = [seed, *right[:-1]], right_eids[:-1]
         else:
-            # walk "left" via the remaining seed edge
-            cur, last = seed, eids[0]
-            while qualifies(cur):
-                nxt, w = onward(cur, last)
-                verts.insert(0, w)
-                eids.insert(0, nxt)
-                if not qualifies(w):
-                    break
-                cur, last = w, nxt
+            left, left_eids = _walk(g, seed, first, qualifies)
+            verts, eids = left[::-1] + [seed] + right, left_eids[::-1] + right_eids
             if verts[0] == verts[-1]:  # pendant cycle on one anchor
                 verts, eids = verts[:-1], eids[:-1]
-        done.update(x for x in verts if qualifies(x))
-        if len(eids) >= min_edges and verts[0] != verts[-1]:
+        done.update(verts)
+        if len(eids) >= min_edges:
             yield verts, eids
 
 
@@ -123,7 +110,9 @@ def rr_contract_nonterminal_path(g: WorkGraph) -> RuleOutcome:
 
 
 def _reduce_terminal_chain(g: WorkGraph, verts, eids):
-    """Replacement plan for one all-waypoint chain, or None if irreducible.
+    """Replacement plan `(gone, victims, new_edges, case)` for one
+    all-waypoint chain, or None if irreducible.  The stand-ins x and x2 are
+    inner chain vertices, so they are waypoints already and stay.
 
     A solution meets the chain either by walking it once end to end, or by
     doubling a prefix and a suffix around a single skipped edge; any other
@@ -141,16 +130,16 @@ def _reduce_terminal_chain(g: WorkGraph, verts, eids):
         # no edge may be skipped: the whole path is walked exactly once
         w1 = path_edges[cap1[0]].weight
         new = [Edge(p0, x, w1, 1), Edge(x, pl, total - w1, 1)]
-        return eids, inner - {x}, new, {x}, "a"
+        return eids, inner - {x}, new, "a"
     if len(cap1) == 1:
         j = cap1[0]
         w1 = path_edges[j].weight
         if j == 0:
             new = [Edge(p0, x, w1, 1), Edge(x, pl, total - w1, 2)]
-            return eids, inner - {x}, new, {x}, "b"
+            return eids, inner - {x}, new, "b"
         if j == len(path_edges) - 1:
             new = [Edge(p0, x, total - w1, 2), Edge(x, pl, w1, 1)]
-            return eids, inner - {x}, new, {x}, "b"
+            return eids, inner - {x}, new, "b"
         if len(eids) == 3:
             return None  # stand-ins would reproduce the chain verbatim
         # skipping the capacity-1 edge strands a loop at each endpoint, so
@@ -159,7 +148,7 @@ def _reduce_terminal_chain(g: WorkGraph, verts, eids):
         prefix = sum(e.weight for e in path_edges[:j])
         new = [Edge(p0, x, prefix, 2), Edge(x, x2, w1, 1),
                Edge(x2, pl, total - prefix - w1, 2)]
-        return eids, inner - {x, x2}, new, {x, x2}, "b"
+        return eids, inner - {x, x2}, new, "b"
     # all capacities 2: any single edge may be skipped, cheapest the heaviest.
     # The skip leaves loops hanging at p0 and pl, so the collapsed form is
     # only faithful when both endpoints are themselves visited.
@@ -167,7 +156,7 @@ def _reduce_terminal_chain(g: WorkGraph, verts, eids):
         wmax = max(e.weight for e in path_edges)
         new = [Edge(p0, x, wmax, 1), Edge(x, pl, total - wmax, 2),
                Edge(p0, pl, total, 1)]
-        return eids, inner - {x}, new, {x}, "c"
+        return eids, inner - {x}, new, "c"
     if len(eids) >= 5:
         # endpoints avoidable: reduce the inner subchain, whose ends are waypoints
         return _reduce_terminal_chain(g, verts[1:-1], eids[1:-1])
@@ -179,8 +168,8 @@ def rr_replace_terminal_path(g: WorkGraph) -> RuleOutcome:
         got = _reduce_terminal_chain(g, verts, eids)
         if got is None:
             continue
-        gone, victims, new_edges, new_wps, case = got
-        if len((g.waypoints | new_wps) - victims) < 2:
+        gone, victims, new_edges, case = got
+        if len(g.waypoints - victims) < 2:
             # collapsing would reach the empty-walk special case, which the
             # original chain of spread-out waypoints cannot mimic
             continue
@@ -189,10 +178,8 @@ def rr_replace_terminal_path(g: WorkGraph) -> RuleOutcome:
         for e in new_edges:
             g.add_edge(e)
         g.remove_vertices(victims)
-        for x in new_wps:
-            g.add_waypoint(x)
         return reduced(g, f"rr_replace_terminal_path: case {case},"
-                          f" replaced {len(victims) + len(new_wps)} inner vertex(es)")
+                          f" replaced {len(gone) - 1} inner vertex(es)")
     return unchanged()
 
 

@@ -75,17 +75,16 @@ def rr_short_circuit(g: WorkGraph, v: int) -> RuleOutcome:
             shortcuts[pair] = w
     log = f"rr_short_circuit: removed vertex {g.label(v)}"
     g.remove_vertices((v,))
-    extra = []
+    added = 0
     for (a, b), w in sorted(shortcuts.items()):
         parallel = g.parallel(a, b)
         if any(g.edges[i].weight <= w for i in parallel):
             continue  # an existing parallel edge is at least as cheap
         for i in parallel:
             g.remove_edge(i)
-        extra.append(Edge(a, b, w))
-    for e in extra:
-        g.add_edge(e)
-    return reduced(g, f"{log}, added {len(extra)} shortcut(s)")
+        g.add_edge(Edge(a, b, w))
+        added += 1
+    return reduced(g, f"{log}, added {added} shortcut(s)")
 
 
 def ensure_connected(inst: Instance) -> RuleOutcome:

@@ -296,6 +296,20 @@ def test_kernelize_regime_kind_mismatch(tmp_path, triangle, capsys):
     assert "capacitated path kernels are open" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--regime", "vc-tsp"], "error: no vertex cover within k_max=1"),
+    (["--regime", "components", "--r", "1"], "error: no modulator within k_max=1"),
+])
+def test_kernelize_structure_beyond_k_max_is_usage_error(tmp_path, capsys, argv, message):
+    # the triangle needs two vertices to cover it or to split it into singletons
+    path = tmp_path / "unit.grw"
+    path.write_text("p tsp 3 3\nb 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
+    out = tmp_path / "k.grw"
+    assert main(["kernelize", str(path), str(out), *argv, "--k-max", "1"]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("regime", tuple(PIPELINES))
 def test_kernelize_r_zero_is_usage_error(tmp_path, triangle, capsys, regime):
     """Every regime refuses an r below 1, even those that never read it,

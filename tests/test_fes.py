@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from tspkern.fes import (
+    _find_chains,
     kernelize_fes,
     rr_contract_nonterminal_path,
     rr_leaf_cap1,
@@ -109,6 +110,75 @@ def test_replace_terminal_path_case_b_inner_edge():
     short = wrp(6, [(0, 1, 1, 2), (1, 2, 5, 1), (2, 3, 1, 2),
                     (0, 4, 1, 2), (3, 5, 1, 2)], {1, 2, 4, 5}, 30)
     assert rr_replace_terminal_path(WorkGraph(short)).verdict == "unchanged"
+
+
+def edge_tuples(inst):
+    return [(e.u, e.v, e.weight, e.capacity) for e in inst.edges]
+
+
+# a pure cycle of waypoints 0..4 and a pure cycle of non-waypoints 5..8
+PURE_CYCLES = wrp(9, [(0, 1, 1, 2), (1, 2, 2, 2), (2, 3, 3, 2), (3, 4, 4, 2), (4, 0, 5, 2),
+                      (5, 6, 1, 2), (6, 7, 2, 1), (7, 8, 3, 2), (8, 5, 4, 2)],
+                  {0, 1, 2, 3, 4}, 40)
+
+
+def pendant_cycle(inner_waypoints):
+    """The cycle 0-1-2-3-4-0 hanging off anchor 0, whose third edge leads to 5."""
+    return wrp(6, [(0, 1, 1, 2), (1, 2, 2, 2), (2, 3, 3, 2), (3, 4, 4, 2), (4, 0, 5, 2),
+                   (0, 5, 6, 2)], {0, 5} | ({1, 2, 3, 4} if inner_waypoints else set()), 60)
+
+
+def test_find_chains_on_pure_cycles():
+    # each cycle is opened at its lowest vertex by dropping the edge back to it
+    g = WorkGraph(PURE_CYCLES)
+    waypoint_chains = [([0, 4, 3, 2, 1], [4, 3, 2, 1])]
+    assert list(_find_chains(g, want_waypoint=True, min_edges=3)) == waypoint_chains
+    assert list(_find_chains(g, want_waypoint=False, min_edges=2)) == [([5, 8, 7, 6], [8, 7, 6])]
+    assert list(_find_chains(g, want_waypoint=False, min_edges=4)) == []
+
+
+def test_find_chains_on_pendant_cycles():
+    # both ends land on the anchor, so the chain drops its closing edge 4-0
+    for inner_waypoints in (False, True):
+        g = WorkGraph(pendant_cycle(inner_waypoints))
+        chains = [([0, 1, 2, 3, 4], [0, 1, 2, 3])]
+        assert list(_find_chains(g, want_waypoint=inner_waypoints, min_edges=3)) == chains
+        assert list(_find_chains(g, want_waypoint=not inner_waypoints, min_edges=1)) == []
+
+
+def test_chain_rules_on_pure_cycles():
+    g = WorkGraph(PURE_CYCLES)
+    out = rr_contract_nonterminal_path(g)
+    assert out.log_entry == "rr_contract_nonterminal_path: contracted 2 inner vertex(es)"
+    kern = g.freeze()
+    assert edge_tuples(kern) == [(0, 1, 1, 2), (1, 2, 2, 2), (2, 3, 3, 2), (3, 4, 4, 2),
+                                 (4, 0, 5, 2), (5, 6, 1, 2), (5, 6, 9, 1)]
+    assert kern.waypoints == {0, 1, 2, 3, 4}
+    g = WorkGraph(PURE_CYCLES)
+    out = rr_replace_terminal_path(g)
+    assert out.log_entry == "rr_replace_terminal_path: case c, replaced 3 inner vertex(es)"
+    kern = g.freeze()  # 2 and 3 deleted; stand-in 4 keeps its waypoint
+    assert edge_tuples(kern) == [(0, 1, 1, 2), (3, 4, 1, 2), (4, 5, 2, 1), (5, 6, 3, 2),
+                                 (6, 3, 4, 2), (0, 2, 5, 1), (2, 1, 9, 2), (0, 1, 14, 1)]
+    assert kern.waypoints == {0, 1, 2} and kern.budget == 40
+
+
+def test_chain_rules_on_pendant_cycles():
+    g = WorkGraph(pendant_cycle(inner_waypoints=False))
+    assert rr_replace_terminal_path(g).verdict == "unchanged"
+    out = rr_contract_nonterminal_path(g)
+    assert out.log_entry == "rr_contract_nonterminal_path: contracted 3 inner vertex(es)"
+    kern = g.freeze()
+    assert edge_tuples(kern) == [(1, 0, 5, 2), (0, 2, 6, 2), (0, 1, 10, 2)]
+    assert kern.waypoints == {0, 2}
+    g = WorkGraph(pendant_cycle(inner_waypoints=True))
+    assert rr_contract_nonterminal_path(g).verdict == "unchanged"
+    out = rr_replace_terminal_path(g)
+    assert out.log_entry == "rr_replace_terminal_path: case c, replaced 3 inner vertex(es)"
+    kern = g.freeze()
+    assert edge_tuples(kern) == [(2, 0, 5, 2), (0, 3, 6, 2), (0, 1, 4, 1), (1, 2, 6, 2),
+                                 (0, 2, 10, 1)]
+    assert kern.waypoints == {0, 1, 2, 3}
 
 
 def test_tree_instances_decided():

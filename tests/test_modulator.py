@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from tspkern.modulator import (
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_components_tsp, kernelize_paths_subtsp
 from tspkern.report import KernelReport
+from tspkern.vc import enumerate_vertex_behaviors
 
 
 def singleton_component(w1=2, w2=5, kind="tsp"):
@@ -384,3 +386,24 @@ def test_pipeline_kind_checks():
     stsp = Instance("stsp", 2, (Edge(0, 1, 1),), frozenset({0, 1}), 9)
     with pytest.raises(InstanceError):
         kernelize_components_tsp(stsp, 2)
+
+
+_TSP = Instance("tsp", 3, (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1)), frozenset(range(3)), 9)
+_STSP = Instance("stsp", 3, (Edge(0, 1, 1), Edge(1, 2, 1)), frozenset({0, 2}), 9)  # no hint
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rule_components_tsp(_STSP, {1}, 1, KernelReport(pipeline="components-tsp")),
+     "component rule applies to the all-waypoint kind"),
+    (lambda: saturate_path_nonterminals(_TSP), "saturation applies to the subset kind"),
+    (lambda: saturate_path_nonterminals(_STSP), "saturation needs a modulator hint"),
+    (lambda: rule_paths_subtsp(_TSP, {1}, 1, KernelReport(pipeline="paths-subtsp")),
+     "path rule applies to the subset kind"),
+    (lambda: rule_paths_subtsp(_STSP, {0}, 1, KernelReport(pipeline="paths-subtsp")),
+     "saturation required: every path vertex must be a waypoint"),
+    (lambda: enumerate_vertex_behaviors(_TSP, {0, 1}, 1), "vertex 2 is in the modulator"),
+], ids=["components-on-stsp", "saturate-tsp", "saturate-without-hint", "paths-on-tsp",
+        "paths-unsaturated", "vertex-in-modulator"])
+def test_input_guards_raise(call, message):
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        call()

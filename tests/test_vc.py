@@ -1,6 +1,7 @@
 """Vertex-cover kernels: behaviors, impacts, prices, and both marking rules."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -222,6 +223,9 @@ def test_close_round_extends_promotions():
     assert report.promoted_waypoints == [1, 0]
     assert report.rule_firings == {"rule_vc_wrp": 2}
     assert out.waypoints == {0, 1, 2}
+    # the text report lists them sorted, the json one in promotion order, both 1-based
+    assert "\npromoted waypoints: 1 2\n" in report.to_text()
+    assert json.loads(report.to_json())["promoted_waypoints"] == [2, 1]
 
 
 def test_rule_tsp_shared_impact_keeps_3k():
