@@ -98,11 +98,12 @@ def cmd_solve(args) -> int:
     inst = _read(args.input)
     caps = _caps_from_env()
     engines = {"auto": oracle.solve_auto, **oracle.ENGINES}
-    # a cross-check runs another engine; only a treewidth solve past the
-    # multiplicity cap has none, so there the check stops up front
-    ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
-    if args.cross_check and ran == "treewidth":
-        oracle.check_multiplicity_cap(inst, caps)
+    if args.cross_check:
+        # a cross-check runs another engine; only a treewidth solve past the
+        # multiplicity cap has none, so there the check stops up front
+        ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
+        if ran == "treewidth":
+            oracle.check_multiplicity_cap(inst, caps)
     res = engines[args.engine](inst, caps)
     if args.cross_check:
         name, check = (("treewidth", oracle.solve_treewidth) if ran != "treewidth"

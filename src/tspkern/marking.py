@@ -12,16 +12,20 @@ The unit's *impact table* maps each impact of its behaviors to the least
 weight among them; the price of an impact is that weight minus the
 natural weight.
 
-A round builds its units once per *shape* (`shaped_unit`).  Behaviors and
-their impacts never read edge weights: they follow from the unit's shape,
-the weight-free key that `vc.vertex_unit` and `modulator.component_unit`
-compute from its edges into the cover or modulator, their effective
-capacities and, for a vertex, whether it is a waypoint.  The first unit of
-a shape enumerates its behaviors and their impacts, stored by edge
-position; every unit then maps them onto its own edge ids and weighs them
-with its own weights, which gives its natural behavior and its impact
-table.  The memo is a dict that `collect_units` makes for its round, so
-no shape outlives the round.
+A round builds its units once per *shape* (`collect_units`).  Behaviors
+and their impacts never read edge weights: they follow from the unit's
+shape, a weight-free key that only this module computes.  It holds each
+unit vertex's waypoint flag and, per edge in ascending id order, the roles
+of its ends, lower first, and its effective capacity.  A unit vertex's role
+is its position in the unit and a cover or modulator vertex m's is ~m, so
+impacts name the same M-vertices; the kind, r and M are fixed in a round.
+Behaviors and impacts are undirected, so a key blind to how an edge is
+written merges no units whose behaviors differ.  The first unit of a
+shape enumerates its behaviors and their impacts, stored by edge position;
+every unit then maps them onto its own edge ids and weighs them with its
+own weights, which gives its natural behavior and its impact table.  The
+memo is a dict that `collect_units` makes for its round, so no shape
+outlives the round.
 
 A round marks units in colors and deletes the rest:
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .instance import Instance, InvariantError, component_walk
 from .report import KernelReport
@@ -121,20 +125,26 @@ class Unit:
         return self.table[impact] - self.natural.weight
 
 
-def shaped_unit(shapes: dict, key: Hashable, label: str, deletes, inst: Instance, M, eids,
-                behaviors: Callable) -> Unit:
-    """The unit on the edges `eids`, in ascending order, priced by `inst`'s
-    weights.  `key` is its shape: it must fix `behaviors()`, the unit's
-    behaviors, and their impacts on M, up to the map from position in
-    `eids` to edge id.  The first unit of a shape enumerates and stores
-    them in `shapes` as (edge positions, impact); later units of the shape
-    only weigh them.  `label` names the unit in the `NoBehavior` raised when
-    it has no behavior."""
+def _unit(shapes: dict, inst: Instance, M, label: str, vertices, eids,
+          behaviors: Callable) -> Unit:
+    """The unit on `vertices`, in the order that gives their roles, and
+    the edges `eids`, in ascending order, priced by `inst`'s weights.  The
+    first unit of a shape enumerates `behaviors(vertices)` and stores them in
+    `shapes` as (edge positions, impact on M); later units of the shape only
+    weigh them.  `label` names the unit in the `NoBehavior` raised when it
+    has no behavior."""
+    role = {v: p for p, v in enumerate(vertices)}
+    key = [tuple(v in inst.waypoints for v in vertices)]
+    for i in eids:
+        e = inst.edges[i]
+        a, b, cap = role.get(e.u, ~e.u), role.get(e.v, ~e.v), inst.effective_capacity(e)
+        key.append((a, b, cap) if a < b else (b, a, cap))
+    key = tuple(key)
     shape = shapes.get(key)
     if shape is None:
         position = {i: p for p, i in enumerate(eids)}
         shape = shapes[key] = [(tuple(position[i] for i in b.edges), impact_of(inst, M, b))
-                               for b in behaviors()]
+                               for b in behaviors(vertices)]
     if not shape:
         raise NoBehavior(f"{label} admits no behavior")
     w = [inst.edges[i].weight for i in eids]
@@ -149,16 +159,19 @@ def shaped_unit(shapes: dict, key: Hashable, label: str, deletes, inst: Instance
         if best is None or (weight, at) < best:
             best, nat_imp = (weight, at), imp
     weight, at = best
-    return Unit(tuple(deletes), Behavior(tuple(eids[p] for p in at), weight), nat_imp, table)
+    return Unit(tuple(vertices), Behavior(tuple(eids[p] for p in at), weight), nat_imp, table)
 
 
-def collect_units(report: KernelReport, keys, make: Callable) -> list[Unit] | None:
-    """`make(key, shapes)` for every key, with `shapes` the round's memo for
-    `shaped_unit`, or None once some unit admits no behavior; the report
-    then carries the "no" verdict."""
+def collect_units(report: KernelReport, inst: Instance, M, units,
+                  behaviors: Callable) -> list[Unit] | None:
+    """The round's units, one per (label, vertices, edge ids) in `units`, or
+    None once some unit admits no behavior; the report then carries the
+    "no" verdict.  `behaviors(vertices)` lists a unit's behaviors; the
+    unit deletes its vertices."""
     shapes: dict = {}
     try:
-        return [make(key, shapes) for key in keys]
+        return [_unit(shapes, inst, M, label, vertices, eids, behaviors)
+                for label, vertices, eids in units]
     except NoBehavior as exc:
         report.decided = "no"
         report.log.append(str(exc))

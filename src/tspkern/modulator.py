@@ -11,12 +11,10 @@ masks merge (`oracle._merge_blocks`) into blocks that each hold a
 modulator vertex.  Each component is one unit of the marking scheme in
 `marking`, which fingerprints its behaviors by their impact
 (`marking.impact_of`: the touched modulator vertices plus
-connectivity/parity representative edges) and prunes the units.  A round
-enumerates behaviors and impacts once per component shape (r, and the
-ends and effective capacity of each edge of G_C, with C-vertices by
-position and modulator vertices by id), and each component weighs them
-with its own weights.  Blue marking, which keeps shortest
-modulator-to-modulator paths (`instance.shortest_paths`), lives here.
+connectivity/parity representative edges), enumerates them once per
+component shape, as it defines it, and prunes the units.  Blue marking,
+which keeps shortest modulator-to-modulator paths
+(`instance.shortest_paths`), lives here.
 """
 
 from __future__ import annotations
@@ -34,13 +32,11 @@ from .instance import (
 )
 from .marking import (
     Behavior,
-    Unit,
     close_round,
     collect_units,
     mark_red,
     settle,
     table_impacts,
-    shaped_unit,
 )
 from .oracle import _merge_blocks, decode, even_covering, multiplicity_grid
 from .preprocess import rr_short_circuit
@@ -92,20 +88,6 @@ def _label(C) -> str:
     return f"component {[v + 1 for v in sorted(C)]}"
 
 
-def component_unit(inst: Instance, M, C, r: int, shapes: dict, eids) -> Unit:
-    """The unit of component C, whose `component_graph` is `eids`.  `shapes`
-    is a round's memo of component shapes: r and, for each edge of G_C in
-    ascending id order, the roles of its ends and its effective capacity.  A
-    C-vertex's role is its position in sorted C, a modulator vertex m's is
-    ~m."""
-    role = {v: p for p, v in enumerate(sorted(C))}
-    edges = [inst.edges[i] for i in eids]
-    key = (r, tuple((role.get(e.u, ~e.u), role.get(e.v, ~e.v), inst.effective_capacity(e))
-                    for e in edges))
-    return shaped_unit(shapes, key, _label(C), C, inst, M, eids,
-                       lambda: enumerate_component_behaviors(inst, M, C, r))
-
-
 def _shortest_mm_paths(inst: Instance, M, eids):
     """dict (u,v) -> shortest u-v distance through G_C, whose edges are
     `eids`, for u < v in M."""
@@ -149,17 +131,15 @@ def _modulator_round(inst: Instance, M, r: int, rule: str, report: KernelReport,
         report.log.append("empty modulator: nothing to mark")
         return inst
     comps = inst.components(without=M)
-    # each component's G_C, once; components are disjoint, so their least
-    # vertices tell them apart
-    graphs = {C[0]: component_graph(inst, M, C) for C in comps}
-    units = collect_units(report, comps, lambda C, shapes:
-                          component_unit(inst, M, C, r, shapes, graphs[C[0]]))
+    graphs = [component_graph(inst, M, C) for C in comps]
+    units = collect_units(report, inst, M, ((_label(C), C, g) for C, g in zip(comps, graphs)),
+                          lambda C: enumerate_component_behaviors(inst, M, C, r))
     if units is None:
         return inst
     k = len(M)
     ni = len(table_impacts(units))
     red = mark_red(units, 2 * ni**2 + 2 * k)
-    blue = _mark_blue(inst, M, graphs.values())
+    blue = _mark_blue(inst, M, graphs)
     cap = 0 if yellow_cap is None else yellow_cap(k, ni)
     yellow, green, promotions = settle(units, red | blue, inst.waypoints, cap)
     report.add_marks("red", len(red))

@@ -7,10 +7,8 @@ capacitated kind).  Each vertex outside M is a one-vertex component of G
 minus M and one unit of the marking scheme in `marking`, which fingerprints
 its behaviors as it does a component's (`marking.impact_of`): the cover
 vertices a behavior touches and the parity of each touch but the least
-one's, which the others fix, since r's degree is even.  Neither behaviors
-nor impacts depend on weights, so a round enumerates them once per vertex
-shape: the kind, whether the vertex is a waypoint, and the cover vertex and
-effective capacity of each of its edges.
+one's, which the others fix, since r's degree is even.  A round enumerates
+them once per vertex shape, as `marking` defines it.
 """
 
 from __future__ import annotations
@@ -20,13 +18,11 @@ import itertools
 from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError
 from .marking import (
     Behavior,
-    Unit,
     close_round,
     collect_units,
     mark_red,
     settle,
     table_impacts,
-    shaped_unit,
 )
 from .report import KernelReport
 
@@ -49,16 +45,11 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
             if all(combo.count(i) <= inst.effective_capacity(inst.edges[i]) for i in combo)]
 
 
-def vertex_unit(inst: Instance, M, r: int, shapes: dict) -> Unit:
-    """The unit of vertex r.  `shapes` is a round's memo of vertex shapes:
-    the kind, whether r is a waypoint, and the cover vertex and effective
-    capacity of each edge at r, in `adjacency()` order."""
-    eids = inst.adjacency()[r]
-    edges = [inst.edges[i] for i in eids]
-    key = (inst.kind, r in inst.waypoints,
-           tuple((e.other(r), inst.effective_capacity(e)) for e in edges))
-    return shaped_unit(shapes, key, f"vertex {r + 1}", (r,), inst, M, eids,
-                       lambda: enumerate_vertex_behaviors(inst, M, r))
+def _vertex_units(inst: Instance, M, R, report: KernelReport):
+    """`marking.collect_units` over the vertices R outside the cover M."""
+    adj = inst.adjacency()
+    return collect_units(report, inst, M, ((f"vertex {r + 1}", (r,), adj[r]) for r in R),
+                         lambda vertices: enumerate_vertex_behaviors(inst, M, vertices[0]))
 
 
 def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:
@@ -67,7 +58,7 @@ def rule_vc_tsp(inst: Instance, M, report: KernelReport) -> Instance:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r, shapes: vertex_unit(inst, M, r, shapes))
+    units = _vertex_units(inst, M, R, report)
     if units is None:
         return inst
     impacts = table_impacts(units)
@@ -88,7 +79,7 @@ def rule_vc_wrp(inst: Instance, M, report: KernelReport) -> Instance:
     M = frozenset(M)
     k = len(M)
     R = sorted(set(range(inst.n)) - M)
-    units = collect_units(report, R, lambda r, shapes: vertex_unit(inst, M, r, shapes))
+    units = _vertex_units(inst, M, R, report)
     if units is None:
         return inst
     ni = len(table_impacts(units))

@@ -6,7 +6,8 @@ behavior (`is_component_behavior`, the reference the enumerator is
 checked against), blending for Subset TSP (`blend_behavior`),
 positive weights (`ensure_positive_weights`), the plain build of a
 marking unit from its own behaviors (`unit`, the reference a round's
-units, built once per shape, are checked against), the parity class of
+units, built once per shape, are checked against), one unit as a marking
+round builds it (`round_unit`), the parity class of
 each cover vertex a vertex behavior touches (`vertex_classes`, the
 reference `marking.impact_of` is checked against on vertices), and the
 multiplicity engine's witness search with a component walk per support
@@ -29,8 +30,8 @@ from tspkern.instance import (
     component_walk,
     non_forest,
 )
-from tspkern.marking import Behavior, NoBehavior, Unit, impact_of
-from tspkern.modulator import _label, enumerate_component_behaviors
+from tspkern.marking import Behavior, NoBehavior, Unit, collect_units, impact_of
+from tspkern.modulator import _label, component_graph, enumerate_component_behaviors
 from tspkern.oracle import (
     OptResult,
     SolutionMultigraph,
@@ -41,6 +42,8 @@ from tspkern.oracle import (
     make_solution,
 )
 from tspkern.preprocess import RuleOutcome, reduced, unchanged
+from tspkern.report import KernelReport
+from tspkern.vc import enumerate_vertex_behaviors
 
 
 # -- marking units -----------------------------------------------------------
@@ -63,6 +66,23 @@ def unit(label: str, deletes, inst: Instance, M, behaviors) -> Unit:
         if imp not in table or b.weight < table[imp]:
             table[imp] = b.weight
     return Unit(tuple(deletes), nat, impact_of(inst, M, nat), table)
+
+
+def round_unit(inst: Instance, M, C, r: int | None = None) -> Unit:
+    """The unit of the vertex set C, built by `marking.collect_units` as a
+    round of that one unit: with `r` None, C holds one vertex outside the
+    vertex cover M; otherwise C is a component of G minus M whose behaviors
+    cross into M at most 2r times."""
+    C = sorted(C)
+
+    def behaviors(vertices):
+        if r is None:
+            return enumerate_vertex_behaviors(inst, M, vertices[0])
+        return enumerate_component_behaviors(inst, M, vertices, r)
+    spec = ((f"vertex {C[0] + 1}", C, inst.adjacency()[C[0]]) if r is None
+            else (_label(C), C, component_graph(inst, M, C)))
+    [u] = collect_units(KernelReport(pipeline="unit"), inst, M, [spec], behaviors)
+    return u
 
 
 def vertex_classes(inst: Instance, r: int, behavior: Behavior) -> tuple:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from lemmas import blend_behavior, pieces
+from lemmas import blend_behavior, pieces, round_unit
 from tspkern.fes import kernelize_fes
 from tspkern.gadgets import (
     HpInstance,
@@ -26,8 +26,6 @@ from tspkern.gadgets import (
 from tspkern.instance import Edge, Instance, compute_fes, render_instance
 from tspkern.marking import impact_of
 from tspkern.modulator import (
-    component_graph,
-    component_unit,
     enumerate_component_behaviors,
     rule_components_tsp,
     rule_paths_subtsp,
@@ -305,7 +303,7 @@ def test_06_blending():
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
+        nat = round_unit(inst, M, C, r).natural
         nat_touch = impact_of(inst, M, nat).touched
         for A in rng.sample(behaviors, len(behaviors)):
             a_touch = impact_of(inst, M, A).touched

@@ -175,3 +175,33 @@ def test_report_construction_detector():
                          ids=lambda p: p.name)
 def test_only_the_driver_creates_reports(path):
     assert report_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def shape_memo_uses(source: str) -> list[int]:
+    """Lines that define a function or lambda with a `shapes` argument, or
+    read `_unit`: which units share a shape, and the round's memo of them,
+    belong to `marking.collect_units` alone."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                     if x is not None]
+            if "shapes" in names:
+                out.append(node.lineno)
+        elif (getattr(node, "id", None) == "_unit" or getattr(node, "attr", None) == "_unit"
+              or isinstance(node, ast.ImportFrom) and "_unit" in {x.name for x in node.names}):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_shape_memo_detector():
+    src = ("def f(inst, shapes):\n    pass\ng = lambda key, shapes: key\n"
+           "from .marking import _unit\nmarking._unit(x)\nunit(shapes)\n")
+    assert shape_memo_uses(src) == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "marking.py"],
+                         ids=lambda p: p.name)
+def test_only_marking_owns_the_shape_memo(path):
+    assert shape_memo_uses(path.read_text(encoding="utf-8")) == []

@@ -255,6 +255,32 @@ def test_instance_errors_print_file_ids():
         parse_instance("p stsp 3 2\nb 1\ne 1 2 1\ne 1 5 1\n")
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: parse_instance("p tsp 1 0\nb 1 2\n"), ParseError, "line 2: expected 'b <budget>'"),
+    (lambda: parse_instance("p stsp 2 0\nb 1\nm 1\nm 2\n"), ParseError,
+     "line 4: duplicate modulator line"),
+    (lambda: parse_instance("p wrp 2 1\nb 1\nw 1 2\ne 1 2 1 0\n"), ParseError,
+     "line 4: capacity must be positive"),
+    (lambda: parse_instance("p tsp x 0\nb 1\n"), ParseError,
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    (lambda: parse_instance("b 1\n"), ParseError, "missing problem line"),
+    (lambda: parse_instance("p tsp 1 0\n"), ParseError, "missing budget line"),
+    (lambda: parse_instance("p tsp 0 0\nb 1\n"), ParseError, "vertex count must be positive"),
+    (lambda: Instance("x", 1, (), frozenset(), 0), InstanceError, "unknown kind 'x'"),
+    (lambda: Instance("wrp", 2, (Edge(0, 1, 1, 3),), frozenset(), 0), InstanceError,
+     "edge 1: wrp capacity must be 1 or 2"),
+    (lambda: Instance("stsp", 2, (Edge(0, 1, 1, 2),), frozenset(), 0), InstanceError,
+     "edge 1: capacity only allowed for wrp"),
+    (lambda: triangle().remove_vertices(range(3)), InstanceError, "cannot delete every vertex"),
+], ids=["budget-arity", "duplicate-modulator", "capacity-zero", "not-an-int", "no-problem",
+        "no-budget", "no-vertices", "unknown-kind", "wrp-capacity", "capacity-off-wrp",
+        "delete-all"])
+def test_guards_name_the_fault(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def _alive(inst: Instance, rng: random.Random) -> set[int]:
     return {v for v in range(inst.n) if rng.random() < 0.7}
 

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from lemmas import unit
-from tspkern import modulator, vc
+from tspkern import marking, modulator, vc
 from tspkern.gadgets import gen_planted
 from tspkern.instance import KIND_WRP, Edge, Instance, InstanceError, ScaleError
 from tspkern.marking import NoBehavior
@@ -48,15 +48,15 @@ def _relabelled(inst: Instance, rng: random.Random, dead: bool = False) -> Insta
 
 
 def _plain_round(inst: Instance, M, r: int, vertices: bool):
-    """(keys, units, None) of a round built unit by unit from each unit's
-    own behaviors, or (keys, the units before it, the message) when some
-    unit has no behavior."""
+    """(vertex sets, units, None) of a round built unit by unit from each
+    unit's own behaviors, or (vertex sets, the units before it, the
+    message) when some unit has no behavior."""
     if vertices:
-        keys = sorted(set(range(inst.n)) - M)
+        keys = [(v,) for v in sorted(set(range(inst.n)) - M)]
         build = [lambda v=v: unit(f"vertex {v + 1}", (v,), inst, M,
-                                  vc.enumerate_vertex_behaviors(inst, M, v)) for v in keys]
+                                  vc.enumerate_vertex_behaviors(inst, M, v)) for (v,) in keys]
     else:
-        keys = inst.components(without=M)
+        keys = [tuple(C) for C in inst.components(without=M)]
         build = [lambda C=C: unit(_label(C), C, inst, M,
                                   modulator.enumerate_component_behaviors(inst, M, C, r))
                  for C in keys]
@@ -77,21 +77,27 @@ def _check_rounds(monkeypatch, inst: Instance, regime: str, r: int) -> tuple[int
     vertices = regime.startswith("vc")
     module, name = (vc, "enumerate_vertex_behaviors") if vertices else (
         modulator, "enumerate_component_behaviors")
-    enumerate_, collect = getattr(module, name), module.collect_units
+    # `marking`'s own functions: an earlier call in the same test leaves its
+    # spy on `module.collect_units` until the test ends
+    enumerate_, collect, build = getattr(module, name), marking.collect_units, marking._unit
     calls, seen = [], []
 
     def counted(*args):
         calls.append(args)
         return enumerate_(*args)
 
-    def spy(report, keys, make):
-        built = []
-        seen.append((list(keys), built))
+    def spy(report, inst, M, units, behaviors):
+        units, built = list(units), []
+        seen.append(([tuple(vs) for _, vs, _ in units], built))
 
-        def record(key, shapes):
-            built.append(make(key, shapes))
+        def record(*args):
+            built.append(build(*args))
             return built[-1]
-        return collect(report, keys, record)
+        monkeypatch.setattr(marking, "_unit", record)
+        try:
+            return collect(report, inst, M, units, behaviors)
+        finally:
+            monkeypatch.setattr(marking, "_unit", build)
 
     monkeypatch.setattr(module, "collect_units", spy)
     spec = REGIMES[regime]
@@ -161,6 +167,24 @@ def test_components_enumerated_once_per_shape(monkeypatch):
     second = kernelize(inst, "components", 3)
     assert len(calls) == 2 * once
     assert first[0] == second[0] and first[1].to_json() == second[1].to_json()
+
+
+def test_memo_is_blind_to_edge_orientation(monkeypatch):
+    """Components {2} and {3} of G minus {0, 1} differ only in how their
+    edges are written, 0-2 and 2-1 against 3-0 and 1-3: one shape, so one
+    enumeration, and each unit still equals its plain build."""
+    edges = (Edge(0, 1, 1), Edge(0, 2, 2), Edge(2, 1, 3), Edge(3, 0, 4), Edge(1, 3, 1))
+    inst = Instance("tsp", 4, edges, frozenset(range(4)), 99)
+    M = frozenset({0, 1})
+    calls, seen = [], []
+    enumerate_, collect = modulator.enumerate_component_behaviors, marking.collect_units
+    monkeypatch.setattr(modulator, "enumerate_component_behaviors",
+                        lambda *args: calls.append(args) or enumerate_(*args))
+    monkeypatch.setattr(modulator, "collect_units",
+                        lambda *args: seen.append(collect(*args)) or seen[-1])
+    rule_components_tsp(inst, M, 1, KernelReport(pipeline="components-tsp"))
+    assert len(calls) == 1
+    assert seen == [[unit(_label(C), C, inst, M, enumerate_(inst, M, C, 1)) for C in ([2], [3])]]
 
 
 def test_round_guards_still_fire():

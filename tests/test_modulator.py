@@ -8,14 +8,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import blend_behavior, is_component_behavior, pieces
+from lemmas import blend_behavior, is_component_behavior, pieces, round_unit
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError, ScaleError
 from tspkern.marking import Behavior, impact_of
 from tspkern.modulator import (
     BEHAVIOR_GUARD,
     _shortest_mm_paths,
     component_graph,
-    component_unit,
     enumerate_component_behaviors,
     rule_components_tsp,
     rule_paths_subtsp,
@@ -40,7 +39,7 @@ def test_component_graph_drops_modulator_edges():
 
 
 def _natural(inst, M, C, r):
-    return component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
+    return round_unit(inst, M, C, r).natural
 
 
 def test_enumerate_singleton():
@@ -187,7 +186,7 @@ def test_parity_law(seed):
 def test_price_component_basics():
     inst = singleton_component()
     behaviors = enumerate_component_behaviors(inst, {0, 1}, {2}, 1)
-    u = component_unit(inst, {0, 1}, {2}, 1, {}, component_graph(inst, {0, 1}, {2}))
+    u = round_unit(inst, {0, 1}, {2}, 1)
     nat_imp = impact_of(inst, {0, 1}, u.natural)
     assert u.impact == nat_imp and u.price(nat_imp) == 0
     other = [impact_of(inst, {0, 1}, b) for b in behaviors
@@ -301,7 +300,7 @@ def test_natural_pieces_two_legged(seed):
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
+        nat = round_unit(inst, M, C, r).natural
         assert all(len(p.legs) == 2 for p in pieces(inst, M, nat))
 
 
@@ -316,7 +315,7 @@ def _blend_cases(rng, count):
         behaviors = enumerate_component_behaviors(inst, M, C, r)
         if not behaviors:
             continue
-        nat = component_unit(inst, M, C, r, {}, component_graph(inst, M, C)).natural
+        nat = round_unit(inst, M, C, r).natural
         nat_touch = impact_of(inst, M, nat).touched
         for A in behaviors:
             a_touch = impact_of(inst, M, A).touched
@@ -407,3 +406,16 @@ _STSP = Instance("stsp", 3, (Edge(0, 1, 1), Edge(1, 2, 1)), frozenset({0, 2}), 9
 def test_input_guards_raise(call, message):
     with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("rule, inst", [
+    (rule_components_tsp, Instance("tsp", 3, (Edge(0, 1, 1),), frozenset(range(3)), 9)),
+    (rule_paths_subtsp, Instance("stsp", 3, (Edge(0, 1, 1),), frozenset({1, 2}), 9)),
+], ids=["components", "paths"])
+def test_round_meets_component_without_behavior(rule, inst):
+    """Vertex 3 is an edgeless component of G minus {1}: it has no behavior,
+    so the round decides "no", names it, and returns its input."""
+    report = KernelReport(pipeline="test")
+    assert rule(inst, {0}, 1, report) is inst
+    assert report.decided == "no"
+    assert report.log == ["component [3] admits no behavior"]

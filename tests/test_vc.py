@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import vertex_classes
+from lemmas import round_unit, vertex_classes
 from tspkern import marking
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError
 from tspkern.marking import Behavior, Impact, Unit, close_round, impact_of
@@ -18,7 +18,6 @@ from tspkern.vc import (
     enumerate_vertex_behaviors,
     rule_vc_tsp,
     rule_vc_wrp,
-    vertex_unit,
 )
 
 
@@ -93,20 +92,20 @@ def test_enumerate_wrp_matches_bruteforce(seed):
 
 def test_natural_tsp_doubled_cheapest():
     inst = two_neighbor_tsp()
-    nat = vertex_unit(inst, {0, 1}, 2, {}).natural
+    nat = round_unit(inst, {0, 1}, {2}).natural
     assert nat.edges == (1, 1) and nat.weight == 4
 
 
 def test_natural_tsp_tie_lowest_index():
     inst = two_neighbor_tsp(2, 2)
-    nat = vertex_unit(inst, {0, 1}, 2, {}).natural
+    nat = round_unit(inst, {0, 1}, {2}).natural
     assert nat.edges == (1, 1)
     assert nat == Behavior.of(inst, (1, 1))
 
 
 def test_natural_wrp_nonwaypoint_empty():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0}), 9)
-    nat = vertex_unit(inst, {0}, 1, {}).natural
+    nat = round_unit(inst, {0}, {1}).natural
     assert nat.edges == () and nat.weight == 0
 
 
@@ -152,7 +151,7 @@ def test_impact_splits_like_vertex_classes(seed):
 
 def test_prices_tsp():
     inst = two_neighbor_tsp()  # weights 2, 5 -> b_nat weight 4
-    u = vertex_unit(inst, {0, 1}, 2, {})
+    u = round_unit(inst, {0, 1}, {2})
     assert u.price(Impact(frozenset({1}))) == 6
     assert u.price(Impact(frozenset({0, 1}), (((0, 1), 1),))) == 3
     assert u.price(Impact(frozenset({0, 1}))) == float("inf")
@@ -163,7 +162,7 @@ def test_price_wrp_mismatch_infinite():
     inst = Instance("wrp", 2, (Edge(0, 1, 3, 2),), frozenset({0, 1}), 9)
     nat_imp = Impact(frozenset({0}))
     wrong = Impact(frozenset(), ())
-    u = vertex_unit(inst, {0}, 1, {})
+    u = round_unit(inst, {0}, {1})
     # a unit is priced from its own natural impact only
     assert u.impact != wrong and u.price(wrong) == float("inf")
     assert u.impact == nat_imp and u.price(nat_imp) == 0
@@ -207,7 +206,7 @@ def test_impact_bound_is_checked(monkeypatch):
 
 def test_close_round_checks_parity():
     inst = two_neighbor_tsp()
-    nat = vertex_unit(inst, {0, 1}, 2, {}).natural
+    nat = round_unit(inst, {0, 1}, {2}).natural
     lone = Unit((2,), nat, impact_of(inst, {0, 1}, nat), {})
     with pytest.raises(InvariantError, match="odd number"):
         close_round(inst, KernelReport(pipeline="vc-wrp"), "rule_vc_wrp", [lone], set(),
