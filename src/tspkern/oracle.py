@@ -64,6 +64,12 @@ the same way (`_witnessed`):
                                copies only the groups it adds to, and a
                                join merges each pair of partitions once
                                before an XOR pass over their parities.
+                               Before each join, and only there, each
+                               input drops every entry whose parity mask
+                               its partition with two blocks merged holds
+                               at no higher cost (`_dp_prune`): a coarser
+                               partition completes every way a finer one
+                               does, so optima cannot change.
                                Each entry carries a trail, a shared tuple
                                tree of the edge multiplicities it chose,
                                so the witness is read off the final state
@@ -677,10 +683,56 @@ def _dp_edge(inst: Instance, t0, i, bit):
     return table
 
 
+def _dp_prune(table):
+    """Drop, in place, each entry that a one-merge-coarser partition
+    dominates, and the groups that leave empty; return `table`.
+
+    An entry of group (blocks, done) is dominated when, for some two of its
+    blocks, the group (blocks with those two merged, done) holds the same
+    parity mask at a cost no higher.  Both states use the same vertices
+    with the same parities, and the coarser one completes every way the
+    finer one does.  Take the later steps in order: a join or an edge
+    merges the same blocks into both, and a forget clears the same bit from
+    both.  A finer partition whose last block seals is a single block, so
+    it has no strictly coarser partition.  So the coarser state stays
+    coarser, or equal, after every step, and reaches the final ((), True)
+    state whenever the finer one does, at no higher cost.  Optima and
+    verdicts cannot change; a witness may differ only between solutions of
+    equal cost.
+
+    The whole table is scanned before anything is deleted, so a deletion
+    never hides a dominated entry; an entry is dropped only for a coarser
+    one, so chains of domination end at a kept entry.  Blocks are disjoint
+    and ascending, so blocks[i] | blocks[j] (i < j) sorts where blocks[j]
+    stood, and the merged tuple needs no sort.
+    """
+    dropped = {}  # state -> the masks its group loses
+    for state, group in table.items():
+        blocks, done = state
+        for j in range(1, len(blocks)):
+            for i in range(j):
+                merged = blocks[:i] + blocks[i + 1:j] + (blocks[i] | blocks[j],) + blocks[j + 1:]
+                coarser = table.get((merged, done))
+                if coarser:
+                    dropped.setdefault(state, set()).update(
+                        m for m, (cost, _) in group.items() if m in coarser and coarser[m][0] <= cost)
+    for state, masks in dropped.items():
+        group = table[state]
+        for m in masks:
+            del group[m]
+        if not group:
+            del table[state]
+    return table
+
+
 def _dp_join(t_l, t_r):
-    """The join of two tables over the same bag: merge each compatible pair
-    of groups' partitions once and take the min-plus XOR product of their
-    parity entries, the left table's groups in the outer loop."""
+    """The join of two tables over the same bag: prune both (`_dp_prune`),
+    then merge each compatible pair of groups' partitions once and take the
+    min-plus XOR product of their parity entries, the left table's groups
+    in the outer loop.  Pruning runs only here, where the product's cost
+    grows with both tables' sizes: pruning after every edge or forget step
+    as well made the DP slower."""
+    t_l, t_r = _dp_prune(t_l), _dp_prune(t_r)
     rights = [(blocks, done, list(group.items())) for (blocks, done), group in t_r.items()]
     table = {}
     for (blocks1, done1), group in t_l.items():

@@ -402,15 +402,23 @@ def _connected_multigraph(rng: random.Random):
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_treewidth_engine_agrees_through_joins(seed):
-    rng = random.Random(seed)
-    for _ in range(20):  # most draws have a bag of two children; keep the first that does
-        inst = _connected_multigraph(rng)
-        children = oracle._layout(inst, DEFAULT_CAPS)[1]
-        if any(len(c) >= 2 for c in children):
-            break
-    assert any(len(c) >= 2 for c in children)
-    c = solve_treewidth(inst)
-    a = solve_exact_multiplicity(inst)
+    _dp_agrees(_with_a_join(_connected_multigraph, random.Random(seed)), solve_exact_multiplicity)
+
+
+def _with_a_join(draw, rng):
+    """The first of up to 20 draws whose layout has a bag of two or more
+    children; most draws have one."""
+    for _ in range(20):
+        inst = draw(rng)
+        if any(len(c) >= 2 for c in oracle._layout(inst, DEFAULT_CAPS)[1]):
+            return inst
+    pytest.fail("20 draws without a bag of two children")
+
+
+def _dp_agrees(inst, reference):
+    """The DP and the `reference` engine give the same optimum and verdict,
+    and the DP's witness is a certificate at its optimum."""
+    c, a = solve_treewidth(inst), reference(inst)
     assert (a.opt_weight, a.feasible) == (c.opt_weight, c.feasible), inst
     if c.opt_weight is not None:
         at_opt = Instance(inst.kind, inst.n, inst.edges, inst.waypoints, c.opt_weight)
@@ -477,15 +485,77 @@ def test_treewidth_grid_5x5():
 def test_treewidth_grid_5x5_join_work(monkeypatch):
     """The DP's work depends on how the decomposition is laid out, not only
     on its width.  With the core's bags laid out in networkx's neighbour
-    order the unit 5x5 grid merges blocks 37 518 times (networkx 3.6); with
-    that order reversed it merged them 91 952 times and took 2-3x longer."""
+    order the unit 5x5 grid merged blocks 37 518 times (networkx 3.6); with
+    that order reversed it merged them 91 952 times and took 2-3x longer.
+    Pruning dominated partitions at each join's inputs cut the count to
+    9 190."""
     merges = []
     merge = oracle._merge_blocks
     monkeypatch.setattr(oracle, "_merge_blocks", lambda *a: merges.append(1) or merge(*a))
     inst = Instance("wrp", 25, tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(5, 5)),
                     frozenset(range(25)), 26)
     assert solve_treewidth(inst).opt_weight == 26
-    assert len(merges) <= 60_000
+    assert len(merges) <= 15_000
+
+
+def test_treewidth_grid_6x6_join_output(monkeypatch):
+    """Unit 6x6 grid, capacity 2, every vertex a waypoint: 36 cells on a
+    Hamiltonian cycle.  Its joins output 38 120 entries with dominated
+    partitions pruned at their inputs (networkx 3.6), and 96 304 without."""
+    entries = []
+    join = oracle._dp_join
+
+    def counted(*tables):
+        table = join(*tables)
+        entries.append(sum(map(len, table.values())))
+        return table
+
+    monkeypatch.setattr(oracle, "_dp_join", counted)
+    inst = Instance("wrp", 36, tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(6, 6)),
+                    frozenset(range(36)), 36)
+    res = solve_treewidth(inst)
+    assert res.feasible and res.opt_weight == 36
+    assert check_certificate(inst, res.witness)
+    assert sum(entries) <= 60_000
+
+
+@pytest.mark.parametrize("kind,rows,cols,ell", [("tsp", 4, 4, 16), ("stsp", 4, 4, 9),
+                                                ("stsp", 4, 5, 14)])
+def test_treewidth_engine_agrees_with_heldkarp_on_grids(kind, rows, cols, ell):
+    """Uncapacitated grids past the multiplicity cap, weights 1-9, whose
+    decompositions have width 4 and bags of several children."""
+    rng = random.Random(rows * cols + ell)
+    n = rows * cols
+    edges = tuple(Edge(u, v, rng.randint(1, 9)) for u, v in _grid_pairs(rows, cols))
+    wps = frozenset(range(n)) if kind == "tsp" else frozenset(rng.sample(range(n), ell))
+    inst = Instance(kind, n, edges, wps, 60)
+    assert any(len(c) >= 2 for c in oracle._layout(inst, DEFAULT_CAPS)[1])
+    _dp_agrees(inst, solve_heldkarp)
+
+
+def _sparse_uncapacitated(rng: random.Random):
+    """A random spanning tree on 8-18 vertices plus random extra edges, 15
+    to 25 edges in all, so past the multiplicity cap, weights 0-9, tsp or
+    stsp with at least two waypoints."""
+    kind = rng.choice(["tsp", "stsp"])
+    n = rng.randint(8, 18)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(max(0, 16 - n), 8))]
+    edges = tuple(Edge(u, v, rng.randint(0, 9)) for u, v in pairs)
+    wps = frozenset(range(n)) if kind == "tsp" else frozenset(rng.sample(range(n), rng.randint(2, n)))
+    return Instance(kind, n, edges, wps, rng.randint(10, 120))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_treewidth_engine_agrees_with_heldkarp_past_multiplicity_cap(seed):
+    """Inputs with more than 14 edges, which the multiplicity engine does
+    not take, checked against Held-Karp; each has a bag of two or more
+    children, so its joins run the prune."""
+    inst = _with_a_join(_sparse_uncapacitated, random.Random(seed))
+    assert len(inst.edges) > DEFAULT_CAPS.multiplicity_edges
+    _dp_agrees(inst, solve_heldkarp)
 
 
 def test_multiplicity_grid_folds_in_mixed_radix_order():
@@ -657,6 +727,62 @@ def test_merge_blocks_of_edge_end_masks():
     assert oracle._merge_blocks(two[:1], two) == (0b000111, 0b111000)
     path = [0b0011, 0b1100, 0b0110]
     assert oracle._merge_blocks(path[:1], path) == (0b1111,)
+
+
+def test_dp_prune_drops_entries_a_one_merge_coarser_partition_dominates():
+    """An entry goes when merging two of its blocks gives a group of the
+    same done flag that holds its parity mask at a cost no higher; here the
+    merge of the first and last blocks, whose tuple keeps its order."""
+    table = {
+        ((0b001, 0b010, 0b100), False): {0b000: (4, "a"), 0b011: (4, "b"), 0b110: (2, "c")},
+        ((0b010, 0b101), False): {0b000: (4, "d"), 0b011: (5, "e"), 0b110: (2, "f")},
+    }
+    assert oracle._dp_prune(table) is table
+    assert table == {
+        # equal cost is dominated; the coarser group's higher cost is not
+        ((0b001, 0b010, 0b100), False): {0b011: (4, "b")},
+        ((0b010, 0b101), False): {0b000: (4, "d"), 0b011: (5, "e"), 0b110: (2, "f")},
+    }
+
+
+def test_dp_prune_keeps_entries_missing_or_dearer_in_the_coarser_partition():
+    table = {
+        ((0b01, 0b10), False): {0b00: (3, "a"), 0b11: (3, "b")},
+        ((0b11,), False): {0b00: (4, "c")},  # dearer at 0b00, and no 0b11
+    }
+    before = {state: dict(group) for state, group in table.items()}
+    assert oracle._dp_prune(table) == before
+
+
+def test_dp_prune_compares_only_the_same_done_flag_and_used_vertices():
+    """A coarser partition of other used vertices, or with the other done
+    flag, never dominates, however cheap."""
+    table = {
+        ((0b001, 0b010), False): {0b011: (5, "a")},
+        ((0b011,), True): {0b011: (0, "b")},
+        ((0b111,), False): {0b011: (0, "c")},
+    }
+    before = {state: dict(group) for state, group in table.items()}
+    assert oracle._dp_prune(table) == before
+
+
+def test_dp_prune_removes_emptied_groups_and_scans_before_deleting():
+    """A chain of dominated groups: the middle one loses its entry to the
+    coarsest, and the finest still loses its entry to the middle one's, so
+    both leave the table."""
+    table = {
+        ((0b001, 0b010, 0b100), False): {0b101: (3, "a")},
+        ((0b011, 0b100), False): {0b101: (3, "b")},
+        ((0b111,), False): {0b101: (1, "c")},
+    }
+    assert oracle._dp_prune(table) == {((0b111,), False): {0b101: (1, "c")}}
+
+
+def test_dp_prune_leaves_tables_without_two_blocks_unchanged():
+    table = {((), False): {0: (0, None)}, ((0b11,), False): {0b01: (2, "a")},
+             ((), True): {0: (7, "b")}}
+    before = {state: dict(group) for state, group in table.items()}
+    assert oracle._dp_prune(table) == before
 
 
 def test_multiplicity_engine_memory():
