@@ -16,7 +16,7 @@ rules scan, but run only in rounds where no leaf rule applies.
 from __future__ import annotations
 
 from .instance import Edge, Instance, WorkGraph
-from .preprocess import VERDICT_UNCHANGED, RuleOutcome, decided_no, reduced, unchanged
+from .preprocess import RuleOutcome, decided_no, reduced, unchanged
 from .report import KernelReport
 
 
@@ -196,11 +196,7 @@ def rule_fes(g: WorkGraph, report: KernelReport) -> WorkGraph:
     """One round: fire the first rule of FES_RULES that applies, editing `g`
     in place and recording the firing in `report`."""
     for name, rule in FES_RULES:
-        outcome = rule(g)
-        if outcome.verdict != VERDICT_UNCHANGED:
-            report.fire(name, outcome.log_entry)
-            if outcome.decided:
-                report.decided = outcome.verdict
+        if rule(g).record(name, report):
             break
     return g
 

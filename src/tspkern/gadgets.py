@@ -101,13 +101,16 @@ class MccInstance:
         return False
 
 
-def _check_sizes(graphs) -> int:
+def _disjoint_union(graphs) -> tuple[int, list[Edge]]:
+    """The vertex count k that `graphs` share, and the unit edges of their
+    disjoint union, graph i on the vertices i*k to i*k + k - 1."""
     if not graphs:
         raise InstanceError("need at least one input graph")
     k = graphs[0].n
     if any(g.n != k for g in graphs):
         raise InstanceError("input graphs must share a vertex count")
-    return k
+    return k, [Edge(i * k + u, i * k + v, 1) for i, g in enumerate(graphs)
+               for u, v in sorted(g.edges)]
 
 
 def compose_fn(graphs: list[HpInstance]) -> Instance:
@@ -115,15 +118,11 @@ def compose_fn(graphs: list[HpInstance]) -> Instance:
 
     Feasible within budget t*(k+1) iff every input has a Hamiltonian path.
     """
-    k = _check_sizes(graphs)
+    k, edges = _disjoint_union(graphs)
     t = len(graphs)
     n = t * k + 1
     apex = t * k
-    edges = []
-    for gi, g in enumerate(graphs):
-        off = gi * k
-        edges.extend(Edge(off + u, off + v, 1) for u, v in sorted(g.edges))
-    edges.extend(Edge(v, apex, 1) for v in range(t * k))
+    edges.extend(Edge(v, apex, 1) for v in range(apex))
     inst = Instance(KIND_TSP, n, tuple(edges), frozenset(range(n)), t * (k + 1))
     # fractioning witness: deleting the apex plus one input graph leaves
     # components of at most k <= k+1 vertices each
@@ -139,25 +138,16 @@ def compose_degtw(graphs: list[HpInstance]) -> Instance:
     Connector i is adjacent to all of graph i and graph (i+1) mod t; the
     maximum degree of the output is exactly 2k for t >= 2.
     """
-    k = _check_sizes(graphs)
+    k, edges = _disjoint_union(graphs)
     t = len(graphs)
     n = t * k + t
-    edges = []
-    for gi, g in enumerate(graphs):
-        off = gi * k
-        edges.extend(Edge(off + u, off + v, 1) for u, v in sorted(g.edges))
     for i in range(t):
         ci = t * k + i
         targets = {i * k + u for u in range(k)} | {((i + 1) % t) * k + u for u in range(k)}
         edges.extend(Edge(v, ci, 1) for v in sorted(targets))
     inst = Instance(KIND_TSP, n, tuple(edges), frozenset(range(n)), t * (k + 1))
-    if t >= 2:
-        deg = [0] * n
-        for e in inst.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        if max(deg) != 2 * k:
-            raise InvariantError(f"compose_degtw: maximum degree {max(deg)}, expected {2 * k}")
+    if t >= 2 and (top := max(map(len, inst.adjacency()))) != 2 * k:
+        raise InvariantError(f"compose_degtw: maximum degree {top}, expected {2 * k}")
     return inst
 
 
@@ -260,11 +250,8 @@ def mcc_to_subtsp(mcc: MccInstance) -> Instance:
               + (6 * log_n + 1) * (math.comb(mcc.k, 2) * mcc.N**2 - len(mcc.edges)))
     inst = Instance(KIND_SUBTSP, base, tuple(edges), frozenset(waypoints), budget)
     # third vertex of every wired triplet keeps degree two
-    deg = [0] * inst.n
-    for e in inst.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    if any(deg[v] != 2 for v in range(3 * length + 2, inst.n, 3)):
+    adj = inst.adjacency()
+    if any(len(adj[v]) != 2 for v in range(3 * length + 2, inst.n, 3)):
         raise InvariantError("mcc_to_subtsp: a wired triplet's third vertex lost degree two")
     return inst
 

@@ -25,13 +25,13 @@ the same way (`_witnessed`):
                                search per waypoint, so it costs the
                                waypoints' searches, not a cubic pass over
                                every vertex.  Waypoint 0 starts the tour;
-                               a cost array and an int8 parent array of
-                               shape (2^(l-1), l-1) hold the cheapest
-                               path through each subset of the other
-                               waypoints, by its last one.
+                               a cost array of shape (2^(l-1), l-1)
+                               holds the cheapest path through each
+                               subset of the other waypoints, by its last
+                               one, and the tour is read back from it.
                                Each popcount layer is filled by one numpy
                                gather over its (subset, last) cells and
-                               an argmin, in the narrowest unsigned dtype
+                               a min, in the narrowest unsigned dtype
                                that holds every sum, or in exact Python
                                ints (object arrays) when the sums could
                                pass 2^64.
@@ -353,24 +353,24 @@ def solve_heldkarp(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResult
     start = np.array(d[0][1:], dtype=dtype)
     dist = np.array([row[1:] for row in d[1:]], dtype=dtype)  # symmetric: dist[j] = d(., j)
     dp = np.full((1 << k, k), inf, dtype=dtype)
-    parent = np.zeros((1 << k, k), dtype=np.int8)
     dp[1 << np.arange(k), np.arange(k)] = start
     for S, j, prev in _heldkarp_layers(k):
         vals = dp[prev]  # vals[c, i] = dp[S ^ 1 << j, i] + d(i, j), past inf where i not in S
         vals += dist[j]
-        best = vals.argmin(axis=1)
-        parent[S, j] = best
-        dp[S, j] = np.take_along_axis(vals, best[:, None], axis=1)[:, 0]
+        dp[S, j] = vals.min(axis=1)
 
     full = (1 << k) - 1
     last = int(np.argmin(dp[full] + start))
     opt = int(dp[full, last]) + d[0][last + 1]
 
-    # walk the parents back into a waypoint tour, then expand each leg to
-    # edges; the walk takes k - 1 steps from the full subset to a singleton
+    # read the tour back from the costs: the predecessor of j in S is the
+    # first argmin of the row its cell was the minimum of, then expand each
+    # leg to edges; the walk takes k - 1 steps from the full subset to a
+    # singleton
     tour, S, j = [last], full, last
     for _ in range(k - 1):
-        S, j = S ^ 1 << j, int(parent[S, j])
+        S ^= 1 << j
+        j = int(np.argmin(dp[S] + dist[j]))
         tour.append(j)
     tour = [0] + [j + 1 for j in reversed(tour)]
     mult = Counter()

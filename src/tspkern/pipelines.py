@@ -40,7 +40,7 @@ from .instance import (
     find_modulator,
 )
 from .modulator import rule_components_tsp, rule_paths_subtsp, saturate_path_nonterminals
-from .preprocess import RuleOutcome, compress_weights, ensure_connected, rr_stop
+from .preprocess import compress_weights, ensure_connected, rr_stop
 from .report import KernelReport
 from .vc import rule_vc_tsp, rule_vc_wrp
 
@@ -118,13 +118,6 @@ REGIMES = {
 }
 
 
-def _settles(outcome: RuleOutcome, rule: str, report: KernelReport) -> bool:
-    if outcome.decided:
-        report.decided = outcome.verdict
-        report.fire(rule, outcome.log_entry)
-    return outcome.decided
-
-
 def _reduce(spec: Regime, inst: Instance, r: int, k_max: int | None,
             report: KernelReport) -> Instance | WorkGraph:
     """Stop rules, connectivity, structure, then rounds to a fixpoint.
@@ -132,15 +125,15 @@ def _reduce(spec: Regime, inst: Instance, r: int, k_max: int | None,
     `ensure_connected` runs once because no round disconnects the graph: the
     FES rules delete leaves or replace a chain by edges joining its ends, and
     each marking rule keeps, for every pair of modulator vertices joined
-    through G minus M, a component that joins them.
+    through G minus M, a component that joins them.  `rr_stop` only decides,
+    so its firing ends the run.
     """
-    if _settles(rr_stop(inst), "rr_stop", report):
+    if rr_stop(inst).record("rr_stop", report):
         return inst
     outcome = ensure_connected(inst)
-    if _settles(outcome, "ensure_connected", report):
-        return inst
-    if outcome.verdict == "reduced":
-        report.fire("ensure_connected", outcome.log_entry)
+    if outcome.record("ensure_connected", report):
+        if outcome.decided:
+            return inst
         inst = outcome.instance
     inst = spec.structure(inst, r, k_max, report)
     while True:
@@ -148,7 +141,7 @@ def _reduce(spec: Regime, inst: Instance, r: int, k_max: int | None,
         inst = spec.rule(inst, r, report)
         if report.decided or sum(report.rule_firings.values()) == fired:
             return inst
-        if _settles(rr_stop(inst), "rr_stop", report):
+        if rr_stop(inst).record("rr_stop", report):
             return inst
 
 
@@ -171,8 +164,7 @@ def kernelize(inst: Instance, regime: str, r: int = 1,
         inst = inst.freeze()
     if report.decided is None:
         outcome = compress_weights(inst)
-        if outcome.verdict == "reduced":
-            report.fire("compress_weights", outcome.log_entry)
+        if outcome.record("compress_weights", report):
             inst = outcome.instance
         report.stats.update(vertices=inst.n, edges=len(inst.edges))
         report.budget_delta = inst.budget - start.budget

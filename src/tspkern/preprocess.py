@@ -15,6 +15,7 @@ from .instance import (
     WorkGraph,
 )
 from .oracle import multiplicity_grid
+from .report import KernelReport
 
 VERDICT_YES = "yes"
 VERDICT_NO = "no"
@@ -31,6 +32,17 @@ class RuleOutcome:
     @property
     def decided(self) -> bool:
         return self.verdict in (VERDICT_YES, VERDICT_NO)
+
+    def record(self, rule: str, report: KernelReport) -> bool:
+        """Fire `rule` in `report` unless the outcome left the input
+        unchanged, and set the report's verdict when it decides; True when
+        the rule fired."""
+        if self.verdict == VERDICT_UNCHANGED:
+            return False
+        if self.decided:
+            report.decided = self.verdict
+        report.fire(rule, self.log_entry)
+        return True
 
 
 def decided_yes(log: str) -> RuleOutcome:
@@ -142,7 +154,8 @@ COMPRESS_MAX_EDGES = 12
 def compress_weights(inst: Instance) -> RuleOutcome:
     """Shrink the weight encoding, verified by exhaustive sign-equivalence.
 
-    Candidates: divide by the gcd, then halve repeatedly with rounding.  A
+    Candidates: divide by the gcd, then halve repeatedly with rounding; a
+    candidate that fits no integer budget is tried again doubled.  A
     candidate is kept only when some budget reproduces sign(w.x - b) for
     every x in {0,1,2}^m, so accepted outputs are equivalent by construction.
     """
@@ -164,7 +177,10 @@ def compress_weights(inst: Instance) -> RuleOutcome:
     # weight at 1 or more, and all-zero weights give no candidate
     for shift in range(max(scaled).bit_length()):
         cand = [(w + ((1 << shift) >> 1)) >> shift for w in scaled]
-        b = _fit_budget(_sum_profile(cand), signs)
+        profile = _sum_profile(cand)
+        b = _fit_budget(profile, signs)
+        if b is None:  # doubled, the gap between two adjacent classes holds an odd integer
+            cand, b = [2 * w for w in cand], _fit_budget(2 * profile, signs)
         if b is not None and (size := total_bitsize(cand, b)) < best[0]:
             best = (size, cand, b)
 

@@ -24,7 +24,8 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tests/golden/regen.py
 
-and compare with `pytest tests/test_golden.py`.
+and compare with `pytest tests/test_golden.py`.  Before it writes a file,
+the script prints each key whose digest moved, was added or was removed.
 """
 
 from __future__ import annotations
@@ -163,9 +164,20 @@ def digests() -> dict[str, dict[str, str]]:
         return {name: compute(work) for name, compute in FILES.items()}
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per key whose digest moved, was added or was removed."""
+    return ([f"moved {key}" for key in sorted(old.keys() & new.keys()) if old[key] != new[key]]
+            + [f"added {key}" for key in sorted(new.keys() - old.keys())]
+            + [f"removed {key}" for key in sorted(old.keys() - new.keys())])
+
+
 def main() -> int:
     for name, got in digests().items():
-        (HERE / name).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        path = HERE / name
+        old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        for line in changes(old, got):
+            print(f"{name}: {line}")
+        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(got)} digests to {name}")
     return 0
 

@@ -18,7 +18,7 @@ from tspkern.gadgets import (
     mcc_to_subtsp,
     selection_gadget,
 )
-from tspkern.instance import InstanceError
+from tspkern.instance import InstanceError, ScaleError
 from tspkern.oracle import (
     DEFAULT_CAPS,
     check_certificate,
@@ -73,6 +73,42 @@ def test_compose_rejects_mixed_sizes():
         compose_fn([TRIANGLE, PATH4])
     with pytest.raises(InstanceError):
         compose_fn([])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: HpInstance(3, frozenset({(0, 3)})), InstanceError, "bad edge (0, 3)"),
+    (lambda: HpInstance.from_pairs(11, []).has_hamiltonian_path(), ScaleError,
+     "Hamiltonian-path check capped at 10 vertices"),
+    (lambda: MccInstance(1, 2, frozenset()), InstanceError, "need at least two colors"),
+    (lambda: MccInstance(2, 3, frozenset()), InstanceError, "class size must be a power of two"),
+    (lambda: MccInstance(2, 2, frozenset({((2, 0), (1, 0))})), InstanceError,
+     "edge ((2, 0), (1, 0)) not normalized"),
+    (lambda: MccInstance(2, 2, frozenset({((1, 0), (3, 0))})), InstanceError,
+     "vertex (3, 0) out of range"),
+    (lambda: MccInstance.build(2, 0, []), InstanceError, "class size must be positive"),
+    (lambda: MccInstance.build(2, 2, [((1, 0), (2, 2))]), InstanceError,
+     "vertex (2, 2) out of range"),
+    (lambda: MccInstance.build(3, 2, [((1, 0), (1, 1))]), InstanceError,
+     "edges must join distinct colors"),
+    (lambda: compose_fn([]), InstanceError, "need at least one input graph"),
+    (lambda: compose_degtw([]), InstanceError, "need at least one input graph"),
+    (lambda: compose_fn([TRIANGLE, PATH4]), InstanceError,
+     "input graphs must share a vertex count"),
+    (lambda: compose_degtw([PATH4, TRIANGLE]), InstanceError,
+     "input graphs must share a vertex count"),
+    (lambda: cycle_gadget(0), InstanceError, "cycle gadget needs length >= 1"),
+    (lambda: mcc_to_subtsp(MccInstance(2, 2, frozenset())), InstanceError,
+     "selection gadget needs length >= 3 (k*logN too small)"),
+    (lambda: gen_planted("tsp", "vc", 2, 1, 5, weight_range=(3, 1)), InstanceError,
+     "bad weight range"),
+], ids=["hp-bad-edge", "hp-scale", "mcc-one-color", "mcc-class-size", "mcc-unnormalized",
+        "mcc-vertex-range", "build-class-size", "build-vertex-range", "build-same-color",
+        "fn-no-graphs", "degtw-no-graphs", "fn-mixed-sizes", "degtw-mixed-sizes",
+        "cycle-length", "mcc-too-short", "planted-weight-range"])
+def test_guards_name_the_fault(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_selection_gadget_shape_and_opt():

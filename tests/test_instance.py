@@ -272,9 +272,18 @@ def test_instance_errors_print_file_ids():
     (lambda: Instance("stsp", 2, (Edge(0, 1, 1, 2),), frozenset(), 0), InstanceError,
      "edge 1: capacity only allowed for wrp"),
     (lambda: triangle().remove_vertices(range(3)), InstanceError, "cannot delete every vertex"),
+    (lambda: parse_instance("p tsp 2 1\np tsp 2 1\nb 1\ne 1 2 1\n"), ParseError,
+     "line 2: duplicate problem line"),
+    (lambda: parse_instance("w 1\np stsp 2 1\nb 1\ne 1 2 1\n"), ParseError,
+     "line 1: waypoint line before problem line"),
+    (lambda: parse_instance("e 1 2 1\np tsp 2 1\nb 1\n"), ParseError,
+     "line 1: edge before problem line"),
+    (lambda: find_modulator(triangle(), "components", 0, 3), InstanceError,
+     "r must be positive, got 0"),
 ], ids=["budget-arity", "duplicate-modulator", "capacity-zero", "not-an-int", "no-problem",
         "no-budget", "no-vertices", "unknown-kind", "wrp-capacity", "capacity-off-wrp",
-        "delete-all"])
+        "delete-all", "duplicate-problem", "waypoint-before-problem", "edge-before-problem",
+        "modulator-r-zero"])
 def test_guards_name_the_fault(make, error, message):
     with pytest.raises(error) as exc:
         make()

@@ -75,6 +75,15 @@ def test_certificate_empty_single_waypoint():
     assert not check_certificate(neg, make_solution(neg, (0, 0)))
 
 
+def test_certificate_length_guards():
+    with pytest.raises(ValueError) as exc:
+        make_solution(triangle(), (1, 1))
+    assert str(exc.value) == "multiplicity vector length != edge count"
+    with pytest.raises(ValueError) as exc:
+        check_certificate(p3(), make_solution(triangle(), (1, 1, 1)))
+    assert str(exc.value) == "multiplicity vector length != edge count"
+
+
 def test_certificate_capacity_respected():
     inst = Instance("wrp", 2, (Edge(0, 1, 1, 1),), frozenset({0, 1}), 9)
     assert not check_certificate(inst, make_solution(inst, (2,)))
@@ -185,6 +194,27 @@ def test_heldkarp_keeps_the_first_shortest_edge(w0, w1, witness):
     inst = Instance("stsp", 3, (Edge(0, 1, w0), Edge(0, 1, w1), Edge(1, 2, 1)),
                     frozenset({0, 1}), 99)
     assert solve_heldkarp(inst).witness.multiplicity == witness
+
+
+# the unit 4x4 tsp grid and a unit 4x5 stsp grid with six waypoints
+HELDKARP_TIES = [
+    ("tsp", 4, 4, range(16), 16,
+     (1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1)),
+    ("stsp", 4, 5, (0, 4, 7, 12, 15, 19), 18,
+     (1, 1, 2, 2, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, rows, cols, wps, opt, witness", HELDKARP_TIES,
+                         ids=["tsp-4x4", "stsp-4x5"])
+def test_heldkarp_witness_among_tied_tours(kind, rows, cols, wps, opt, witness):
+    """Unit grids have many tours of equal weight; the tour is read back
+    from the cost table, each step taking the first predecessor at the
+    minimum, and these are the witnesses that rule picks."""
+    edges = tuple(Edge(u, v, 1) for u, v in _grid_pairs(rows, cols))
+    inst = Instance(kind, rows * cols, edges, frozenset(wps), 99)
+    res = solve_heldkarp(inst)
+    assert res.opt_weight == opt and res.witness.multiplicity == witness
 
 
 def test_heldkarp_rejects_wrp():
@@ -363,9 +393,9 @@ def _random_stsp(n, ell):
 
 
 def test_heldkarp_memory_at_cap():
-    """18 waypoints, the default cap: the tables hold 2^17 x 17 cells,
-    here 4.5 MB of uint16 costs and 2 MB of int8 parents.  Sliced layers
-    keep the working arrays to a few MB beside them."""
+    """18 waypoints, the default cap: the table holds 2^17 x 17 cells,
+    here 4.5 MB of uint16 costs.  Sliced layers keep the working arrays
+    to a few MB beside it."""
     inst = _random_stsp(28, 18)
     res, peak = _traced(solve_heldkarp, inst)
     assert res.feasible and check_certificate(inst, res.witness)

@@ -65,6 +65,13 @@ def test_short_circuit_rejects_waypoint():
         rr_short_circuit(WorkGraph(inst), 0)
 
 
+def test_short_circuit_rejects_other_kinds():
+    inst = Instance("tsp", 2, (Edge(0, 1, 1),), frozenset({0, 1}), 9)
+    with pytest.raises(InstanceError) as exc:
+        rr_short_circuit(WorkGraph(inst), 0)
+    assert str(exc.value) == "short-circuit rule applies to the subset kind only"
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=120, deadline=None)
 def test_short_circuit_safe(seed):
@@ -229,6 +236,7 @@ def test_fit_budget_finds_a_budget_exactly_when_one_exists(case):
 @given(st.lists(st.integers(2**61 - 2**20, 2**61), min_size=1, max_size=6),
        st.integers(2**62, 2**64))
 @example([2**61, 2**61], 2**62)
+@example([2**61, 2**61], 2**62 + 1)
 @example([2**61 - 1, 2**61], 2**63 + 5)
 @settings(max_examples=60, deadline=None)
 def test_compress_with_budget_past_int64_keeps_signs(weights, budget):
