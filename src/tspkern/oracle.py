@@ -38,20 +38,33 @@ the same way (`_witnessed`):
   * solve_treewidth          - connectivity/parity DP over a tree
                                decomposition; exact, handles all kinds,
                                reaches instances the other engines cannot.
+                               Pendant trees are trimmed first
+                               (`_trim_pendants`): while two or more
+                               waypoints remain, a waypoint with one edge
+                               takes it twice and makes its neighbour a
+                               waypoint, a non-waypoint with at most one
+                               edge is dropped, and an isolated waypoint
+                               admits no solution.  The DP runs on the core
+                               left, and not at all once at most one
+                               waypoint is left.
                                The decomposition peels vertices of degree
                                at most 1, and of degree 2 when none of
                                degree at most 1 is left, in linear time;
                                only the core left, where every degree is
                                at least 3, goes to networkx's min-fill-in
                                heuristic, and networkx is imported only
-                               when there is such a core.  The solve runs
-                               with the cyclic garbage collector paused.
+                               when there is such a core.  The layout and
+                               the DP run with the cyclic garbage collector
+                               paused.
                                Each vertex owns one bit for the whole run,
                                the least bit free in the top bag that
                                holds it, so no two vertices of a bag share
-                               one and at most width + 1 are used.  The DP
-                               walks the bag tree depth first: a bag's
-                               table is its children's, each forgetting
+                               one and at most width + 1 are used.  Two or
+                               more children that share a scope, the
+                               vertices they have in common with their bag,
+                               join first below a new bag of that scope.
+                               The DP walks the bag tree depth first: a
+                               bag's table is its children's, each forgetting
                                the vertices the bag lacks and joined to the
                                earlier ones, with the bag's edges added.
                                Each table is grouped by partition: the
@@ -90,6 +103,7 @@ from dataclasses import dataclass, fields
 
 from .instance import (
     KIND_WRP,
+    Edge,
     Instance,
     InstanceError,
     InvariantError,
@@ -198,8 +212,11 @@ def even_covering(bases, flips, covers, target) -> np.ndarray:
     dtype = np.min_scalar_type(top)
     ok = multiplicity_grid(bases, np.array([[0, f, 0] for f in flips], dtype=dtype),
                            np.bitwise_xor) == 0
-    ok &= multiplicity_grid(bases, np.array([[0, c, c] for c in covers], dtype=dtype),
-                            np.bitwise_or) == target
+    fold = multiplicity_grid(bases, np.array([[0, c, c] for c in covers], dtype=dtype),
+                             np.bitwise_or)
+    # compared in place, so no third array of one entry per vector is alive
+    np.equal(fold, target, out=fold, casting="unsafe")
+    np.logical_and(ok, fold, out=ok)
     return np.flatnonzero(ok)
 
 
@@ -387,25 +404,127 @@ def solve_treewidth(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) -> OptResul
 
     Tracks per-bag degree parity and a partition of used bag vertices into
     connected blocks; a block may be sealed (forgotten entirely) only once,
-    giving the single component that must cover every waypoint.
+    giving the single component that must cover every waypoint.  The DP
+    runs on the core that `_trim_pendants` leaves, and its multiplicities
+    are added to the edges the trim forces; the sum is checked as a witness
+    of the input.
     """
     if len(inst.waypoints) <= 1:
         return OptResult(0 <= inst.budget, 0, empty_solution(inst))
-    # the decomposition, its layout and the DP's tables hold no reference
-    # cycles, so the cyclic collector would only rescan them as they grow
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_tw_dp(inst, *_layout(inst, caps))
-    finally:
-        if collecting:
-            gc.enable()
+    trimmed = _trim_pendants(inst)
+    if trimmed is None:
+        return OptResult(False, None, None)
+    core, eids, forced = trimmed
+    mult = [0] * len(inst.edges)
+    for i in forced:
+        mult[i] = 2
+    opt = 2 * sum(inst.edges[i].weight for i in forced)
+    if core is not None:
+        # the decomposition, its layout and the DP's tables hold no
+        # reference cycles, so the cyclic collector would only rescan them
+        # as they grow
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            found = _run_tw_dp(core, *_layout(core, caps))
+        finally:
+            if collecting:
+                gc.enable()
+        if found is None:
+            return OptResult(False, None, None)
+        opt += found[0]
+        for j, m in enumerate(found[1]):
+            mult[eids[j]] += m
+    return _witnessed(inst, opt, make_solution(inst, mult), "treewidth")
+
+
+def _trim_pendants(inst: Instance):
+    """(core, eids, forced): `inst` with its pendant trees taken away, or
+    None when that shows it has no solution.  `eids[j]` is the input's id of
+    the core's edge j, and each edge of `forced` is taken exactly twice.
+    The core is None when at most one waypoint is left, since the empty
+    multigraph solves it then, and an input with no vertex of at most one
+    edge is returned as it is, with the identity `eids`.
+
+    While two or more waypoints remain, a vertex v with exactly one edge
+    e = vu, parallel edges counted, is taken away.  A solution's support is
+    connected and holds two waypoints, so it is more than e alone.
+      * A waypoint v: the support meets v, so it uses e, and v's degree, the
+        multiplicity of e, is even.  So e is taken twice, and no solution
+        exists when its effective capacity is below 2.  Else, with u made a
+        waypoint, a solution without v plus e twice is one of the input, and
+        each solution of the input is e twice plus one without v; when e is
+        all that meets u, at most one waypoint, u, is left, and the empty
+        multigraph solves what remains.
+      * Any other v: a solution that uses e takes it twice, and without v
+        and e it is still one, of no higher weight.
+      * An isolated vertex: a waypoint cannot reach another, so no solution
+        exists; any other vertex is never used.
+    A step leaves at least one waypoint.  Each forced edge leads to a vertex
+    that was then a waypoint, so the forced edges form trees that each end
+    at a waypoint of the core: with a solution of the core, even the empty
+    one when the core holds one waypoint, they make a solution of the input.
+    So the input's optimum is the forced edges' weight, twice, plus the
+    core's.
+
+    Each vertex keeps its count of edges and the XOR of their ids, so a
+    vertex with one edge left names it, and the trim is linear."""
+    n, edges = inst.n, inst.edges
+    deg, link = [0] * n, [0] * n
+    for i, e in enumerate(edges):
+        deg[e.u] += 1
+        deg[e.v] += 1
+        link[e.u] ^= i
+        link[e.v] ^= i
+    todo = [v for v in range(n) if deg[v] <= 1]
+    if not todo:
+        return inst, range(len(edges)), ()
+    waypoints, gone, forced = set(inst.waypoints), set(), []
+    while todo and len(waypoints) > 1:
+        v = todo.pop()
+        if v in gone:
+            continue
+        gone.add(v)
+        if not deg[v]:
+            if v in waypoints:
+                return None
+            continue
+        i = link[v]
+        u = edges[i].other(v)
+        if v in waypoints:
+            if inst.effective_capacity(edges[i]) < 2:
+                return None
+            forced.append(i)
+            waypoints.remove(v)
+            waypoints.add(u)
+        deg[u] -= 1
+        link[u] ^= i
+        if deg[u] <= 1:
+            todo.append(u)
+    if len(waypoints) <= 1:
+        return None, (), forced
+    keep = [v for v in range(n) if v not in gone]
+    index = {v: j for j, v in enumerate(keep)}
+    eids = [i for i, e in enumerate(edges) if e.u not in gone and e.v not in gone]
+    core = Instance(inst.kind, len(keep),
+                    tuple(Edge(index[edges[i].u], index[edges[i].v], edges[i].weight,
+                               edges[i].capacity) for i in eids),
+                    frozenset(index[w] for w in waypoints),
+                    inst.budget - 2 * sum(edges[i].weight for i in forced))
+    return core, eids, forced
 
 
 def _layout(inst: Instance, caps: OracleCaps):
     """(bags, children, homed, bit): a tree decomposition of `inst` within
     the width cap, each bag's children, the edges homed at each bag and the
-    bit each vertex owns in the DP."""
+    bit each vertex owns in the DP.
+
+    A child's scope is the set of vertices it shares with its bag.  When a
+    bag's children have two or more distinct scopes, each group of two or
+    more children sharing a scope strictly smaller than the bag moves below
+    a new bag, appended last, that equals the scope and homes no edge.  The
+    group then joins on tables over its scope, and only one join reaches
+    the bag's table, which holds every scope joined into it so far."""
     width, bags, parent = _decompose(inst)
     if width > caps.treewidth_width:
         raise ScaleError(f"oracle scale exceeded: decomposition width {width} > cap {caps.treewidth_width}")
@@ -438,6 +557,26 @@ def _layout(inst: Instance, caps: OracleCaps):
         if e.u not in bags[b] or e.v not in bags[b]:
             raise InvariantError("tree decomposition misses an edge")
         homed[b].append(i)
+
+    # a scope bag is a subset of its parent, so the bits stay distinct
+    # within it, and no edge's first bag holding both ends moves
+    for b in range(len(bags)):
+        if len(children[b]) < 3:
+            continue
+        groups = {}
+        for c in children[b]:
+            groups.setdefault(bags[c] & bags[b], []).append(c)
+        if len(groups) < 2:
+            continue
+        children[b] = []
+        for scope, group in groups.items():
+            if len(group) > 1 and scope < bags[b]:
+                children[b].append(len(bags))
+                bags.append(scope)
+                children.append(group)
+                homed.append([])
+            else:
+                children[b] += group
     return bags, children, homed, bit
 
 
@@ -556,9 +695,10 @@ def _merge_blocks(blocks1, blocks2):
     return tuple(sorted(blocks))
 
 
-def _run_tw_dp(inst: Instance, bags, children, homed, bit) -> OptResult:
-    """Walk the bag tree depth first, root at bags[0], and return the
-    optimum read off the root's table once it has forgotten every vertex.
+def _run_tw_dp(inst: Instance, bags, children, homed, bit):
+    """Walk the bag tree depth first, root at bags[0], and return (optimum,
+    multiplicities) read off the root's table once it has forgotten every
+    vertex, or None when no solution exists.
 
     Vertex v owns bit `bit[v]` for the whole run, and no two vertices of a
     bag own the same bit.  A table is grouped by partition: it maps (blocks,
@@ -606,7 +746,7 @@ def _run_tw_dp(inst: Instance, bags, children, homed, bit) -> OptResult:
                 table = _dp_edge(inst, table, i, bit)
     final = forget(table, sorted(bags[0])).get(((), True), {}).get(0)
     if final is None:
-        return OptResult(False, None, None)
+        return None
     opt, trail = final
 
     mult = [0] * len(inst.edges)
@@ -620,7 +760,7 @@ def _run_tw_dp(inst: Instance, bags, children, homed, bit) -> OptResult:
             trails.append(t[2])
         else:
             trails.extend(t)
-    return _witnessed(inst, opt, make_solution(inst, mult), "treewidth")
+    return opt, mult
 
 
 def _dp_forget(t0, b, waypoint):

@@ -461,14 +461,30 @@ def _layout_cases(case):
         rows = int(case[-1])
         edges = tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(rows, rows))
         return [Instance("wrp", rows * rows, edges, frozenset(range(rows * rows)), 0)]
-    if case == "planted":
-        return [gen_planted(kind, regime, 3, 2, 120, seed=seed)
-                for seed, kind in enumerate(KINDS) for regime in REGIMES]
+    if case in ("planted", "trimmed"):
+        insts = [gen_planted(kind, regime, 3, 2, 120, seed=seed)
+                 for seed, kind in enumerate(KINDS) for regime in REGIMES]
+        if case == "planted":
+            return insts
+        cores = [oracle._trim_pendants(inst) for inst in insts]
+        return [core for core, _, _ in filter(None, cores) if core is not None]
     rng = random.Random(5)
     return [_connected_multigraph(rng) for _ in range(60)]
 
 
-@pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "random"])
+def _scope_bags(inst):
+    """How many bags `_layout` adds to the decomposition's: its scope bags."""
+    return len(oracle._layout(inst, DEFAULT_CAPS)[0]) - len(oracle._decompose(inst)[1])
+
+
+@pytest.mark.parametrize("case", ["planted", "trimmed"])
+def test_layout_cases_hold_scope_bags(case):
+    """The layout tests below meet scope bags, both on planted inputs and
+    on the cores their trim leaves."""
+    assert sum(_scope_bags(inst) > 0 for inst in _layout_cases(case)) >= 3
+
+
+@pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "trimmed", "random"])
 def test_treewidth_bits_distinct_within_every_bag(case):
     """The DP gives each vertex one bit for the whole run: no two vertices
     of a bag may share it, and at most width + 1 bits are used."""
@@ -481,7 +497,7 @@ def test_treewidth_bits_distinct_within_every_bag(case):
         assert 0 <= min(bit) and max(bit) <= width, inst
 
 
-@pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "random"])
+@pytest.mark.parametrize("case", ["grid-4x4", "grid-5x5", "planted", "trimmed", "random"])
 def test_treewidth_edges_homed_at_first_bag_holding_both_ends(case):
     """Each edge is added at the first bag, by index, that holds both its
     ends, and at no other."""
@@ -491,6 +507,142 @@ def test_treewidth_edges_homed_at_first_bag_holding_both_ends(case):
         assert sorted(i for edges in homed for i in edges) == list(range(len(inst.edges)))
         for i, e in enumerate(inst.edges):
             assert home[i] == next(b for b, bag in enumerate(bags) if e.u in bag and e.v in bag)
+
+
+def test_scope_bags_group_the_children_that_share_a_scope():
+    """A path 0-1-2, vertices 3-6 each on 0 and 1, and 7 and 8 each on 1
+    and 2.  The peel hangs the bags of 4, 5 and 6, of scope {0, 1}, and the
+    bag of 7, of scope {1}, below the bag {0, 1, 3}.  So the first three
+    join under a bag {0, 1} that homes no edge, and that bag's table meets
+    the parent's once."""
+    pairs = [(0, 1), (1, 2)] + [(v, u) for v in range(3, 7) for u in (0, 1)]
+    pairs += [(v, u) for v in (7, 8) for u in (1, 2)]
+    inst = _graph(9, pairs)
+    bags, children, homed, _ = oracle._layout(inst, DEFAULT_CAPS)
+    assert len(bags) == len(oracle._decompose(inst)[1]) + 1
+    s = len(bags) - 1
+    (b,) = [b for b in range(s) if s in children[b]]
+    assert bags[s] == {0, 1} < bags[b] == {0, 1, 3} and homed[s] == []
+    assert sorted(min(bags[c] - bags[s]) for c in children[s]) == [4, 5, 6]
+    assert [bags[c] & bags[b] for c in children[b]] == [{0, 1}, {1}]
+    res = solve_treewidth(Instance("stsp", 9, inst.edges, frozenset({4, 8}), 9))
+    assert res.feasible and res.opt_weight == 4
+
+
+def _stsp(n, pairs, waypoints, weights=None, budget=100):
+    weights = weights or [1] * len(pairs)
+    return Instance("stsp", n, tuple(Edge(u, v, w) for (u, v), w in zip(pairs, weights)),
+                    frozenset(waypoints), budget)
+
+
+def test_trim_waypoint_leaf_on_a_capacity_1_edge_is_infeasible():
+    """Waypoint 3's only edge has capacity 1: it cannot be entered and left."""
+    edges = (Edge(0, 1, 1, 2), Edge(1, 2, 1, 2), Edge(0, 2, 1, 2), Edge(2, 3, 1, 1))
+    inst = Instance("wrp", 4, edges, frozenset({0, 3}), 100)
+    assert oracle._trim_pendants(inst) is None
+    res = solve_treewidth(inst)
+    assert (res.feasible, res.opt_weight, res.witness) == (False, None, None)
+    assert solve_exact_multiplicity(inst).opt_weight is None
+
+
+def test_trim_drops_a_weight_0_non_waypoint_leaf():
+    """A non-waypoint leaf is never needed, even on an edge of weight 0."""
+    inst = _stsp(4, [(0, 1), (1, 2), (0, 2), (2, 3)], {0, 1}, [1, 1, 1, 0], budget=3)
+    core, eids, forced = oracle._trim_pendants(inst)
+    assert (core.n, list(eids), forced) == (3, [0, 1, 2], [])
+    res = solve_treewidth(inst)
+    assert (res.feasible, res.opt_weight) == (True, 2)
+    assert res.opt_weight == solve_exact_multiplicity(inst).opt_weight
+    assert check_certificate(inst, res.witness)
+
+
+def test_trim_forces_the_pendant_tree_that_holds_every_waypoint(monkeypatch):
+    """A 4-cycle of non-waypoints with a tree hung from vertex 3, whose
+    leaves 5 and 7 are the waypoints: the optimum takes the path 5-4-6-7
+    twice, and the trim finds it without running the DP."""
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (4, 6), (6, 7), (6, 8)]
+    inst = _stsp(9, pairs, {5, 7}, [1, 1, 1, 1, 7, 2, 3, 4, 5])
+    monkeypatch.setattr(oracle, "_run_tw_dp", lambda *a: pytest.fail("the DP ran"))
+    core, _, forced = oracle._trim_pendants(inst)
+    assert core is None and sorted(forced) == [5, 6, 7]
+    res = solve_treewidth(inst)
+    assert res.feasible and res.opt_weight == 2 * (2 + 3 + 4)
+    assert res.witness.multiplicity == (0, 0, 0, 0, 0, 2, 2, 2, 0)
+    assert check_certificate(inst, res.witness)
+    assert solve_exact_multiplicity(inst).opt_weight == res.opt_weight
+
+
+def test_trim_isolated_vertices():
+    """An isolated waypoint cannot be reached; an isolated non-waypoint is dropped."""
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert oracle._trim_pendants(_stsp(4, triangle, {0, 3})) is None
+    assert solve_treewidth(_stsp(4, triangle, {0, 3})).opt_weight is None
+    inst = _stsp(4, triangle, {0, 1, 2}, budget=3)
+    core, eids, forced = oracle._trim_pendants(inst)
+    assert (core.n, list(eids), forced) == (3, [0, 1, 2], [])
+    res = solve_treewidth(inst)
+    assert (res.feasible, res.opt_weight) == (True, 3) and check_certificate(inst, res.witness)
+
+
+def test_trim_keeps_a_leaf_on_two_parallel_edges():
+    """Vertex 3 has two edges, both to vertex 2, so it is not trimmed; the
+    optimum takes the cheaper one twice."""
+    edges = triangle().edges + (Edge(2, 3, 1), Edge(2, 3, 5))
+    inst = Instance("tsp", 4, edges, frozenset(range(4)), 5)
+    core, eids, forced = oracle._trim_pendants(inst)
+    assert core is inst and list(eids) == [0, 1, 2, 3, 4] and forced == ()
+    res = solve_treewidth(inst)
+    assert (res.feasible, res.opt_weight) == (True, 5)
+    assert res.witness.multiplicity == (1, 1, 1, 2, 0)
+    assert solve_exact_multiplicity(inst).opt_weight == 5
+
+
+def test_trim_tsp_star():
+    """A tsp star with 200 leaves: every edge twice."""
+    rng = random.Random(3)
+    edges = tuple(Edge(0, v, rng.randint(0, 50)) for v in range(1, 201))
+    total = sum(e.weight for e in edges)
+    inst = Instance("tsp", 201, edges, frozenset(range(201)), 2 * total)
+    res = solve_treewidth(inst)
+    assert res.feasible and res.opt_weight == 2 * total
+    assert res.witness.multiplicity == (2,) * 200
+    assert check_certificate(inst, res.witness)
+
+
+@st.composite
+def pendant_inputs(draw):
+    """tsp, stsp and wrp inputs of at most 14 edges: a cycle, an edge or a
+    lone vertex with trees hung from it, sometimes a chord or a parallel
+    edge, and sometimes an isolated vertex."""
+    kind = draw(st.sampled_from(KINDS))
+    c = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    pairs = [(i, (i + 1) % c) for i in range(c)] if c > 2 else [(0, 1)] if c == 2 else []
+    n = c
+    for _ in range(draw(st.integers(1, 12 - len(pairs)))):
+        pairs.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    for _ in range(draw(st.integers(0, 2))):
+        pair = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        if pair[0] != pair[1]:
+            pairs.append(pair)
+    n += draw(st.integers(0, 1))
+    edges = tuple(Edge(u, v, draw(st.integers(0, 9)),
+                       draw(st.sampled_from([1, 2])) if kind == "wrp" else None)
+                  for u, v in pairs)
+    wps = frozenset(range(n)) if kind == "tsp" else draw(
+        st.frozensets(st.integers(0, n - 1), min_size=2))
+    return Instance(kind, n, edges, wps, draw(st.integers(0, 80)))
+
+
+@given(pendant_inputs())
+@settings(max_examples=200, deadline=None)
+def test_trim_agrees_with_the_multiplicity_engine(inst):
+    """With pendant trees trimmed first, the DP finds the multiplicity
+    engine's verdict and optimum, and its witness is a certificate."""
+    assert len(inst.edges) <= DEFAULT_CAPS.multiplicity_edges
+    trimmed = oracle._trim_pendants(inst)
+    assume(trimmed is None or trimmed[0] is not inst)
+    _dp_agrees(inst, solve_exact_multiplicity)
 
 
 def _grid_pairs(rows, cols):
@@ -818,9 +970,12 @@ def test_dp_prune_leaves_tables_without_two_blocks_unchanged():
 def test_multiplicity_engine_memory():
     """14 capacity-2 edges on 8 vertices, every vertex a waypoint: 3^14
     vectors, the most the default edge cap allows.  The 8 touched vertices
-    fit uint8 masks, so the solve peaks at 13.7 MB (tracemalloc): the fold,
-    its comparison and the running filter, one byte per vector each.  With
-    int32 folds it peaked at 28.9 MB; the pin is half of that."""
+    fit uint8 masks, so the solve peaks at 10.65 MB (tracemalloc), while the
+    cover fold's last edge is folded in: the running filter, the new fold
+    and the previous one of a third its size, one byte per vector each.
+    The fold is compared to the target in place; with a separate
+    comparison the solve peaked at 13.7 MB, and with int32 folds at 28.9
+    MB."""
     rng = random.Random(7)
     order = rng.sample(range(8), 8)
     pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, 8)]
@@ -829,7 +984,7 @@ def test_multiplicity_engine_memory():
     inst = Instance("wrp", 8, edges, frozenset(range(8)), 100)
     res, peak = _traced(solve_exact_multiplicity, inst)
     assert res.opt_weight == 33
-    assert peak <= 28.9 / 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak <= 10.7 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_heldkarp_costs_in_the_narrowest_dtype():
@@ -951,16 +1106,23 @@ def test_decomposition_never_wider_than_networkx():
 
 def test_layout_rejects_a_decomposition_that_misses_an_edge(monkeypatch):
     """A triangle with a pendant edge: the pendant's bag is laid out last,
-    and without it the edge to vertex 3 lies in no bag."""
+    and without it the edge to vertex 3 lies in no bag.  The solve trims
+    that pendant before it decomposes, so it is checked on two triangles
+    sharing vertex 2, where no vertex has one edge: without the last bag the
+    edges to vertex 4 lie in no bag."""
     edges = (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1), Edge(2, 3, 1))
     inst = Instance("tsp", 4, edges, frozenset(range(4)), 8)
+    bowtie = Instance("tsp", 5, edges + (Edge(3, 4, 1), Edge(2, 4, 1)), frozenset(range(5)), 12)
     width, bags, parent = oracle._decompose(inst)
     assert bags[-1] == {2, 3}
+    width2, bags2, parent2 = oracle._decompose(bowtie)
+    assert bags2[-1] == {2, 3, 4} and not any(4 in bag for bag in bags2[:-1])
     monkeypatch.setattr(oracle, "_decompose", lambda _: (width, bags[:-1], parent[:-1]))
     with pytest.raises(InvariantError, match="misses an edge"):
         oracle._layout(inst, DEFAULT_CAPS)
+    monkeypatch.setattr(oracle, "_decompose", lambda _: (width2, bags2[:-1], parent2[:-1]))
     with pytest.raises(InvariantError, match="misses an edge"):
-        solve_treewidth(inst)
+        solve_treewidth(bowtie)
 
 
 def test_decompose_rejects_a_core_decomposition_that_misses_a_clique():

@@ -2,14 +2,17 @@
 keeps the input's optimum, shifted by the report's budget delta."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tspkern import pipelines
 from tspkern.gadgets import gen_planted
-from tspkern.instance import KINDS, Edge, Instance, parse_instance
+from tspkern.instance import KINDS, Edge, Instance, as_wrp, parse_instance
 from tspkern.oracle import solve_auto, solve_treewidth
 from tspkern.pipelines import PIPELINES, REGIMES, kernelize
+from tspkern.preprocess import unchanged
 
 # regime -> (planted kind, planted regime, r)
 PLANTED = {
@@ -72,6 +75,42 @@ def test_kernel_optimum_is_input_optimum_plus_budget_delta(regime):
             assert solve_treewidth(kernel).opt_weight == shifted, (r, k, seed)
     if deletes:
         assert 3 * deleted >= draws
+
+
+# (regime, planted regime, k, r, n, seed) of stsp draws, read as wrp under
+# vc-wrp, on which two unsound rules give a wrong answer: vc-wrp's red
+# marking with a cap of 1, and the FES all-capacity-2 chain case allowed
+# with only one endpoint a waypoint
+PINNED_DRAWS = (
+    ("vc-wrp", "vc", 2, 1, 21, 51),
+    ("vc-wrp", "vc", 2, 2, 32, 57),
+    ("vc-wrp", "vc", 2, 2, 29, 111),
+    ("vc-wrp", "vc", 2, 2, 27, 201),
+    ("fes", "fes", 3, 2, 19, 250),
+)
+
+
+@pytest.mark.parametrize("regime,planted,k,r,n,seed", PINNED_DRAWS)
+def test_kernel_answers_on_pinned_draws(monkeypatch, regime, planted, k, r, n, seed):
+    """The kernel keeps the input's verdict, and with the budget lifted to
+    10^12 its optimum is the input's plus the budget delta.  Under a budget
+    above every weight sum any weights are sign-equivalent, so weight
+    compression is switched off for the lifted run: it would leave only
+    the verdict to compare."""
+    inst = gen_planted("stsp", planted, k, r, n, seed=seed)
+    if regime == "vc-wrp":
+        inst = as_wrp(inst)
+    kernel, report = kernelize(inst, regime)
+    before = solve_treewidth(inst)
+    if report.decided is None:
+        assert solve_treewidth(kernel).feasible == before.feasible
+    else:
+        assert before.feasible == (report.decided == "yes")
+    monkeypatch.setattr(pipelines, "compress_weights", lambda _: unchanged())
+    lifted = replace(inst, budget=10**12)
+    kernel, report = kernelize(lifted, regime)
+    assert report.decided is None and before.opt_weight is not None
+    assert solve_treewidth(kernel).opt_weight == before.opt_weight + report.budget_delta
 
 
 @st.composite
