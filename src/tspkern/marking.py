@@ -12,6 +12,10 @@ The unit's *impact table* maps each impact of its behaviors to the least
 weight among them; the price of an impact is that weight minus the
 natural weight.
 
+One walk, `unit_behaviors`, lists the behaviors of both kinds of unit;
+`most`, the edge ends a behavior may put on the cover or modulator, is 2
+for a tsp vertex, 4 for a wrp one and 2r for a component.
+
 A round builds its units once per *shape* (`collect_units`).  Behaviors
 and their impacts never read edge weights: they follow from the unit's
 shape, a weight-free key that only this module computes.  It holds each
@@ -54,6 +58,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .instance import Instance, InvariantError, component_walk
+from .oracle import _merge_blocks
 from .report import KernelReport
 
 INF = math.inf
@@ -112,6 +117,55 @@ def impact_of(inst: Instance, M, behavior: Behavior) -> Impact:
     return Impact(touched, tuple(sorted(rep.items())))
 
 
+def unit_behaviors(inst: Instance, C, eids, most: int) -> list[Behavior]:
+    """The behaviors of the unit on the vertices C with the edges `eids`,
+    ascending: the vectors x, 0 <= x[j] <= edge j's effective capacity,
+    that give every C-vertex even degree, nonzero at a waypoint, put at
+    most `most` edge ends outside C and leave no piece of their support
+    inside C, in lexicographic order.  A depth-first walk sets x[0], x[1],
+    ... in turn, each from 0 up, and drops a prefix once a C-vertex whose
+    edges are all set fails its degree test or more than `most` ends lie
+    outside C.  Once `most` are reached and every edge left crosses, the
+    rest are 0 in one step, so the work follows the output.  The walk keeps
+    its prefixes on a stack, as a unit's edge count has no bound."""
+    wps, es = inst.waypoints, [inst.edges[i] for i in eids]
+    bit = {v: 1 << c for c, v in enumerate(C)}  # C-vertices' bits lowest
+    cmask = (1 << len(bit)) - 1
+    cross = [(e.u not in bit) + (e.v not in bit) for e in es]
+    ends = {i: bit.setdefault(e.u, 1 << len(bit)) | bit.setdefault(e.v, 1 << len(bit))
+            for i, e in zip(eids, es)}
+    last = {v: j for j, e in enumerate(es) for v in (e.u, e.v)}
+    done = [[v for v in C if last.get(v) == j] for j in range(len(es))]  # last edge j
+    tail = max((j + 1 for j, c in enumerate(cross) if not c), default=0)  # all cross from here
+
+    def fits(deg, vs):  # even degrees, nonzero at waypoints
+        for v in vs:
+            if deg[v] % 2 or not deg[v] and v in wps:
+                return False
+        return True
+
+    # a prefix: its length, ends outside C, weight, edges with repetition and C-degrees
+    found, stack = [], [(0, 0, 0, (), dict.fromkeys(C, 0))]
+    while stack:
+        p, out, weight, edges, deg = stack.pop()
+        if p >= tail and (p == len(es) or out == most):  # the edges from p on stay 0
+            masks = [ends[i] for i in edges]
+            if fits(deg, C) and all(b > cmask for b in _merge_blocks(masks[:1], masks)):
+                found.append(Behavior(edges, weight))
+            continue
+        e = es[p]
+        for c in range(inst.effective_capacity(e), -1, -1):  # 0 is popped first
+            if out + c * cross[p] <= most:
+                d = dict(deg)
+                for v in (e.u, e.v):
+                    if v in d:
+                        d[v] += c
+                if fits(d, done[p]):
+                    stack.append((p + 1, out + c * cross[p], weight + c * e.weight,
+                                  edges + (eids[p],) * c, d))
+    return found
+
+
 @dataclass(frozen=True)
 class Unit:
     deletes: tuple[int, ...]  # the vertices deleted with the unit
@@ -158,8 +212,7 @@ def _unit(shapes: dict, inst: Instance, M, label: str, vertices, eids,
         # behaviors as (weight, edges) does
         if best is None or (weight, at) < best:
             best, nat_imp = (weight, at), imp
-    weight, at = best
-    return Unit(tuple(vertices), Behavior(tuple(eids[p] for p in at), weight), nat_imp, table)
+    return Unit(tuple(vertices), Behavior.of(inst, (eids[p] for p in best[1])), nat_imp, table)
 
 
 def collect_units(report: KernelReport, inst: Instance, M, units,

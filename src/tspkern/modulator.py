@@ -4,12 +4,10 @@ Given a modulator M whose removal leaves small components (or short paths),
 each component C interacts with a solution through a "behavior": an edge
 multiset of G_C = G[C u M] minus modulator-internal edges, giving every
 C-vertex nonzero even degree, anchoring every piece at M, and crossing into
-M at most 2r times.  Behaviors come from `oracle`'s multiplicity folds:
-`even_covering` keeps the vectors of even nonzero C-degrees, an `np.add`
-fold bounds the crossings, and a survivor is kept when its edges' end
-masks merge (`oracle._merge_blocks`) into blocks that each hold a
-modulator vertex.  Each component is one unit of the marking scheme in
-`marking`, which fingerprints its behaviors by their impact
+M at most 2r times.  Behaviors come from `marking.unit_behaviors`, the
+walk that also lists a vertex's behaviors in `vc`: a vertex outside a
+vertex cover is a one-vertex component.  Each component is one unit of the
+marking scheme in `marking`, which fingerprints its behaviors by their impact
 (`marking.impact_of`: the touched modulator vertices plus
 connectivity/parity representative edges), enumerates them once per
 component shape, as it defines it, and prunes the units.  Blue marking,
@@ -37,8 +35,8 @@ from .marking import (
     mark_red,
     settle,
     table_impacts,
+    unit_behaviors,
 )
-from .oracle import _merge_blocks, decode, even_covering, multiplicity_grid
 from .preprocess import rr_short_circuit
 from .report import KernelReport
 
@@ -55,33 +53,11 @@ def component_graph(inst: Instance, M, C) -> list[int]:
 def enumerate_component_behaviors(inst: Instance, M, C, r: int) -> list[Behavior]:
     """Every behavior of C, in lexicographic order of its multiplicity
     vector over `component_graph`'s edges."""
-    import numpy as np
-    # the folds vary their first edge fastest, so they run over the edges reversed
-    eids = component_graph(inst, M, C)[::-1]
-    bases = [inst.effective_capacity(inst.edges[i]) + 1 for i in eids]
-    space = math.prod(bases)
+    eids = component_graph(inst, M, C)
+    space = math.prod(inst.effective_capacity(inst.edges[i]) + 1 for i in eids)
     if space > BEHAVIOR_GUARD:
         raise ScaleError(f"behavior enumeration space {space} exceeds guard {BEHAVIOR_GUARD}")
-    if not eids:
-        return []
-    # one bit per vertex of G_C, the C-vertices' lowest, so a mask above `cmask`
-    # holds a modulator vertex; C-degrees even and nonzero, at most 2r into M
-    bit = {v: 1 << p for p, v in enumerate([*sorted(C), *M])}
-    cmask = (1 << len(C)) - 1
-    ends = [bit[inst.edges[i].u] | bit[inst.edges[i].v] for i in eids]
-    cends = [b & cmask for b in ends]
-    index = even_covering(bases, cends, cends, cmask)
-    into_m = np.array([[0, 1, 2] if b > cmask else [0, 0, 0] for b in ends],
-                      dtype=np.min_scalar_type(2 * len(ends)))  # a sum is at most 2|G_C|
-    index = index[multiplicity_grid(bases, into_m)[index] <= 2 * r]
-    out = []
-    for row in decode(bases, index).tolist():
-        # no edge joins two modulator vertices, so every piece of the
-        # support holds a C-vertex and must reach M
-        masks = [b for b, c in zip(ends, row) if c]
-        if all(block > cmask for block in _merge_blocks(masks[:1], masks)):
-            out.append(Behavior.of(inst, [i for i, c in zip(eids, row) for _ in range(c)]))
-    return out
+    return unit_behaviors(inst, C, eids, 2 * r)
 
 
 def _label(C) -> str:

@@ -12,9 +12,8 @@ the same way (`_witnessed`):
                                as two flat vertex-bitmask arrays, degree
                                parity and waypoint coverage, folded in one
                                edge at a time in the narrowest unsigned
-                               dtype that holds the masks (`even_covering`,
-                               which also enumerates component behaviors
-                               in `modulator`); only the parity-even,
+                               dtype that holds the masks
+                               (`even_covering`); only the parity-even,
                                covering vectors are decoded, weighed and,
                                in weight order, tested once per support by
                                merging its edges' end masks
@@ -103,11 +102,11 @@ from dataclasses import dataclass, fields
 
 from .instance import (
     KIND_WRP,
-    Edge,
     Instance,
     InstanceError,
     InvariantError,
     ScaleError,
+    _renumbered,
     component_walk,
     shortest_paths,
 )
@@ -503,14 +502,10 @@ def _trim_pendants(inst: Instance):
             todo.append(u)
     if len(waypoints) <= 1:
         return None, (), forced
-    keep = [v for v in range(n) if v not in gone]
-    index = {v: j for j, v in enumerate(keep)}
     eids = [i for i, e in enumerate(edges) if e.u not in gone and e.v not in gone]
-    core = Instance(inst.kind, len(keep),
-                    tuple(Edge(index[edges[i].u], index[edges[i].v], edges[i].weight,
-                               edges[i].capacity) for i in eids),
-                    frozenset(index[w] for w in waypoints),
-                    inst.budget - 2 * sum(edges[i].weight for i in forced))
+    core = _renumbered(inst.kind, [v for v in range(n) if v not in gone],
+                       (edges[i] for i in eids), waypoints,
+                       inst.budget - 2 * sum(edges[i].weight for i in forced), None)
     return core, eids, forced
 
 

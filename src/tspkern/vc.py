@@ -8,12 +8,11 @@ minus M and one unit of the marking scheme in `marking`, which fingerprints
 its behaviors as it does a component's (`marking.impact_of`): the cover
 vertices a behavior touches and the parity of each touch but the least
 one's, which the others fix, since r's degree is even.  A round enumerates
-them once per vertex shape, as `marking` defines it.
+them once per vertex shape, as `marking` defines it, by the walk that lists
+a component's behaviors too (`marking.unit_behaviors`).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError
 from .marking import (
@@ -23,6 +22,7 @@ from .marking import (
     mark_red,
     settle,
     table_impacts,
+    unit_behaviors,
 )
 from .report import KernelReport
 
@@ -38,11 +38,8 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
 
     if inst.kind not in (KIND_TSP, KIND_WRP):
         raise InstanceError(f"vertex behaviors need the tsp or wrp kind, got {inst.kind}")
-    # multisets of 2 of r's edges for tsp; of 2 or 4 for wrp, or of none at a non-waypoint
-    sizes = (2,) if inst.kind == KIND_TSP else (2, 4) if r in inst.waypoints else (0, 2, 4)
-    return [Behavior.of(inst, combo) for size in sizes
-            for combo in itertools.combinations_with_replacement(incident, size)
-            if all(combo.count(i) <= inst.effective_capacity(inst.edges[i]) for i in combo)]
+    # r's degree is its ends outside {r}: 2 for tsp; 2 or 4 for wrp, or 0 at a non-waypoint
+    return unit_behaviors(inst, (r,), incident, 2 if inst.kind == KIND_TSP else 4)
 
 
 def _vertex_units(inst: Instance, M, R, report: KernelReport):

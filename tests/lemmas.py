@@ -9,7 +9,9 @@ marking unit from its own behaviors (`unit`, the reference a round's
 units, built once per shape, are checked against), one unit as a marking
 round builds it (`round_unit`), the parity class of
 each cover vertex a vertex behavior touches (`vertex_classes`, the
-reference `marking.impact_of` is checked against on vertices), and the
+reference `marking.impact_of` is checked against on vertices), a vertex's
+behaviors listed by the size of their edge multisets (`vertex_behaviors`,
+the reference the behavior walk is checked against on vertices), and the
 multiplicity engine's witness search with a component walk per support
 (`multiplicity_search`, the reference the engine's block merge is checked
 against).
@@ -22,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from tspkern.instance import (
+    KIND_TSP,
     MAX_WEIGHT,
     Edge,
     Instance,
@@ -93,6 +96,17 @@ def vertex_classes(inst: Instance, r: int, behavior: Behavior) -> tuple:
     behaviors of all vertices into the same classes."""
     deg = Counter(inst.edges[i].other(r) for i in behavior.edges)
     return tuple(sorted((m, 1 if d % 2 else 2) for m, d in deg.items()))
+
+
+def vertex_behaviors(inst: Instance, r: int) -> list[Behavior]:
+    """The behaviors of vertex r, whose edges all lead into a vertex cover:
+    the multisets of 2 of its edges for tsp; of 2 or 4 for wrp, or of none
+    at a non-waypoint; each edge at most its effective capacity times."""
+    incident = inst.adjacency()[r]
+    sizes = (2,) if inst.kind == KIND_TSP else (2, 4) if r in inst.waypoints else (0, 2, 4)
+    return [Behavior.of(inst, combo) for size in sizes
+            for combo in itertools.combinations_with_replacement(incident, size)
+            if all(combo.count(i) <= inst.effective_capacity(inst.edges[i]) for i in combo)]
 
 
 # -- the multiplicity engine's witness search --------------------------------

@@ -175,9 +175,10 @@ def test_solve_does_not_import_networkx(triangle, tmp_path):
     numpy only by the engines and folds that use it, so neither costs a
     command that does not run them.  Importing the package loads neither.
     Nor does solving a triangle, which has no core and which auto sends to
-    the DP.  The fes and vc-tsp kernels of planted 200-vertex inputs keep
-    more edges than `compress_weights` enumerates, so kernelizing them
-    loads no numpy."""
+    the DP.  The fes, vc-tsp, components and paths kernels of planted
+    200-vertex inputs keep more edges than `compress_weights` enumerates,
+    and vertex and component behaviors come from a plain walk, so
+    kernelizing them loads no numpy."""
     code = ["import sys",
             "import tspkern, tspkern.cli",
             "from tspkern.cli import main",
@@ -187,18 +188,20 @@ def test_solve_does_not_import_networkx(triangle, tmp_path):
             f"main(['solve', {triangle!r}, '--engine', 'treewidth'])",
             "loaded()"]
     kernels = []
-    for regime, planted, k in (("fes", "fes", 5), ("vc-tsp", "vc", 3)):
+    for regime, kind, planted, k, r in (("fes", "tsp", "fes", 5, 1), ("vc-tsp", "tsp", "vc", 3, 1),
+                                        ("components", "tsp", "components", 3, 2),
+                                        ("paths", "stsp", "paths", 3, 2)):
         src, out = tmp_path / f"{regime}.grw", tmp_path / f"{regime}-kernel.grw"
-        src.write_text(render_instance(gen_planted("tsp", planted, k, 1, 200, seed=1)))
-        code += [f"main(['kernelize', {str(src)!r}, {str(out)!r}, '--regime', {regime!r}])",
-                 "loaded()"]
+        src.write_text(render_instance(gen_planted(kind, planted, k, r, 200, seed=1)))
+        code += [f"main(['kernelize', {str(src)!r}, {str(out)!r}, '--regime', {regime!r},"
+                 f" '--r', '{r}'])", "loaded()"]
         kernels.append(out)
     done = subprocess.run([sys.executable, "-c", "\n".join(code)], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
     assert lines[:2] == ["loaded False False"] * 2
-    assert [line.split()[1] for line in lines[2:]] == ["False"] * 2
+    assert [line.split()[1] for line in lines[2:]] == ["False"] * 4
     assert all(len(parse_instance(out.read_text()).edges) > 12 for out in kernels)
 
 

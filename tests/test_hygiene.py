@@ -4,7 +4,8 @@ somewhere in the package, every public function or method is referenced
 somewhere in the package or the benchmark harness (a reference from the
 tests alone does not count: code only the tests use belongs in the tests,
 and neither does a re-export in `__init__.py`, which only the tests could
-then be reading), and no module uses `assert`.
+then be reading), no module uses `assert`, and numpy is named only where
+the exact engines and weight compression use it.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library.  `__init__.py` is skipped by the import check:
@@ -12,6 +13,7 @@ its imports are the package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -205,3 +207,37 @@ def test_shape_memo_detector():
                          ids=lambda p: p.name)
 def test_only_marking_owns_the_shape_memo(path):
     assert shape_memo_uses(path.read_text(encoding="utf-8")) == []
+
+
+# `oracle`'s numpy folds, which only the multiplicity engine and weight
+# compression use
+FOLDS = {"multiplicity_grid", "even_covering", "decode"}
+
+
+def oracle_names(source: str) -> set[str]:
+    """The names `source` takes from `oracle`: imported from it, or read as
+    `oracle.<name>`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "oracle":
+            out.add(node.attr)
+    return out
+
+
+def test_oracle_names_detector():
+    src = ("from .oracle import _merge_blocks, decode\nfrom tspkern.oracle import even_covering\n"
+           "from . import oracle\noracle.multiplicity_grid(x)\nfrom .instance import Edge\n")
+    assert oracle_names(src) == {"_merge_blocks", "decode", "even_covering", "multiplicity_grid"}
+
+
+def test_numpy_only_in_the_engines_and_compression():
+    """Vertex and component behaviors come from a plain walk, so numpy is
+    named only in `oracle.py` (the multiplicity engine and Held-Karp) and
+    `preprocess.py` (weight compression), and `modulator.py` takes none of
+    `oracle`'s folds."""
+    naming = {p.name for p in PACKAGE.glob("*.py")
+              if re.search(r"\bnumpy\b", p.read_text(encoding="utf-8"))}
+    assert naming <= {"oracle.py", "preprocess.py"}
+    assert not oracle_names((PACKAGE / "modulator.py").read_text(encoding="utf-8")) & FOLDS

@@ -3,11 +3,12 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import round_unit, vertex_classes
+from lemmas import round_unit, vertex_behaviors, vertex_classes
 from tspkern import marking
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError
 from tspkern.marking import Behavior, Impact, Unit, close_round, impact_of
@@ -88,6 +89,45 @@ def test_enumerate_wrp_matches_bruteforce(seed):
     inst = Instance("wrp", k + 1, tuple(edges), wps, 99)
     got = {b.edges for b in enumerate_vertex_behaviors(inst, set(range(k)), k)}
     assert got == _brute_wrp_behaviors(inst, k)
+
+
+@st.composite
+def stars(draw):
+    """(inst, M, centre): vertex k with at most 8 edges, parallel ones
+    included, into the vertex cover M = {0..k-1} of 1 to 4 vertices.  A wrp
+    star draws capacities 1 or 2 and its waypoints, so its centre may be a
+    non-waypoint."""
+    kind, k = draw(st.sampled_from(("tsp", "wrp"))), draw(st.integers(1, 4))
+    ends = draw(st.lists(st.integers(0, k - 1), max_size=8))
+    caps = [draw(st.sampled_from((1, 2))) if kind == "wrp" else None for _ in ends]
+    edges = tuple(Edge(m, k, draw(st.integers(1, 9)), cap) for m, cap in zip(ends, caps))
+    wps = (frozenset(range(k + 1)) if kind == "tsp"
+           else frozenset(draw(st.sets(st.integers(0, k)))))
+    return Instance(kind, k + 1, edges, wps, 99), frozenset(range(k)), k
+
+
+@given(stars())
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_the_size_table(star):
+    """The behavior walk lists a vertex's behaviors once each, the same set
+    as the multisets of each size its kind allows."""
+    inst, M, centre = star
+    got = enumerate_vertex_behaviors(inst, M, centre)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(vertex_behaviors(inst, centre))
+
+
+def test_many_edges_cost_their_behaviors():
+    """A tsp vertex with 300 edges into a 5-vertex cover has 300 * 301 / 2
+    behaviors.  Once a prefix puts two ends in the cover the walk sets the
+    rest to 0 at once; stepping through them would visit some 300^3 / 6
+    prefixes."""
+    edges = tuple(Edge(j % 5, 5, 1 + j % 7) for j in range(300))
+    inst = Instance("tsp", 6, edges, frozenset(range(6)), 10**6)
+    t0 = time.perf_counter()
+    behaviors = enumerate_vertex_behaviors(inst, set(range(5)), 5)
+    assert time.perf_counter() - t0 < 1
+    assert len(behaviors) == 45150
 
 
 def test_natural_tsp_doubled_cheapest():
