@@ -2,16 +2,15 @@
 
 Exit codes, stable across commands: 0 success (or: equivalent / feasible),
 1 infeasible or non-equivalent, 2 usage or parse error (or a failed internal
-soundness check), 3 instance beyond the configured exact-solver caps or the
-memory the process may use.
+soundness check), 3 instance beyond the exact solvers' caps
+(`oracle.DEFAULT_CAPS`), the behavior guard (`marking.BEHAVIOR_GUARD`) or
+the memory the process may use.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import os
 import random
 import sys
 
@@ -36,27 +35,7 @@ EXIT_SCALE = 3
 
 
 class UsageError(ValueError):
-    """Malformed command-line or environment setting."""
-
-
-def _caps_from_env() -> oracle.OracleCaps:
-    """oracle.DEFAULT_CAPS, lowered by the TSPKERN_CAP_* variables set."""
-    caps = oracle.DEFAULT_CAPS
-    for name, var in (("multiplicity_edges", "TSPKERN_CAP_MULT_EDGES"),
-                      ("heldkarp_waypoints", "TSPKERN_CAP_HK_WAYPOINTS"),
-                      ("treewidth_width", "TSPKERN_CAP_TW_WIDTH")):
-        raw = os.environ.get(var)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"{var} must be an integer, got {raw!r}") from None
-        try:
-            caps = dataclasses.replace(caps, **{name: value})
-        except ValueError as exc:
-            raise UsageError(f"{var}={raw}: {exc}") from None
-    return caps
+    """Malformed command-line argument."""
 
 
 def _read(path: str) -> Instance:
@@ -96,19 +75,18 @@ def cmd_kernelize(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _read(args.input)
-    caps = _caps_from_env()
     engines = {"auto": oracle.solve_auto, **oracle.ENGINES}
     if args.cross_check:
         # a cross-check runs another engine; only a treewidth solve past the
         # multiplicity cap has none, so there the check stops up front
-        ran = oracle.auto_engine(inst, caps) if args.engine == "auto" else args.engine
+        ran = oracle.auto_engine(inst) if args.engine == "auto" else args.engine
         if ran == "treewidth":
-            oracle.check_multiplicity_cap(inst, caps)
-    res = engines[args.engine](inst, caps)
+            oracle.check_multiplicity_cap(inst)
+    res = engines[args.engine](inst)
     if args.cross_check:
         name, check = (("treewidth", oracle.solve_treewidth) if ran != "treewidth"
                        else ("multiplicity", oracle.solve_exact_multiplicity))
-        other = check(inst, caps)
+        other = check(inst)
         print(f"cross-check optimum: {other.opt_weight}")
         if other.opt_weight != res.opt_weight:
             raise InvariantError(f"cross-check failed: {args.engine} optimum {res.opt_weight},"
@@ -125,9 +103,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     a, b = _read(args.first), _read(args.second)
-    caps = _caps_from_env()
-    va = oracle.solve_auto(a, caps).feasible
-    vb = oracle.solve_auto(b, caps).feasible
+    va = oracle.solve_auto(a).feasible
+    vb = oracle.solve_auto(b).feasible
     print(f"{args.first}: {'yes' if va else 'no'}")
     print(f"{args.second}: {'yes' if vb else 'no'}")
     if va == vb:

@@ -6,7 +6,7 @@ capacitated problem kind ("wrp") and are normalized into {1, 2} on load:
 a closed walk never needs an edge more than twice, so larger capacities
 carry no information.
 
-The kernels stand on six graph primitives, each written once here:
+The kernels stand on seven graph primitives, each written once here:
 
 - incidence: `Instance.adjacency()`, the edge ids at each vertex in
   ascending order, computed once per instance;
@@ -17,6 +17,10 @@ The kernels stand on six graph primitives, each written once here:
   plus extra vertices, behind `Instance.components`, the regime checks of
   the modulator search, the support walks of the modulator kernels and the
   certificate check;
+- partition merge: `merge_blocks`, which merges blocks of vertex bits
+  into the finest partition coarser than two, behind the treewidth DP's
+  edges and joins, the multiplicity engine's support test and the
+  behavior walk's piece filter (`marking.unit_behaviors`);
 - spanning forest: `non_forest`, one union-find pass, behind `compute_fes`
   (the tests' nice-solution check also finds its cycles with it);
 - editing: `WorkGraph`, a mutable copy of an instance that the local rules
@@ -51,7 +55,7 @@ class ParseError(ValueError):
 
 
 class ScaleError(RuntimeError):
-    """Requested computation exceeds a configured exhaustive-search cap."""
+    """Requested computation exceeds an exhaustive-search cap or guard."""
 
 
 class InvariantError(RuntimeError):
@@ -149,7 +153,7 @@ class Instance:
         the hint is dropped."""
         victims = set(victims)
         hint = self.modulator_hint
-        return _renumbered(
+        return renumbered(
             self.kind, [v for v in range(self.n) if v not in victims],
             (e for e in self.edges if e.u not in victims and e.v not in victims),
             self.waypoints - victims, self.budget + budget_delta,
@@ -159,8 +163,8 @@ class Instance:
         return replace(self, edges=tuple(edges), budget=self.budget + budget_delta)
 
 
-def _renumbered(kind: str, keep: list[int], edges, waypoints, budget: int,
-                hint) -> Instance:
+def renumbered(kind: str, keep: list[int], edges, waypoints, budget: int,
+               hint) -> Instance:
     """The instance on the vertices `keep`, ascending, each renumbered to its
     position; `edges`, `waypoints` and `hint` name kept vertices only."""
     if not keep:
@@ -290,9 +294,9 @@ class WorkGraph:
 
     def freeze(self) -> Instance:
         """The instance on the live vertices and edges, renumbered compactly."""
-        return _renumbered(self.kind, self.vertices(),
-                           (e for e in self.edges if e is not None),
-                           self.waypoints, self.budget, self.modulator_hint)
+        return renumbered(self.kind, self.vertices(),
+                          (e for e in self.edges if e is not None),
+                          self.waypoints, self.budget, self.modulator_hint)
 
 
 def as_wrp(inst: Instance) -> Instance:
@@ -424,6 +428,29 @@ def component_walk(inst: Instance, eids, vertices=()):
                     seen.add(w)
                     stack.append(w)
         yield comp
+
+
+def merge_blocks(blocks1, blocks2):
+    """The finest partition coarser than both: each block of `blocks2`
+    absorbs the blocks it meets.  Blocks are vertex-bit masks; when those of
+    `blocks1` are disjoint and ascending, and `blocks1` is nonempty or
+    `blocks2`'s are too, so is the result.  Edge end masks `masks` merge
+    into their connected pieces as `merge_blocks(masks[:1], masks)`."""
+    if not blocks2:
+        return blocks1
+    if not blocks1:
+        return blocks2
+    blocks = list(blocks1)
+    for b in blocks2:
+        rest = []
+        for a in blocks:
+            if a & b:
+                b |= a
+            else:
+                rest.append(a)
+        rest.append(b)
+        blocks = rest
+    return tuple(sorted(blocks))
 
 
 def shortest_paths(inst: Instance, s: int, adj=None, through=None):

@@ -57,11 +57,14 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .instance import Instance, InvariantError, component_walk
-from .oracle import _merge_blocks
+from .instance import Instance, InvariantError, ScaleError, component_walk, merge_blocks
 from .report import KernelReport
 
 INF = math.inf
+
+# most behaviors a unit may have; `modulator` also caps a component's
+# multiplicity vectors by it
+BEHAVIOR_GUARD = 3**12
 
 
 class NoBehavior(ValueError):
@@ -127,7 +130,9 @@ def unit_behaviors(inst: Instance, C, eids, most: int) -> list[Behavior]:
     edges are all set fails its degree test or more than `most` ends lie
     outside C.  Once `most` are reached and every edge left crosses, the
     rest are 0 in one step, so the work follows the output.  The walk keeps
-    its prefixes on a stack, as a unit's edge count has no bound."""
+    its prefixes on a stack, as a unit's edge count has no bound, and
+    raises ScaleError once it has found more than BEHAVIOR_GUARD
+    behaviors."""
     wps, es = inst.waypoints, [inst.edges[i] for i in eids]
     bit = {v: 1 << c for c, v in enumerate(C)}  # C-vertices' bits lowest
     cmask = (1 << len(bit)) - 1
@@ -150,8 +155,10 @@ def unit_behaviors(inst: Instance, C, eids, most: int) -> list[Behavior]:
         p, out, weight, edges, deg = stack.pop()
         if p >= tail and (p == len(es) or out == most):  # the edges from p on stay 0
             masks = [ends[i] for i in edges]
-            if fits(deg, C) and all(b > cmask for b in _merge_blocks(masks[:1], masks)):
+            if fits(deg, C) and all(b > cmask for b in merge_blocks(masks[:1], masks)):
                 found.append(Behavior(edges, weight))
+                if len(found) > BEHAVIOR_GUARD:
+                    raise ScaleError(f"behavior count exceeds guard {BEHAVIOR_GUARD}")
             continue
         e = es[p]
         for c in range(inst.effective_capacity(e), -1, -1):  # 0 is popped first

@@ -29,6 +29,7 @@ from .instance import (
     shortest_paths,
 )
 from .marking import (
+    BEHAVIOR_GUARD,
     Behavior,
     close_round,
     collect_units,
@@ -39,9 +40,6 @@ from .marking import (
 )
 from .preprocess import rr_short_circuit
 from .report import KernelReport
-
-# most multiplicity vectors a component's behaviors are enumerated from
-BEHAVIOR_GUARD = 3**12
 
 
 def component_graph(inst: Instance, M, C) -> list[int]:

@@ -17,7 +17,7 @@ the same way (`_witnessed`):
                                covering vectors are decoded, weighed and,
                                in weight order, tested once per support by
                                merging its edges' end masks
-                               (`_merge_blocks`).
+                               (`instance.merge_blocks`).
   * solve_heldkarp           - subset DP on the waypoint metric closure
                                (uncapacitated kinds only).  The closure
                                comes from one `instance.shortest_paths`
@@ -106,8 +106,9 @@ from .instance import (
     InstanceError,
     InvariantError,
     ScaleError,
-    _renumbered,
     component_walk,
+    merge_blocks,
+    renumbered,
     shortest_paths,
 )
 
@@ -276,7 +277,7 @@ def solve_exact_multiplicity(inst: Instance, caps: OracleCaps = DEFAULT_CAPS) ->
         if key in rejected:
             continue
         masks = [b for i, b in enumerate(ends) if key >> i & 1]
-        if len(_merge_blocks(masks[:1], masks)) == 1:
+        if len(merge_blocks(masks[:1], masks)) == 1:
             sol = make_solution(inst, counts[j].tolist())
             return _witnessed(inst, sol.total_weight, sol, "multiplicity")
         rejected.add(key)
@@ -503,9 +504,9 @@ def _trim_pendants(inst: Instance):
     if len(waypoints) <= 1:
         return None, (), forced
     eids = [i for i, e in enumerate(edges) if e.u not in gone and e.v not in gone]
-    core = _renumbered(inst.kind, [v for v in range(n) if v not in gone],
-                       (edges[i] for i in eids), waypoints,
-                       inst.budget - 2 * sum(edges[i].weight for i in forced), None)
+    core = renumbered(inst.kind, [v for v in range(n) if v not in gone],
+                      (edges[i] for i in eids), waypoints,
+                      inst.budget - 2 * sum(edges[i].weight for i in forced), None)
     return core, eids, forced
 
 
@@ -667,29 +668,6 @@ def _peel(inst: Instance):
     return peeled, nbrs
 
 
-def _merge_blocks(blocks1, blocks2):
-    """The finest partition coarser than both: each block of `blocks2`
-    absorbs the blocks it meets.  Blocks are vertex-bit masks; when those of
-    `blocks1` are disjoint and ascending, and `blocks1` is nonempty or
-    `blocks2`'s are too, so is the result.  Edge end masks `masks` merge
-    into their connected pieces as `_merge_blocks(masks[:1], masks)`."""
-    if not blocks2:
-        return blocks1
-    if not blocks1:
-        return blocks2
-    blocks = list(blocks1)
-    for b in blocks2:
-        rest = []
-        for a in blocks:
-            if a & b:
-                b |= a
-            else:
-                rest.append(a)
-        rest.append(b)
-        blocks = rest
-    return tuple(sorted(blocks))
-
-
 def _run_tw_dp(inst: Instance, bags, children, homed, bit):
     """Walk the bag tree depth first, root at bags[0], and return (optimum,
     multiplicities) read off the root's table once it has forgotten every
@@ -804,7 +782,7 @@ def _dp_edge(inst: Instance, t0, i, bit):
     for (blocks, done), group in t0.items():
         if done:
             continue
-        state = (_merge_blocks(blocks, pair), False)
+        state = (merge_blocks(blocks, pair), False)
         out = copied.get(state)
         if out is None:
             out = copied[state] = table[state] = dict(t0.get(state, ()))
@@ -876,7 +854,7 @@ def _dp_join(t_l, t_r):
             # a sealed side must have used nothing the other side uses
             if done1 and (done2 or blocks2) or done2 and blocks1:
                 continue
-            state = (_merge_blocks(blocks1, blocks2), done1 or done2)
+            state = (merge_blocks(blocks1, blocks2), done1 or done2)
             out = table.setdefault(state, {})
             for m1, (c1, trail1) in lefts:
                 for m2, (c2, trail2) in items2:

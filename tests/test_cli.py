@@ -74,7 +74,7 @@ def test_cross_check_disagreement_is_error(monkeypatch, triangle, capsys):
     # auto solves the triangle by the DP, so the multiplicity engine checks it
     real = oracle.solve_exact_multiplicity
 
-    def off_by_one(inst, caps):
+    def off_by_one(inst, caps=oracle.DEFAULT_CAPS):
         res = real(inst, caps)
         return dataclasses.replace(res, opt_weight=res.opt_weight + 1)
 
@@ -103,11 +103,20 @@ def test_cross_check_never_checks_an_engine_against_itself(monkeypatch, tmp_path
     assert capsys.readouterr().out.startswith("yes 16")
 
 
-def test_solve_scale_exit(monkeypatch, triangle):
-    monkeypatch.setenv("TSPKERN_CAP_MULT_EDGES", "1")
-    monkeypatch.setenv("TSPKERN_CAP_HK_WAYPOINTS", "1")
-    monkeypatch.setenv("TSPKERN_CAP_TW_WIDTH", "0")
-    assert main(["solve", triangle]) == 3
+def test_solve_scale_exit(tmp_path, capsys):
+    """A unit capacity-2 wrp 10x10 grid with waypoints 1 and 100 is past
+    every engine at the default caps: its 180 edges are past the
+    multiplicity cap, Held-Karp has no capacities, and the grid's width is
+    past the DP's."""
+    edges = [(r * 10 + c + 1, r * 10 + c + 2) for r in range(10) for c in range(9)]
+    edges += [(r * 10 + c + 1, r * 10 + c + 11) for r in range(9) for c in range(10)]
+    path = tmp_path / "grid.grw"
+    path.write_text(f"p wrp 100 {len(edges)}\nb 99\nw 1 100\n"
+                    + "".join(f"e {u} {v} 1 2\n" for u, v in edges))
+    assert main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "scale exceeded: oracle scale exceeded: decomposition width 13 > cap 8\n"
 
 
 def test_multiplicity_grid_guard_is_scale_exit(tmp_path, capsys):
@@ -217,29 +226,6 @@ def test_directory_input_is_usage_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_non_integer_cap_is_usage_error(monkeypatch, triangle, capsys):
-    """A TSPKERN_CAP_* value that is not an integer, or that is above its
-    default, exits 2 with one line naming the variable; a cap may only be
-    lowered, so a value equal to the default changes nothing."""
-    assert main(["solve", triangle]) == 0
-    unset = capsys.readouterr()
-    for var, name in (("TSPKERN_CAP_MULT_EDGES", "multiplicity_edges"),
-                      ("TSPKERN_CAP_HK_WAYPOINTS", "heldkarp_waypoints"),
-                      ("TSPKERN_CAP_TW_WIDTH", "treewidth_width")):
-        default = getattr(oracle.DEFAULT_CAPS, name)
-        for raw in ("abc", str(default + 1)):
-            monkeypatch.setenv(var, raw)
-            assert main(["solve", triangle]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"error: {var}") and captured.err.count("\n") == 1
-            assert "Traceback" not in captured.err
-        monkeypatch.setenv(var, str(default))
-        assert main(["solve", triangle]) == 0
-        assert capsys.readouterr() == unset
-        monkeypatch.delenv(var)
 
 
 def test_kernelize_fes_report_text(tmp_path, capsys):
@@ -417,11 +403,6 @@ def test_usage_error_bad_length(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-_CAP_VARS = {"TSPKERN_CAP_MULT_EDGES": "multiplicity_edges",
-             "TSPKERN_CAP_HK_WAYPOINTS": "heldkarp_waypoints",
-             "TSPKERN_CAP_TW_WIDTH": "treewidth_width"}
-
-
 @st.composite
 def _mutated_files(draw):
     """The file of a small planted instance, and the same file with at most
@@ -475,21 +456,15 @@ _COMMANDS = st.one_of(
         st.one_of(st.none(), st.integers(-1, 6)), st.sampled_from(("text", "json"))),
     st.builds(lambda other: ["verify", "IN", other], st.sampled_from(("IN", "BASE"))))
 
-# a variable left unset, not an integer, above its default, or lowered
-_CAP_VALUES = st.dictionaries(st.sampled_from(tuple(_CAP_VARS)),
-                              st.sampled_from(("abc", "2.5", "", "above", "-1", "0", "2")))
 
-
-@given(_mutated_files(), _COMMANDS, _CAP_VALUES)
+@given(_mutated_files(), _COMMANDS)
 @settings(max_examples=150, deadline=None)
-def test_every_failure_is_an_exit_code_with_one_stderr_line(files, argv, caps):
-    """Whatever the input, the command and the caps, `main` returns 0, 1, 2
-    or 3 and raises nothing; 2 and 3 come with one stderr line that names
-    the failure, 0 and 1 with none.  No InvariantError is ever made: `main`
+def test_every_failure_is_an_exit_code_with_one_stderr_line(files, argv):
+    """Whatever the input and the command, `main` returns 0, 1, 2 or 3 and
+    raises nothing; 2 and 3 come with one stderr line that names the
+    failure, 0 and 1 with none.  No InvariantError is ever made: `main`
     reports one as an `error:` line too, but it is a bug in the program,
     whatever the input."""
-    env = {var: str(getattr(oracle.DEFAULT_CAPS, _CAP_VARS[var]) + 1) if raw == "above" else raw
-           for var, raw in caps.items()}
     invariants = []
 
     def spy(self, *args):
@@ -497,7 +472,7 @@ def test_every_failure_is_an_exit_code_with_one_stderr_line(files, argv, caps):
         RuntimeError.__init__(self, *args)
 
     out, err = io.StringIO(), io.StringIO()
-    with (tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env),
+    with (tempfile.TemporaryDirectory() as tmp,
           mock.patch.object(InvariantError, "__init__", spy)):
         paths = {name: os.path.join(tmp, f"{name}.grw") for name in ("IN", "BASE", "OUT")}
         for name, text in zip(("BASE", "IN"), files):

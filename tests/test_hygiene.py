@@ -4,12 +4,13 @@ somewhere in the package, every public function or method is referenced
 somewhere in the package or the benchmark harness (a reference from the
 tests alone does not count: code only the tests use belongs in the tests,
 and neither does a re-export in `__init__.py`, which only the tests could
-then be reading), no module uses `assert`, and numpy is named only where
-the exact engines and weight compression use it.
+then be reading), no module uses `assert`, numpy is named only where
+the exact engines and weight compression use it, no module reads the
+environment, no module takes another's `_private` name, and `__init__.py`
+is only the package's docstring.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
-with the standard library.  `__init__.py` is skipped by the import check:
-its imports are the package's re-exports.
+with the standard library.
 """
 
 import ast
@@ -20,7 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tspkern"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -138,6 +139,13 @@ def test_reexport_is_not_a_use():
     assert unreferenced(package, users) == ["a.py line 1: exported"]
 
 
+def test_package_init_is_its_docstring():
+    """`import tspkern` re-exports nothing: callers import the module that
+    defines a name, and the version lives in `pyproject.toml`."""
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(body) == 1 and isinstance(body[0].value, ast.Constant)
+
+
 def test_no_unreferenced_public_functions():
     package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     perfbench = {p.name: p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py")}
@@ -154,7 +162,7 @@ def test_assert_detector():
     assert asserts("x = 1\nassert x\nif x:\n    assert x > 0, 'msg'\n") == [2, 4]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_asserts(path):
     assert asserts(path.read_text(encoding="utf-8")) == []
 
@@ -203,7 +211,7 @@ def test_shape_memo_detector():
     assert shape_memo_uses(src) == [1, 3, 4, 5]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "marking.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "marking.py"],
                          ids=lambda p: p.name)
 def test_only_marking_owns_the_shape_memo(path):
     assert shape_memo_uses(path.read_text(encoding="utf-8")) == []
@@ -241,3 +249,64 @@ def test_numpy_only_in_the_engines_and_compression():
               if re.search(r"\bnumpy\b", p.read_text(encoding="utf-8"))}
     assert naming <= {"oracle.py", "preprocess.py"}
     assert not oracle_names((PACKAGE / "modulator.py").read_text(encoding="utf-8")) & FOLDS
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines that read the process environment: `os.environ` or
+    `os.getenv`, or either imported from `os`.  A command's results follow
+    from its arguments and input alone, so a variable left in the shell
+    cannot change them."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.ImportFrom) and node.module == "os"
+                and names & {alias.name for alias in node.names}):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_environment_read_detector():
+    src = ("import os\nx = os.environ.get('A')\ny = os.getenv('B')\n"
+           "from os import environ as env\nos.path.join('a', 'b')\nenviron = {}\n")
+    assert environment_reads(src) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_private` names `source` takes from another module: imported
+    from it, or read as an attribute of a module of the package that it
+    imports.  A name one module's code shares with another is public, and
+    named without the underscore."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and not node.module
+               for alias in node.names}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+              and private(node.attr)):
+            out.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(out)]
+
+
+def test_private_import_detector():
+    src = ("from .oracle import _merge_blocks, decode\nfrom . import oracle\n"
+           "oracle._layout(x)\noracle.solve_auto(x)\nself._dead\nfrom .instance import (\n"
+           "    Edge,\n    _renumbered,\n)\nfrom __future__ import annotations\n")
+    assert private_imports(src) == ["line 1: _merge_blocks", "line 3: oracle._layout",
+                                    "line 6: _renumbered"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

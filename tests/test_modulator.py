@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from lemmas import blend_behavior, is_component_behavior, pieces, round_unit
 from tspkern.instance import Edge, Instance, InstanceError, InvariantError, ScaleError
-from tspkern.marking import Behavior, impact_of
+from tspkern.marking import BEHAVIOR_GUARD, Behavior, impact_of
 from tspkern.modulator import (
-    BEHAVIOR_GUARD,
     _shortest_mm_paths,
     component_graph,
     enumerate_component_behaviors,

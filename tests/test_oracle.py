@@ -24,7 +24,16 @@ from lemmas import (
 )
 from tspkern import oracle
 from tspkern.gadgets import REGIMES, gen_planted
-from tspkern.instance import KINDS, MAX_WEIGHT, Edge, Instance, InvariantError, ScaleError, as_wrp
+from tspkern.instance import (
+    KINDS,
+    MAX_WEIGHT,
+    Edge,
+    Instance,
+    InvariantError,
+    ScaleError,
+    as_wrp,
+    merge_blocks,
+)
 from tspkern.oracle import (
     DEFAULT_CAPS,
     OracleCaps,
@@ -672,8 +681,8 @@ def test_treewidth_grid_5x5_join_work(monkeypatch):
     Pruning dominated partitions at each join's inputs cut the count to
     9 190."""
     merges = []
-    merge = oracle._merge_blocks
-    monkeypatch.setattr(oracle, "_merge_blocks", lambda *a: merges.append(1) or merge(*a))
+    merge = oracle.merge_blocks
+    monkeypatch.setattr(oracle, "merge_blocks", lambda *a: merges.append(1) or merge(*a))
     inst = Instance("wrp", 25, tuple(Edge(u, v, 1, 2) for u, v in _grid_pairs(5, 5)),
                     frozenset(range(25)), 26)
     assert solve_treewidth(inst).opt_weight == 26
@@ -906,9 +915,9 @@ def test_merge_blocks_of_edge_end_masks():
     edge comes last."""
     triangle = [0b011, 0b110, 0b101]
     two = triangle + [b << 3 for b in triangle]
-    assert oracle._merge_blocks(two[:1], two) == (0b000111, 0b111000)
+    assert merge_blocks(two[:1], two) == (0b000111, 0b111000)
     path = [0b0011, 0b1100, 0b0110]
-    assert oracle._merge_blocks(path[:1], path) == (0b1111,)
+    assert merge_blocks(path[:1], path) == (0b1111,)
 
 
 def test_dp_prune_drops_entries_a_one_merge_coarser_partition_dominates():

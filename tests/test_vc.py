@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from lemmas import round_unit, vertex_behaviors, vertex_classes
 from tspkern import marking
-from tspkern.instance import Edge, Instance, InstanceError, InvariantError
+from tspkern.cli import main
+from tspkern.instance import (
+    Edge,
+    Instance,
+    InstanceError,
+    InvariantError,
+    ScaleError,
+    render_instance,
+)
 from tspkern.marking import Behavior, Impact, Unit, close_round, impact_of
 from tspkern.oracle import solve_exact_multiplicity
 from tspkern.pipelines import kernelize_vc_tsp, kernelize_vc_wrp
@@ -128,6 +136,24 @@ def test_many_edges_cost_their_behaviors():
     behaviors = enumerate_vertex_behaviors(inst, set(range(5)), 5)
     assert time.perf_counter() - t0 < 1
     assert len(behaviors) == 45150
+
+
+def test_vertex_behavior_guard(monkeypatch, tmp_path, capsys):
+    """A wrp waypoint with 12 parallel capacity-2 edges into the cover has
+    78 behaviors of degree 2 and 1221 of degree 4, past a guard of 1000:
+    the walk stops with ScaleError, which the CLI reports as exit 3."""
+    inst = Instance("wrp", 2, tuple(Edge(0, 1, 1 + j, 2) for j in range(12)),
+                    frozenset({0, 1}), 10**6)
+    assert len(enumerate_vertex_behaviors(inst, {0}, 1)) == 1299
+    monkeypatch.setattr(marking, "BEHAVIOR_GUARD", 1000)
+    with pytest.raises(ScaleError, match="behavior count exceeds guard 1000"):
+        enumerate_vertex_behaviors(inst, {0}, 1)
+    path = tmp_path / "parallel.grw"
+    path.write_text(render_instance(inst))
+    assert main(["kernelize", str(path), str(tmp_path / "k.grw"), "--regime", "vc-wrp"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "scale exceeded: behavior count exceeds guard 1000\n"
 
 
 def test_natural_tsp_doubled_cheapest():
