@@ -15,6 +15,12 @@ one sha256 over the exit code, stdout, stderr and (for `kernelize`) the
 kernel file, with the work directory masked.  Solve witnesses are checked
 and dropped as above.
 
+`parse_errors.json` holds one digest per file of `malformed/`: each file
+makes `parse_instance` fail with one of its messages (or the `Instance`
+error it passes on), and most also hold a second fault that the message
+must win over.  `solve` runs on each, and its exit code, stdout and stderr
+are hashed.
+
 The digests live beside this script; `tests/test_golden.py` recomputes
 them.  A change that is meant to keep every output the same must leave them
 unchanged; a change that is meant to alter an output regenerates the files
@@ -154,8 +160,13 @@ def corpora_digests(work: str) -> dict[str, str]:
     return out
 
 
+def parse_error_digests(work: str) -> dict[str, str]:
+    return {path.stem: sha256(call(["solve", str(path)], work))
+            for path in sorted((HERE / "malformed").glob("*.grw"))}
+
+
 FILES = {"kernelize.json": kernelize_digests, "solve.json": solve_digests,
-         "corpora.json": corpora_digests}
+         "corpora.json": corpora_digests, "parse_errors.json": parse_error_digests}
 
 
 def digests() -> dict[str, dict[str, str]]:

@@ -33,3 +33,7 @@ def test_solve_outputs_match_golden_digests(recomputed):
 
 def test_corpora_outputs_match_golden_digests(recomputed):
     check(recomputed, "corpora.json")
+
+
+def test_parse_errors_match_golden_digests(recomputed):
+    check(recomputed, "parse_errors.json")
