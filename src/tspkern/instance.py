@@ -36,6 +36,7 @@ The kernels stand on seven graph primitives, each written once here:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
 MAX_WEIGHT = 2**63 - 1
@@ -197,7 +198,8 @@ class WorkGraph:
     `waypoints`, `budget` and `modulator_hint` mirror the Instance fields;
     the hint is dropped as soon as one of its vertices is deleted.  The
     graph keeps its degree-1 vertices in heaps, so the leaf rules find the
-    lowest leaf without a scan.
+    lowest leaf without a scan, and its deleted vertices in a sorted list,
+    so a live vertex's rank among the live ones is a binary search.
     """
 
     def __init__(self, inst: Instance):
@@ -213,7 +215,7 @@ class WorkGraph:
         self.waypoints = set(inst.waypoints)
         self.budget = inst.budget
         self.modulator_hint = inst.modulator_hint
-        self._dead = [0] * (inst.n + 1)  # Fenwick tree over deleted vertices
+        self._dead: list[int] = []  # the deleted vertices, ascending
         # (is a waypoint, edge has capacity 1) -> heap of leaves, stale
         # entries left in place and skipped when they reach the top
         self._leaves = {(w, c): [] for w in (False, True) for c in (False, True)}
@@ -225,11 +227,7 @@ class WorkGraph:
 
     def label(self, v: int) -> int:
         """v's 1-based id in the frozen instance: its rank among live vertices."""
-        dead, i = 0, v
-        while i:
-            dead += self._dead[i]
-            i &= i - 1
-        return v + 1 - dead
+        return v + 1 - bisect_left(self._dead, v)
 
     def _leaf_key(self, v: int):
         if not self.alive[v] or len(self.adj[v]) != 1:
@@ -283,10 +281,7 @@ class WorkGraph:
             self.waypoints.discard(v)
             if self.modulator_hint is not None and v in self.modulator_hint:
                 self.modulator_hint = None
-            i = v + 1
-            while i < len(self._dead):
-                self._dead[i] += 1
-                i += i & -i
+            insort(self._dead, v)
 
     def add_waypoint(self, v: int):
         self.waypoints.add(v)
@@ -309,12 +304,13 @@ def as_wrp(inst: Instance) -> Instance:
 
 # -- file format -----------------------------------------------------------
 
+# The records a file holds at most once, by tag, each with its name in messages
+_ONCE = {"p": "problem", "b": "budget", "w": "waypoint", "m": "modulator"}
+
+
 def parse_instance(text: str) -> Instance:
     kind = None
-    n = m = None
-    budget = None
-    waypoints = None
-    hint = None
+    once: dict[str, object] = {}  # tag -> value, for each once-only record read
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -323,36 +319,10 @@ def parse_instance(text: str) -> Instance:
         parts = line.split()
         tag = parts[0]
         try:
-            if tag == "p":
-                if kind is not None:
-                    raise ParseError(f"line {lineno}: duplicate problem line")
-                if len(parts) != 4:
-                    raise ParseError(f"line {lineno}: expected 'p <kind> <n> <m>'")
-                kind = parts[1]
-                if kind not in KINDS:
-                    raise ParseError(f"line {lineno}: unknown kind {kind!r}")
-                n, m = int(parts[2]), int(parts[3])
-            elif tag == "b":
-                if budget is not None:
-                    raise ParseError(f"line {lineno}: duplicate budget line")
-                if len(parts) != 2:
-                    raise ParseError(f"line {lineno}: expected 'b <budget>'")
-                budget = int(parts[1])
-            elif tag == "w":
-                if kind is None:
-                    raise ParseError(f"line {lineno}: waypoint line before problem line")
-                if kind == KIND_TSP:
-                    raise ParseError(f"line {lineno}: waypoint line forbidden for tsp")
-                if waypoints is not None:
-                    raise ParseError(f"line {lineno}: duplicate waypoint line")
-                waypoints = frozenset(int(x) - 1 for x in parts[1:])
-            elif tag == "m":
-                if hint is not None:
-                    raise ParseError(f"line {lineno}: duplicate modulator line")
-                hint = frozenset(int(x) - 1 for x in parts[1:])
-            elif tag == "e":
-                if kind is None:
-                    raise ParseError(f"line {lineno}: edge before problem line")
+            if kind is None and tag in ("e", "w"):
+                noun = "edge" if tag == "e" else "waypoint line"
+                raise ParseError(f"line {lineno}: {noun} before problem line")
+            if tag == "e":
                 if len(parts) not in (4, 5):
                     raise ParseError(f"line {lineno}: expected 'e <u> <v> <w> [<cap>]'")
                 u, v, w = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
@@ -364,24 +334,38 @@ def parse_instance(text: str) -> Instance:
                 elif len(parts) == 5:
                     raise ParseError(f"line {lineno}: capacity only allowed for wrp")
                 edges.append(Edge(u, v, w, cap))
-            else:
+            elif tag not in _ONCE:
                 raise ParseError(f"line {lineno}: unknown record {tag!r}")
+            elif tag in once:
+                raise ParseError(f"line {lineno}: duplicate {_ONCE[tag]} line")
+            elif tag == "p":
+                if len(parts) != 4:
+                    raise ParseError(f"line {lineno}: expected 'p <kind> <n> <m>'")
+                kind = parts[1]
+                if kind not in KINDS:
+                    raise ParseError(f"line {lineno}: unknown kind {kind!r}")
+                once[tag] = (int(parts[2]), int(parts[3]))
+            elif tag == "b":
+                if len(parts) != 2:
+                    raise ParseError(f"line {lineno}: expected 'b <budget>'")
+                once[tag] = int(parts[1])
+            elif tag == "w" and kind == KIND_TSP:
+                raise ParseError(f"line {lineno}: waypoint line forbidden for tsp")
+            else:
+                once[tag] = frozenset(int(x) - 1 for x in parts[1:])
         except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    if kind is None:
-        raise ParseError("missing problem line")
-    if budget is None:
-        raise ParseError("missing budget line")
+    for tag in "pb":
+        if tag not in once:
+            raise ParseError(f"missing {_ONCE[tag]} line")
+    n, m = once["p"]
     if len(edges) != m:
         raise ParseError(f"problem line promises {m} edges, found {len(edges)}")
-    if kind == KIND_TSP:
-        waypoints = frozenset(range(n))
-    elif waypoints is None:
-        waypoints = frozenset()
+    waypoints = frozenset(range(n)) if kind == KIND_TSP else once.get("w", frozenset())
     try:
-        return Instance(kind, n, tuple(edges), waypoints, budget, hint)
+        return Instance(kind, n, tuple(edges), waypoints, once["b"], once.get("m"))
     except InstanceError as exc:
         raise ParseError(str(exc)) from exc
 

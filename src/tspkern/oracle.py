@@ -161,6 +161,8 @@ def empty_solution(inst: Instance) -> SolutionMultigraph:
 def check_certificate(inst: Instance, sol: SolutionMultigraph) -> bool:
     if len(sol.multiplicity) != len(inst.edges):
         raise ValueError("multiplicity vector length != edge count")
+    if sol.total_weight != sum(m * e.weight for m, e in zip(sol.multiplicity, inst.edges)):
+        return False  # the budget test below trusts the stated weight
     if len(inst.waypoints) <= 1 and all(m == 0 for m in sol.multiplicity):
         return 0 <= inst.budget
     deg = [0] * inst.n

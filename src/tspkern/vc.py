@@ -14,7 +14,8 @@ a component's behaviors too (`marking.unit_behaviors`).
 
 from __future__ import annotations
 
-from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError
+from . import marking
+from .instance import KIND_TSP, KIND_WRP, Instance, InstanceError, InvariantError, ScaleError
 from .marking import (
     Behavior,
     close_round,
@@ -39,7 +40,18 @@ def enumerate_vertex_behaviors(inst: Instance, M, r: int) -> list[Behavior]:
     if inst.kind not in (KIND_TSP, KIND_WRP):
         raise InstanceError(f"vertex behaviors need the tsp or wrp kind, got {inst.kind}")
     # r's degree is its ends outside {r}: 2 for tsp; 2 or 4 for wrp, or 0 at a non-waypoint
-    return unit_behaviors(inst, (r,), incident, 2 if inst.kind == KIND_TSP else 4)
+    sums = (2,) if inst.kind == KIND_TSP else (2, 4) if r in inst.waypoints else (0, 2, 4)
+    # r's behaviors are its multiplicity vectors of those sums; by_sum[s]
+    # counts those of sum s, the coefficient of z^s in the product over r's
+    # edges of 1 + z + z^2, without z^2 at effective capacity 1
+    by_sum = [1, 0, 0, 0, 0]
+    for i in incident:
+        two = inst.effective_capacity(inst.edges[i]) == 2
+        for s in range(4, 0, -1):  # from the top, so by_sum[s - 1] is still the old one
+            by_sum[s] += by_sum[s - 1] + (by_sum[s - 2] if two and s >= 2 else 0)
+    if sum(by_sum[s] for s in sums) > marking.BEHAVIOR_GUARD:  # refuse before the walk
+        raise ScaleError(f"behavior count exceeds guard {marking.BEHAVIOR_GUARD}")
+    return unit_behaviors(inst, (r,), incident, max(sums))
 
 
 def _vertex_units(inst: Instance, M, R, report: KernelReport):

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import networkx as nx
@@ -91,6 +92,17 @@ def test_certificate_length_guards():
     with pytest.raises(ValueError) as exc:
         check_certificate(p3(), make_solution(triangle(), (1, 1, 1)))
     assert str(exc.value) == "multiplicity vector length != edge count"
+
+
+def test_certificate_weighs_its_multiplicities():
+    """A stated weight that is not the sum of multiplicity times weight
+    fails, before the budget test and the one-waypoint shortcut read it."""
+    inst = Instance("tsp", 3, tuple(Edge(u, v, 5) for u, v in ((0, 1), (1, 2), (0, 2))),
+                    frozenset(range(3)), 3)
+    assert not check_certificate(inst, oracle.SolutionMultigraph((1, 1, 1), 0))
+    assert check_certificate(replace(inst, budget=15), make_solution(inst, (1, 1, 1)))
+    one = p3(kind="stsp", waypoints={1}, budget=0)
+    assert not check_certificate(one, oracle.SolutionMultigraph((0, 0), -1))
 
 
 def test_certificate_capacity_respected():

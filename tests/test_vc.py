@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemmas import round_unit, vertex_behaviors, vertex_classes
-from tspkern import marking
+from tspkern import marking, vc
 from tspkern.cli import main
 from tspkern.instance import (
     Edge,
@@ -125,6 +125,27 @@ def test_walk_matches_the_size_table(star):
     assert set(got) == set(vertex_behaviors(inst, centre))
 
 
+@given(stars())
+@settings(max_examples=200, deadline=None)
+def test_guard_counts_the_behaviors_before_the_walk(star):
+    """The count checked against the guard before the walk is the number of
+    behaviors the walk finds: the walk runs at a guard equal to it, and does
+    not start at a guard one below it."""
+    inst, M, centre = star
+    found = len(enumerate_vertex_behaviors(inst, M, centre))
+
+    def no_walk(*args):
+        raise AssertionError("the walk started past the guard")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marking, "BEHAVIOR_GUARD", found)
+        assert len(enumerate_vertex_behaviors(inst, M, centre)) == found
+        mp.setattr(marking, "BEHAVIOR_GUARD", found - 1)
+        mp.setattr(vc, "unit_behaviors", no_walk)
+        with pytest.raises(ScaleError, match=f"exceeds guard {found - 1}$"):
+            enumerate_vertex_behaviors(inst, M, centre)
+
+
 def test_many_edges_cost_their_behaviors():
     """A tsp vertex with 300 edges into a 5-vertex cover has 300 * 301 / 2
     behaviors.  Once a prefix puts two ends in the cover the walk sets the
@@ -154,6 +175,23 @@ def test_vertex_behavior_guard(monkeypatch, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "scale exceeded: behavior count exceeds guard 1000\n"
+
+
+def test_vertex_behavior_guard_refuses_before_the_walk(tmp_path, capsys):
+    """A wrp waypoint with 60 parallel capacity-2 edges into a one-vertex
+    cover has 593 895 behaviors, past the guard of 3^12: kernelize stops at
+    once with exit 3, without walking the guard's worth of them first."""
+    inst = Instance("wrp", 2, tuple(Edge(0, 1, 1 + j, 2) for j in range(60)),
+                    frozenset({0, 1}), 10**6)
+    path = tmp_path / "parallel.grw"
+    path.write_text(render_instance(inst))
+    t0 = time.perf_counter()
+    code = main(["kernelize", str(path), str(tmp_path / "k.grw"), "--regime", "vc-wrp"])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"scale exceeded: behavior count exceeds guard {marking.BEHAVIOR_GUARD}\n"
 
 
 def test_natural_tsp_doubled_cheapest():

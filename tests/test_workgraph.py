@@ -166,6 +166,43 @@ def test_freeze_renumbers_like_remove_vertices():
     assert g.modulator_hint is None  # a hint vertex is gone
 
 
+def assert_labels_are_ranks(g: WorkGraph):
+    """Each live vertex's label is its 1-based rank among the live vertices,
+    and freeze() gives it that label less one."""
+    live = g.vertices()
+    assert [g.label(v) for v in live] == list(range(1, len(live) + 1))
+    frozen = g.freeze()
+    assert frozen.n == len(live)
+    assert frozen.waypoints == {g.label(w) - 1 for w in g.waypoints}
+    assert [(e.u, e.v) for e in frozen.edges] == [
+        (g.label(e.u) - 1, g.label(e.v) - 1) for e in g.edges if e is not None]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_labels_follow_deletions_in_any_order(seed):
+    """Delete all but one vertex of a random multigraph, one or a few at a
+    time in a random order, with edges removed and added in between."""
+    rng = random.Random(seed)
+    inst = random_multigraph(rng)
+    g = WorkGraph(inst)
+    victims = rng.sample(range(inst.n), inst.n - 1)
+    while victims:
+        live_edges = [i for i, e in enumerate(g.edges) if e is not None]
+        if live_edges and rng.random() < 0.4:
+            g.remove_edge(rng.choice(live_edges))
+            assert_labels_are_ranks(g)
+        live = g.vertices()
+        if len(live) > 1 and rng.random() < 0.4:
+            u, v = rng.sample(live, 2)
+            g.add_edge(Edge(u, v, rng.randint(0, 9), rng.choice((1, 2))))
+            assert_labels_are_ranks(g)
+        batch = victims[:rng.randint(1, 3)]
+        del victims[:len(batch)]
+        g.remove_vertices(batch)
+        assert_labels_are_ranks(g)
+
+
 def test_leaf_heaps_follow_edits():
     inst = Instance("wrp", 4, (Edge(0, 1, 1, 1), Edge(1, 2, 1, 2), Edge(2, 3, 1, 2)),
                     frozenset({0, 3}), 9)
