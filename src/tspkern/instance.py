@@ -357,7 +357,7 @@ def parse_instance(text: str) -> Instance:
             raise
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    for tag in "pb":
+    for tag in ("p", "b"):
         if tag not in once:
             raise ParseError(f"missing {_ONCE[tag]} line")
     n, m = once["p"]
