@@ -5,6 +5,13 @@ Exit codes, stable across commands: 0 success (or: equivalent / feasible),
 soundness check), 3 instance beyond the exact solvers' caps
 (`oracle.DEFAULT_CAPS`), the behavior guard (`marking.BEHAVIOR_GUARD`) or
 the memory the process may use.
+
+Each command imports only the modules it runs, so a fresh process pays for
+no other: every command loads `argparse`, `instance` and `oracle` (whose
+engines `solve` and `verify` run), `kernelize` adds `pipelines` and with it
+the kernel modules, and `generate` adds `gadgets`.  So `--regime` is checked
+by the table that runs it, `pipelines.PIPELINES` or `gadgets.gen_planted`,
+not by the parser.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import functools
 import random
 import sys
 
-from . import gadgets, oracle
+from . import oracle
 from .instance import (
     Instance,
     InstanceError,
@@ -26,7 +33,6 @@ from .instance import (
     parse_instance,
     render_instance,
 )
-from .pipelines import PIPELINES
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -56,6 +62,9 @@ def _trivial(kind: str, verdict: str) -> Instance:
 
 
 def cmd_kernelize(args) -> int:
+    from .pipelines import PIPELINES
+    if args.regime not in PIPELINES:
+        raise UsageError(f"unknown regime {args.regime!r}; choose one of {', '.join(PIPELINES)}")
     if args.r < 1:  # every regime, though only components and paths read r
         raise UsageError(f"r must be positive, got {args.r}")
     inst = _read(args.input)
@@ -114,12 +123,14 @@ def cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
-_LENGTH_GADGETS = {"selection": gadgets.selection_gadget, "cycle": gadgets.cycle_gadget}
+_LENGTH_GADGETS = ("selection", "cycle")
 
 
 def cmd_generate(args) -> int:
+    from . import gadgets
     if args.generator in _LENGTH_GADGETS:
-        inst = _LENGTH_GADGETS[args.generator](args.length)
+        gadget = gadgets.selection_gadget if args.generator == "selection" else gadgets.cycle_gadget
+        inst = gadget(args.length)
         prov = f"c {args.generator} length={args.length}"
     elif args.generator == "mcc":
         rng = random.Random(f"mcc|{args.k}|{args.n}|{args.seed}")
@@ -161,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("input")
     k.add_argument("output")
     k.add_argument("--regime", required=True,
-                   choices=tuple(PIPELINES))
+                   help="a name in the kernel table; an unknown one lists them")
     k.add_argument("--r", type=int, default=1, help="component/path size bound")
     k.add_argument("--k-max", type=int, default=None, help="modulator search cap")
     k.add_argument("--report", choices=("text", "json"), default="text")
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = gsub.add_parser("planted")
     pl.add_argument("output")
     pl.add_argument("--kind", choices=KINDS, required=True)
-    pl.add_argument("--regime", choices=gadgets.REGIMES, required=True)
+    pl.add_argument("--regime", required=True)
     pl.add_argument("--k", type=int, required=True)
     pl.add_argument("--r", type=int, default=1)
     pl.add_argument("--n", type=int, required=True)

@@ -214,6 +214,49 @@ def test_solve_does_not_import_networkx(triangle, tmp_path):
     assert all(len(parse_instance(out.read_text()).edges) > 12 for out in kernels)
 
 
+def test_each_command_loads_only_what_it_runs(triangle, tmp_path):
+    """A fresh process imports only the modules its command runs: `solve`
+    and `verify` load `instance` and `oracle` but no kernel module, gadget,
+    numpy or networkx.  A following `kernelize` loads `pipelines` and still
+    no gadgets, and `generate selection` loads the gadgets."""
+    unused = [f"tspkern.{name}" for name in ("pipelines", "fes", "preprocess", "report",
+                                               "marking", "modulator", "vc", "gadgets")]
+    unused += ["numpy", "networkx"]
+    code = ["import sys",
+            "from tspkern.cli import main",
+            f"def loaded(): print('loaded', *[m for m in {unused!r} if m in sys.modules])",
+            f"main(['solve', {triangle!r}])",
+            f"main(['verify', {triangle!r}, {triangle!r}])",
+            "loaded()",
+            f"main(['kernelize', {triangle!r}, {str(tmp_path / 'k.grw')!r}, '--regime', 'fes'])",
+            "loaded()",
+            f"main(['generate', 'selection', {str(tmp_path / 's.grw')!r}, '--length', '3'])",
+            "print('gadgets', 'tspkern.gadgets' in sys.modules)"]
+    done = subprocess.run([sys.executable, "-c", "\n".join(code)], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()
+             if line.startswith(("loaded", "gadgets"))]
+    assert lines[0] == ["loaded"]
+    assert "tspkern.pipelines" in lines[1] and "tspkern.gadgets" not in lines[1]
+    assert lines[2] == ["gadgets", "True"]
+
+
+def test_unknown_regime_is_one_error_line(tmp_path, triangle, capsys):
+    """An unknown `--regime` is rejected by the table that would run it, in
+    one `error:` line; `kernelize`'s lists the regimes of `PIPELINES`."""
+    out = tmp_path / "k.grw"
+    for r in ("1", "0"):  # the regime is checked first
+        assert main(["kernelize", triangle, str(out), "--regime", "bogus", "--r", r]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: unknown regime 'bogus'; choose one of {', '.join(PIPELINES)}\n")
+    assert not out.exists()
+    assert main(["generate", "planted", str(out), "--kind", "tsp", "--regime", "vc-tsp",
+                 "--k", "2", "--n", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown regime 'vc-tsp'\n")
+    assert not out.exists()
+
+
 def test_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.grw"
     path.write_text("p tsp x y z\n")
@@ -452,7 +495,7 @@ _COMMANDS = st.one_of(
     st.builds(lambda regime, r, k_max, report: (
         ["kernelize", "IN", "OUT", "--regime", regime, "--r", str(r), "--report", report]
         + ([] if k_max is None else ["--k-max", str(k_max)])),
-        st.sampled_from(tuple(PIPELINES)), st.integers(-1, 3),
+        st.sampled_from((*PIPELINES, "bogus")), st.integers(-1, 3),
         st.one_of(st.none(), st.integers(-1, 6)), st.sampled_from(("text", "json"))),
     st.builds(lambda other: ["verify", "IN", other], st.sampled_from(("IN", "BASE"))))
 
